@@ -17,6 +17,7 @@ from .exactlin import (
     QZERO,
     Subspace,
     inverse,
+    nonzeros,
     rank,
     solve_affine,
     vadd,
@@ -177,7 +178,7 @@ def _antipode_system(algebra):
     mult = algebra.mult
     for k in range(n):
         dk = algebra.comult[k]
-        nz = [(i, j, c) for i, row in enumerate(dk.data) for j, c in enumerate(row) if c]
+        nz = nonzeros(dk)
         for u in range(n):
             line = [QZERO] * (n * n)
             for i, j, c in nz:

@@ -26,7 +26,7 @@ from .constructions import (
     two_sided_crossed_product,
 )
 from .core import AlgebraDataError, decide_axioms
-from .exactlin import QZERO, parse_scalar
+from .exactlin import QZERO
 from .repcat import (
     coherence_report,
     end_of_unit,
@@ -50,6 +50,7 @@ from .serialize import (
     load_path,
     matrix_to_lists,
     parse_matrix,
+    parse_sparse_entries,
     parse_vector,
     vector_to_list,
 )
@@ -170,13 +171,11 @@ def cmd_report(args):
         }
         _emit(out, args, _render_report_text)
         return EXIT_MATH
-    report = decide_axioms(algebra)
-    status = solve_antipode(algebra)
     wh = classify_weak_hopf(algebra)
     out = {
         "valid": True,
-        "axioms": _axiom_doc(algebra, report, args.witness_limit),
-        "antipode": _antipode_doc(status),
+        "axioms": _axiom_doc(algebra, wh.axioms, args.witness_limit),
+        "antipode": _antipode_doc(wh.antipode),
         "weak_hopf": wh.is_weak_hopf,
         "ordinary_hopf": wh.is_ordinary_hopf,
     }
@@ -299,11 +298,8 @@ def _algebra_input(data) -> Algebra:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("algebra input needs a dimension") from exc
     mult = [[[QZERO] * n for _ in range(n)] for _ in range(n)]
-    for entry in data.get("mult", []):
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise ParseError("sparse entries are [i, j, k, scalar] quadruples")
-        i, j, k, s = entry
-        mult[i][j][k] = parse_scalar(s)
+    for i, j, k, c in parse_sparse_entries(data.get("mult", []), n):
+        mult[i][j][k] = c
     unit = parse_vector(data.get("unit", []), n)
     try:
         return Algebra.build(n, mult, unit, labels=data.get("basis"))
@@ -337,6 +333,8 @@ def cmd_construct(args):
     if not args.path:
         raise ParseError("construction inputs come from a JSON file")
     doc = load_path(args.path)
+    if not isinstance(doc, dict):
+        raise ParseError("construction inputs must be an object")
     if args.sub == "minimal":
         a1 = _algebra_input(doc.get("a1"))
         a2 = _algebra_input(doc.get("a2"))
@@ -396,6 +394,8 @@ def cmd_catalog(args):
         _emit({"names": catalog_names()}, args, _render_report_text)
         return EXIT_OK
     if args.sub == "emit":
+        if not args.name:
+            raise ParseError("catalog emit needs an instance name")
         entry = catalog(args.name)
         extras = {}
         if entry.antipode is not None:

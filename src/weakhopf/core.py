@@ -27,6 +27,8 @@ from .exactlin import (
     image,
     inverse,
     kernel,
+    linear_combination,
+    nonzeros,
     qstr,
     rank,
     row_space,
@@ -128,12 +130,7 @@ class WeakBialgebra:
         return tuple(acc)
 
     def delta(self, a):
-        n = self.dim
-        acc = Matrix.zero(n, n)
-        for k, x in enumerate(a):
-            if x:
-                acc = acc + self.comult[k].scale(x)
-        return acc
+        return linear_combination(a, self._comult_nonzeros, self.dim, self.dim)
 
     def eps(self, a):
         s = QZERO
@@ -163,21 +160,23 @@ class WeakBialgebra:
             for j in range(n)
         )
 
+    @cached_property
+    def _comult_nonzeros(self):
+        return tuple(nonzeros(m) for m in self.comult)
+
+    @cached_property
+    def _left_mult_nonzeros(self):
+        return tuple(nonzeros(m) for m in self.left_mult)
+
+    @cached_property
+    def _right_mult_nonzeros(self):
+        return tuple(nonzeros(m) for m in self.right_mult)
+
     def left_mult_of(self, a):
-        n = self.dim
-        acc = Matrix.zero(n, n)
-        for i, x in enumerate(a):
-            if x:
-                acc = acc + self.left_mult[i].scale(x)
-        return acc
+        return linear_combination(a, self._left_mult_nonzeros, self.dim, self.dim)
 
     def right_mult_of(self, a):
-        n = self.dim
-        acc = Matrix.zero(n, n)
-        for j, x in enumerate(a):
-            if x:
-                acc = acc + self.right_mult[j].scale(x)
-        return acc
+        return linear_combination(a, self._right_mult_nonzeros, self.dim, self.dim)
 
     # canonical actions of the algebra on its dual
     def act_left(self, a, phi):
@@ -206,12 +205,7 @@ class WeakBialgebra:
     def t2_mul(self, X: Matrix, Y: Matrix) -> Matrix:
         n = self.dim
         acc = [[QZERO] * n for _ in range(n)]
-        ynz = [
-            (r, s, d)
-            for r, yrow in enumerate(Y.data)
-            for s, d in enumerate(yrow)
-            if d
-        ]
+        ynz = nonzeros(Y)
         mult = self.mult
         for p, xrow in enumerate(X.data):
             for q, c in enumerate(xrow):
@@ -294,12 +288,7 @@ class WeakBialgebra:
         n = self.dim
         d1 = self.delta1
         out = {}
-        nz = [
-            (u, v, c)
-            for u, row in enumerate(d1.data)
-            for v, c in enumerate(row)
-            if c
-        ]
+        nz = nonzeros(d1)
         for u, v, c in nz:
             for up, vp, cp in nz:
                 # left_first: legs (u, v*up, vp); else legs (u*up... reversed
@@ -496,22 +485,26 @@ class WeakBialgebra:
     def fixed_point_subalgebras(self):
         """Kernel presentations of the four fixed-point subalgebras."""
         n = self.dim
-        d1 = self.delta1
         mult = self.mult
-        rows_ll, rows_lr, rows_rl, rows_rr = [], [], [], []
-        for i in range(n):
-            for j in range(n):
-                r_ll, r_lr, r_rl, r_rr = [], [], [], []
-                for k in range(n):
-                    base = self.comult[k][i, j]
-                    r_ll.append(base - sum((d1[u, j] * mult[k][u][i] for u in range(n)), QZERO))
-                    r_lr.append(base - sum((d1[u, j] * mult[u][k][i] for u in range(n)), QZERO))
-                    r_rl.append(base - sum((d1[i, v] * mult[k][v][j] for v in range(n)), QZERO))
-                    r_rr.append(base - sum((d1[i, v] * mult[v][k][j] for v in range(n)), QZERO))
-                rows_ll.append(r_ll)
-                rows_lr.append(r_lr)
-                rows_rl.append(r_rl)
-                rows_rr.append(r_rr)
+        # Row (i, j), column k: the coefficient of e_i (x) e_j in Delta(e_k)
+        # minus a product term that sums over Delta(1), so only the nonzero
+        # entries of Delta(1) contribute.
+        base = [[self.comult[k][i, j] for k in range(n)] for i in range(n) for j in range(n)]
+        rows_ll, rows_lr, rows_rl, rows_rr = ([list(r) for r in base] for _ in range(4))
+        for u, v, c in nonzeros(self.delta1):
+            for k in range(n):
+                for i, w in enumerate(mult[k][u]):
+                    if w:
+                        rows_ll[i * n + v][k] -= c * w
+                for i, w in enumerate(mult[u][k]):
+                    if w:
+                        rows_lr[i * n + v][k] -= c * w
+                for j, w in enumerate(mult[k][v]):
+                    if w:
+                        rows_rl[u * n + j][k] -= c * w
+                for j, w in enumerate(mult[v][k]):
+                    if w:
+                        rows_rr[u * n + j][k] -= c * w
         return {
             ("L", "L"): kernel(Matrix(rows_ll)),
             ("L", "R"): kernel(Matrix(rows_lr)),

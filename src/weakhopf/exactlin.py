@@ -5,17 +5,28 @@ test in the package is exact.  Matrices are immutable (tuples of tuples) and
 all functions are pure.  Subspaces are stored through a canonical reduced
 row-echelon basis, so two subspaces are equal as sets iff their stored bases
 compare equal.
+
+Elimination is sparse: every solver runs one Gauss-Jordan pass over rows
+held as {column: value} dicts of their nonzeros, so its cost follows the
+nonzeros and their fill-in rather than rows x columns.  The reduced
+row-echelon form is unique, so the result is the same canonical RREF a
+dense elimination gives.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 Q = Fraction
 
 QZERO = Q(0)
 QONE = Q(1)
+
+_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def qstr(x: Fraction) -> str:
@@ -26,7 +37,11 @@ def qstr(x: Fraction) -> str:
 
 
 def parse_scalar(s) -> Fraction:
-    """Parse 'p', 'p/q' or an int into a Fraction; reject zero denominators."""
+    """Parse 'p', 'p/q' or an int into a Fraction; reject zero denominators.
+
+    Strings must match -?[0-9]+(/[0-9]+)? in ASCII digits once surrounding
+    whitespace is stripped.
+    """
     if isinstance(s, bool):
         raise ValueError("boolean is not a scalar")
     if isinstance(s, int):
@@ -35,14 +50,15 @@ def parse_scalar(s) -> Fraction:
         return s
     if not isinstance(s, str):
         raise ValueError("scalar must be an integer or a string, got %r" % (s,))
-    txt = s.strip()
-    if "/" in txt:
-        num, _, den = txt.partition("/")
-        d = int(den)
-        if d == 0:
-            raise ValueError("zero denominator in scalar %r" % s)
-        return Q(int(num), d)
-    return Q(int(txt))
+    match = _SCALAR.fullmatch(s.strip())
+    if match is None:
+        raise ValueError("scalar %r is not of the form 'p' or 'p/q'" % s)
+    num, den = match.groups()
+    if den is None:
+        return Q(int(num))
+    if int(den) == 0:
+        raise ValueError("zero denominator in scalar %r" % s)
+    return Q(int(num), int(den))
 
 
 def vec(entries) -> tuple:
@@ -77,10 +93,6 @@ def vdot(a, b):
         if x and y:
             s += x * y
     return s
-
-
-def is_zero_vec(a) -> bool:
-    return all(x == 0 for x in a)
 
 
 class Matrix:
@@ -221,74 +233,93 @@ class Matrix:
         return "Matrix[%s]" % body
 
 
-def mat_from_flat(flat, rows: int, cols: int) -> Matrix:
-    if len(flat) != rows * cols:
-        raise ValueError("flat entry count does not match shape")
-    return Matrix.from_rows(
-        [tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows)], cols
+def nonzeros(m: Matrix) -> tuple:
+    """(row, column, value) of every nonzero entry of m, row by row."""
+    return tuple(
+        (i, j, x) for i, row in enumerate(m.data) for j, x in enumerate(row) if x
     )
 
 
-def _rref_rows(rows, width):
-    """Reduce a list of row lists in place; return pivot column list."""
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(width):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
+def linear_combination(coeffs, terms, rows: int, cols: int) -> Matrix:
+    """sum_t coeffs[t] * M_t, each M_t given by its nonzeros() triples."""
+    acc = [[QZERO] * cols for _ in range(rows)]
+    for c, nz in zip(coeffs, terms):
+        if c:
+            for i, j, x in nz:
+                acc[i][j] += c * x
+    return Matrix.from_rows(acc, cols)
+
+
+def _sparse_row(v) -> dict:
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def _reduce(row: dict, pivots: dict) -> dict:
+    """Clear the sparse row at every pivot column, in place; return it.
+
+    pivots maps a pivot column to its row, which is 1 there and zero to its
+    left, so eliminating columns in increasing order never refills a column
+    already cleared.
+    """
+    cols = [c for c in row if c in pivots]
+    heapify(cols)
+    while cols:
+        c = heappop(cols)
+        f = row.get(c)
+        if f is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
+        for j, x in pivots[c].items():
+            v = row.get(j)
+            if v is None:
+                row[j] = -f * x
+                if j in pivots:
+                    heappush(cols, j)
+            else:
+                v -= f * x
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+    return row
+
+
+def _eliminate(rows, width: int):
+    """Gauss-Jordan elimination of sparse rows (consumed in place).
+
+    Returns the canonical RREF as (pivot column, row) pairs in pivot order.
+    Each incoming row is reduced against the pivot rows found so far and
+    normalized at its leftmost remaining column; the pivot rows are then
+    back-eliminated in decreasing pivot order.
+    """
+    pivots = {}
+    for row in rows:
+        _reduce(row, pivots)
+        if not row:
+            continue
+        c = min(row)
+        pv = row[c]
         if pv != 1:
             inv = QONE / pv
-            rows[r] = [x * inv for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                ri = rows[i]
-                rows[i] = [a - f * b for a, b in zip(ri, prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+            row = {j: x * inv for j, x in row.items()}
+        pivots[c] = row
+        if len(pivots) == width:
             break
-    return pivots
+    done = {}
+    for c in sorted(pivots, reverse=True):
+        done[c] = _reduce(pivots[c], done)
+    return sorted(done.items())
 
 
 def rref(m: Matrix) -> Matrix:
     """Canonical reduced row-echelon form with zero rows dropped."""
-    rows = [list(r) for r in m.data]
-    pivots = _rref_rows(rows, m.cols)
-    return Matrix.from_rows([tuple(r) for r in rows[: len(pivots)]], m.cols)
-
-
-def rref_keep_zeros(m: Matrix) -> Matrix:
-    """Reduced row-echelon form with the original row count preserved."""
-    rows = [list(r) for r in m.data]
-    _rref_rows(rows, m.cols)
-    return Matrix.from_rows([tuple(r) for r in rows], m.cols)
+    red = _eliminate([_sparse_row(r) for r in m.data], m.cols)
+    return Matrix.from_rows(
+        [tuple(row.get(j, QZERO) for j in range(m.cols)) for _, row in red], m.cols
+    )
 
 
 def rank(m: Matrix) -> int:
-    return rref(m).rows
-
-
-def pivot_columns(m: Matrix):
-    """Pivot columns of an already reduced matrix."""
-    pivots = []
-    for row in m.data:
-        for j, x in enumerate(row):
-            if x != 0:
-                pivots.append(j)
-                break
-    return pivots
+    return len(_eliminate([_sparse_row(r) for r in m.data], m.cols))
 
 
 def inverse(m: Matrix) -> Matrix | None:
@@ -298,11 +329,15 @@ def inverse(m: Matrix) -> Matrix | None:
     n = m.rows
     if n == 0:
         return Matrix._empty(0)
-    aug = [list(m.data[i]) + list(unit_vec(n, i)) for i in range(n)]
-    pivots = _rref_rows(aug, 2 * n)
-    if pivots != list(range(n)):
+    aug = [_sparse_row(r) for r in m.data]
+    for i, row in enumerate(aug):
+        row[n + i] = QONE
+    red = _eliminate(aug, 2 * n)
+    if [c for c, _ in red] != list(range(n)):
         return None
-    return Matrix.from_rows([tuple(row[n:]) for row in aug], n)
+    return Matrix.from_rows(
+        [tuple(row.get(n + j, QZERO) for j in range(n)) for _, row in red], n
+    )
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -348,35 +383,27 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
+    @cached_property
+    def _pivot_rows(self) -> dict:
+        """The basis as sparse rows keyed by pivot column, in basis order."""
+        return {min(row): row for row in map(_sparse_row, self.basis.data)}
+
     def contains(self, v) -> bool:
         v = list(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong ambient dimension")
-        for row in self.basis.data:
-            pc = next((j for j, x in enumerate(row) if x != 0), None)
-            if pc is None:
-                continue
-            f = v[pc]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(x == 0 for x in v)
+        return not _reduce(_sparse_row(v), self._pivot_rows)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis.data)
 
     def coordinates(self, v):
         """Coefficients of v in the stored basis, or None if v is outside."""
-        v = list(v)
-        coeffs = [QZERO] * self.basis.rows
-        for i, row in enumerate(self.basis.data):
-            pc = next(j for j, x in enumerate(row) if x != 0)
-            f = v[pc]
-            if f:
-                coeffs[i] = f
-                v = [a - f * b for a, b in zip(v, row)]
-        if any(x != 0 for x in v):
+        row = _sparse_row(v)
+        coeffs = tuple(row.get(pc, QZERO) for pc in self._pivot_rows)
+        if _reduce(row, self._pivot_rows):
             return None
-        return tuple(coeffs)
+        return coeffs
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -417,21 +444,26 @@ class Subspace:
         return self.contains(v)
 
 
+def _null_space(red, n: int) -> Subspace:
+    """Kernel of the first n columns of a reduced system, from its RREF pairs.
+
+    Each free column f gives the vector with a 1 at f and, at each pivot
+    column, minus that pivot row's entry in column f.
+    """
+    pivots = {c for c, _ in red}
+    free = {f: [QZERO] * n for f in range(n) if f not in pivots}
+    for f, v in free.items():
+        v[f] = QONE
+    for pc, row in red:
+        for j, x in row.items():
+            if j in free:
+                free[j][pc] = -x
+    return Subspace.from_spanning([tuple(v) for v in free.values()], n)
+
+
 def kernel(m: Matrix) -> Subspace:
     """Null space of m (solutions of m x = 0) as a canonical subspace."""
-    n = m.cols
-    red = rref(m)
-    pivots = pivot_columns(red)
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [QZERO] * n
-        v[f] = QONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -red.data[i][f]
-        basis.append(tuple(v))
-    return Subspace.from_spanning(basis, n)
+    return _null_space(_eliminate([_sparse_row(r) for r in m.data], m.cols), m.cols)
 
 
 def image(m: Matrix) -> Subspace:
@@ -454,25 +486,19 @@ def solve_affine(a: Matrix, b):
     if a.rows != len(b):
         raise ValueError("right-hand side has wrong dimension")
     n = a.cols
-    aug = [list(row) + [bv] for row, bv in zip(a.data, b)]
-    pivots = _rref_rows(aug, n + 1)
-    if n in pivots:
+    aug = [_sparse_row(r) for r in a.data]
+    for row, bv in zip(aug, b):
+        if bv:
+            row[n] = bv
+    red = _eliminate(aug, n + 1)
+    if red and red[-1][0] == n:
         return None
     particular = [QZERO] * n
-    for i, pc in enumerate(pivots):
-        particular[pc] = aug[i][n]
-    return tuple(particular), kernel(a)
-
-
-def solve_unique(a: Matrix, b):
-    """Solve a x = b expecting a unique solution; None if absent or ambiguous."""
-    res = solve_affine(a, b)
-    if res is None:
-        return None
-    particular, ker = res
-    if ker.dim != 0:
-        return None
-    return particular
+    for pc, row in red:
+        particular[pc] = row.get(n, QZERO)
+    # With column n not a pivot, the rows restricted to the first n columns
+    # are the RREF of a.
+    return tuple(particular), _null_space(red, n)
 
 
 def form_inverse(q: Matrix) -> Matrix | None:

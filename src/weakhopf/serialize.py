@@ -94,12 +94,10 @@ def document_to_algebra(doc) -> WeakBialgebra:
         if not isinstance(labels, list) or len(labels) != n:
             raise ParseError("basis labels must list one name per dimension")
     mult = [[[QZERO] * n for _ in range(n)] for _ in range(n)]
-    for entry in doc.get("mult", []):
-        i, j, k, c = _sparse_entry(entry, n)
+    for i, j, k, c in parse_sparse_entries(doc.get("mult", []), n):
         mult[i][j][k] = c
     comult = [[[QZERO] * n for _ in range(n)] for _ in range(n)]
-    for entry in doc.get("comult", []):
-        k, i, j, c = _sparse_entry(entry, n)
+    for k, i, j, c in parse_sparse_entries(doc.get("comult", []), n):
         comult[k][i][j] = c
     unit = parse_vector(doc.get("unit", []), n)
     counit = parse_vector(doc.get("counit", []), n)
@@ -109,18 +107,27 @@ def document_to_algebra(doc) -> WeakBialgebra:
         raise ParseError("structurally malformed algebra: %s" % exc) from exc
 
 
-def _sparse_entry(entry, n):
-    if not isinstance(entry, list) or len(entry) != 4:
-        raise ParseError("sparse entries are [i, j, k, scalar] quadruples")
-    a, b, c, s = entry
-    for x in (a, b, c):
-        if not isinstance(x, int) or not 0 <= x < n:
-            raise ParseError("index %r out of range" % (x,))
-    try:
-        val = parse_scalar(s)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    return a, b, c, val
+def parse_sparse_entries(entries, n):
+    """Validated (a, b, c, scalar) quadruples of a sparse tensor listing.
+
+    Indices must be JSON integers (booleans are not) in range(n).
+    """
+    if not isinstance(entries, list):
+        raise ParseError("sparse tensors are lists of [i, j, k, scalar] quadruples")
+    out = []
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise ParseError("sparse entries are [i, j, k, scalar] quadruples")
+        *indices, s = entry
+        for x in indices:
+            if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n:
+                raise ParseError("index %r out of range" % (x,))
+        try:
+            val = parse_scalar(s)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
+        out.append((*indices, val))
+    return out
 
 
 def dumps(doc) -> str:

@@ -291,3 +291,51 @@ def test_witness_limit_zero_hides_witnesses(tmp_path, capsys):
     main(["catalog", "emit", "example1", "--out", str(path)])
     code, out = run(["report", str(path), "--witness-limit", "0"], capsys)
     assert json.loads(out)["axioms"]["witnesses"] == {}
+
+
+def _minimal_spec(a1_mult):
+    algebra = {"dim": 2, "mult": [[0, 0, 0, "1"], [1, 1, 1, "1"]], "unit": ["1", "1"]}
+    return {"a1": dict(algebra, mult=a1_mult), "a2": algebra, "p": [["1", "0"], ["0", "1"]]}
+
+
+def _document(mult_entry):
+    return {
+        "field": "Q",
+        "dim": 2,
+        "mult": [[0, 0, 0, "1"], mult_entry],
+        "unit": ["1", "1"],
+        "comult": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
+        "counit": ["1", "1"],
+    }
+
+
+MALFORMED = [
+    ("minimal-index-out-of-range", "construct minimal", _minimal_spec([[0, 0, 0, "1"], [1, 1, 2, "1"]])),
+    ("minimal-negative-index", "construct minimal", _minimal_spec([[0, 0, 0, "1"], [1, -1, 1, "1"]])),
+    ("minimal-boolean-index", "construct minimal", _minimal_spec([[0, 0, 0, "1"], [True, 1, 1, "1"]])),
+    ("minimal-underscore-scalar", "construct minimal", _minimal_spec([[0, 0, 0, "1"], [1, 1, 1, "0_1"]])),
+    ("minimal-mult-not-a-list", "construct minimal", _minimal_spec(7)),
+    ("minimal-top-level-list", "construct minimal", [1, 2]),
+    ("validate-boolean-index", "validate", _document([True, 1, 1, "1"])),
+    ("validate-negative-index", "validate", _document([1, 1, -1, "1"])),
+    ("validate-underscore-scalar", "validate", _document([1, 1, 1, "1_000"])),
+    ("validate-arabic-indic-digit", "validate", _document([1, 1, 1, "٣"])),
+    ("validate-plus-sign", "validate", _document([1, 1, 1, "+3"])),
+    ("validate-negative-denominator", "validate", _document([1, 1, 1, "1/-2"])),
+    ("validate-empty-scalar", "validate", _document([1, 1, 1, ""])),
+    ("catalog-emit-without-name", "catalog emit", None),
+]
+
+
+@pytest.mark.parametrize("command,payload", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
+def test_malformed_input_exits_two(tmp_path, capsys, command, payload):
+    argv = command.split()
+    if payload is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        argv.append(str(path))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error: ")
+    assert "Traceback" not in captured.err
