@@ -11,18 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import TheoremCheck, WeakBialgebra, decide_axioms
+from .core import TheoremCheck, WeakBialgebra, computed_once, decide_axioms
 from .exactlin import (
     Matrix,
     QZERO,
     Subspace,
     inverse,
+    linear_combination,
     nonzeros,
+    outer,
+    outer_nonzeros,
     rank,
     solve_affine,
-    vadd,
-    vscale,
-    zero_vec,
+    vdot,
+    vector_combination,
 )
 
 
@@ -33,27 +35,20 @@ class SelfCheckError(Exception):
 def convolve(algebra: WeakBialgebra, s: Matrix, t: Matrix) -> Matrix:
     """Convolution product of two endomorphisms given by their matrices."""
     n = algebra.dim
-    cols = []
-    for k in range(n):
-        acc = zero_vec(n)
-        for u, row in enumerate(algebra.comult[k].data):
-            for v, c in enumerate(row):
-                if c:
-                    prod = algebra.mul(s.col(u), t.col(v))
-                    acc = vadd(acc, vscale(c, prod))
-        cols.append(acc)
-    return Matrix([[cols[k][i] for k in range(n)] for i in range(n)])
+    s_cols = s.transpose().data
+    t_cols = t.transpose().data
+    cols = [
+        vector_combination(
+            ((c, algebra.mul(s_cols[u], t_cols[v])) for u, v, c in legs), n
+        )
+        for legs in algebra._comult_nonzeros
+    ]
+    return Matrix.from_columns(cols, n)
 
 
 def convolution_unit(algebra: WeakBialgebra) -> Matrix:
     """The unit of the convolution algebra: a maps to eps(a) 1."""
-    n = algebra.dim
-    return Matrix(
-        [
-            [algebra.unit[i] * algebra.counit[j] for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    return outer(algebra.unit, algebra.counit)
 
 
 def is_anti_multiplicative(algebra, s: Matrix) -> bool:
@@ -90,23 +85,14 @@ def _antipode_law_holds(algebra, s: Matrix) -> bool:
 
 
 def is_pre_pode(algebra, sbar: Matrix) -> bool:
-    """Reversed-side quasi-inverse conditions on a candidate pode map."""
-    n = algebra.dim
-    p_rr = algebra.projection("R", "R")
-    p_ll = algebra.projection("L", "L")
-    for k in range(n):
-        acc1 = zero_vec(n)
-        acc2 = zero_vec(n)
-        for u, row in enumerate(algebra.comult[k].data):
-            for v, c in enumerate(row):
-                if c:
-                    acc1 = vadd(acc1, vscale(c, algebra.mul(algebra.basis_vector(v), sbar.col(u))))
-                    acc2 = vadd(acc2, vscale(c, algebra.mul(sbar.col(v), algebra.basis_vector(u))))
-        if acc1 != p_rr.apply(algebra.basis_vector(k)):
-            return False
-        if acc2 != p_ll.apply(algebra.basis_vector(k)):
-            return False
-    return True
+    """Reversed-side quasi-inverse conditions on a candidate pode map: its
+    convolutions over the opposite coproduct are the equal-index projections."""
+    cop = algebra.coopposite
+    ident = Matrix.identity(algebra.dim)
+    return (
+        convolve(cop, ident, sbar) == algebra.projection("R", "R")
+        and convolve(cop, sbar, ident) == algebra.projection("L", "L")
+    )
 
 
 def is_pode(algebra, sbar: Matrix) -> bool:
@@ -114,18 +100,11 @@ def is_pode(algebra, sbar: Matrix) -> bool:
         return False
     n = algebra.dim
     for k in range(n):
-        acc = zero_vec(n)
-        for (i, j, l), c in algebra.delta2(algebra.basis_vector(k)).items():
-            acc = vadd(
-                acc,
-                vscale(
-                    c,
-                    algebra.mul(
-                        algebra.mul(sbar.col(l), algebra.basis_vector(j)), sbar.col(i)
-                    ),
-                ),
-            )
-        if acc != sbar.col(k):
+        terms = (
+            (c, algebra.mul(algebra.mul(sbar.col(l), algebra.basis_vector(j)), sbar.col(i)))
+            for (i, j, l), c in algebra.delta2(algebra.basis_vector(k)).items()
+        )
+        if vector_combination(terms, n) != sbar.col(k):
             return False
     return True
 
@@ -136,12 +115,10 @@ def sqcap_maps(algebra, s: Matrix):
     return convolve(algebra, ident, s), convolve(algebra, s, ident)
 
 
-def is_normal_prerigidity_map(algebra, s: Matrix, report=None) -> bool:
+def is_normal_prerigidity_map(algebra, s: Matrix) -> bool:
     """Anti-multiplicative S whose adjoint contractions absorb the mixed
     projections and fix the unit (the normalized-structure criterion)."""
-    if report is None:
-        report = decide_axioms(algebra)
-    if not report.monoidal or not is_anti_multiplicative(algebra, s):
+    if not decide_axioms(algebra).monoidal or not is_anti_multiplicative(algebra, s):
         return False
     cap_l, cap_r = sqcap_maps(algebra, s)
     return (
@@ -205,6 +182,7 @@ def _matrix_from_unknowns(x, n) -> Matrix:
     return Matrix([[x[i * n + j] for j in range(n)] for i in range(n)])
 
 
+@computed_once
 def solve_antipode(algebra: WeakBialgebra) -> AntipodeStatus:
     """Solve for the antipode; absence is a status, never an error.
 
@@ -274,6 +252,7 @@ class SigmaMaps:
     anti_isomorphisms: bool | None = None
 
 
+@computed_once
 def sigma_maps(algebra: WeakBialgebra) -> SigmaMaps:
     """The four restricted counit compositions swapping the wedge algebras.
 
@@ -362,43 +341,32 @@ def quasi_basis(algebra: WeakBialgebra, omega, space: Subspace):
     basis = space.basis.data
     k = len(basis)
     gram = Matrix(
-        [[_pair(omega, algebra.mul(a, b)) for b in basis] for a in basis]
+        [[vdot(omega, algebra.mul(a, b)) for b in basis] for a in basis]
     ) if k else Matrix._empty(0)
     ginv = inverse(gram)
     if ginv is None:
         return None
     n = algebra.dim
-    tensor = [[QZERO] * n for _ in range(n)]
-    index = zero_vec(n)
-    for j in range(k):
-        for l in range(k):
-            c = ginv[j, l]
-            if not c:
-                continue
-            bj, bl = basis[j], basis[l]
-            for u, xu in enumerate(bj):
-                if xu:
-                    w = c * xu
-                    row = tensor[u]
-                    for v, yv in enumerate(bl):
-                        if yv:
-                            row[v] += w * yv
-            index = vadd(index, vscale(c, algebra.mul(bj, bl)))
-    quasi = Matrix(tensor)
+    # the dual tensor sums ginv[j, l] basis[j] (x) basis[l]
+    pairs = [(ginv[j, l], j, l) for j in range(k) for l in range(k) if ginv[j, l]]
+    quasi = linear_combination(
+        ((c, outer_nonzeros(basis[j], basis[l])) for c, j, l in pairs), n, n
+    )
+    index = vector_combination(
+        ((c, algebra.mul(basis[j], basis[l])) for c, j, l in pairs), n
+    )
     # the defining reproduction identities, then centrality of the tensor
     for m in basis:
-        got = zero_vec(n)
-        got2 = zero_vec(n)
-        for j in range(k):
-            for l in range(k):
-                c = ginv[j, l]
-                if c:
-                    got = vadd(got, vscale(c * _pair(omega, algebra.mul(m, basis[j])), basis[l]))
-                    got2 = vadd(got2, vscale(c * _pair(omega, algebra.mul(basis[l], m)), basis[j]))
+        got = vector_combination(
+            ((c * vdot(omega, algebra.mul(m, basis[j])), basis[l]) for c, j, l in pairs), n
+        )
+        got2 = vector_combination(
+            ((c * vdot(omega, algebra.mul(basis[l], m)), basis[j]) for c, j, l in pairs), n
+        )
         if got != m or got2 != m:
             raise SelfCheckError("quasi-basis reproduction identities failed")
-        left = algebra.t2_mul(_ambient_first(algebra, m), quasi)
-        right = algebra.t2_mul(quasi, _ambient_second(algebra, m))
+        left = algebra.t2_mul(outer(m, algebra.unit), quasi)
+        right = algebra.t2_mul(quasi, outer(algebra.unit, m))
         if left != right:
             raise SelfCheckError("quasi-basis centrality identity failed")
     for m in basis:
@@ -406,21 +374,19 @@ def quasi_basis(algebra: WeakBialgebra, omega, space: Subspace):
             raise SelfCheckError("index is not central in its subalgebra")
     modular = ginv * gram.transpose()
     auto = True
+    theta = [vector_combination(zip(modular.col(i), basis), n) for i in range(k)]
     for i in range(k):
-        vi = _combine(basis, modular.col(i), n)
         for j in range(k):
             prod = algebra.mul(basis[i], basis[j])
             lhs = modular.apply(space.coordinates(prod))
-            vj = _combine(basis, modular.col(j), n)
-            rhs = space.coordinates(algebra.mul(vi, vj))
+            rhs = space.coordinates(algebra.mul(theta[i], theta[j]))
             if lhs != rhs:
                 auto = False
     # omega(x y) = omega(y theta(x)) on basis pairs
     for i in range(k):
-        theta_i = _combine(basis, modular.col(i), n)
         for j in range(k):
-            if _pair(omega, algebra.mul(basis[i], basis[j])) != _pair(
-                omega, algebra.mul(basis[j], theta_i)
+            if vdot(omega, algebra.mul(basis[i], basis[j])) != vdot(
+                omega, algebra.mul(basis[j], theta[i])
             ):
                 raise SelfCheckError("modular automorphism identity failed")
     return NondegenerateFunctional(
@@ -432,45 +398,6 @@ def quasi_basis(algebra: WeakBialgebra, omega, space: Subspace):
         modular=modular,
         modular_is_automorphism=auto,
     )
-
-
-def _pair(phi, v):
-    s = QZERO
-    for x, y in zip(phi, v):
-        if x and y:
-            s += x * y
-    return s
-
-
-def _combine(basis, coeffs, n):
-    acc = zero_vec(n)
-    for c, b in zip(coeffs, basis):
-        if c:
-            acc = vadd(acc, vscale(c, b))
-    return acc
-
-
-def _ambient_first(algebra, v):
-    """v (x) 1 as a tensor-square coefficient matrix."""
-    n = algebra.dim
-    acc = [[QZERO] * n for _ in range(n)]
-    for i, x in enumerate(v):
-        if x:
-            for j, y in enumerate(algebra.unit):
-                if y:
-                    acc[i][j] += x * y
-    return Matrix(acc)
-
-
-def _ambient_second(algebra, v):
-    n = algebra.dim
-    acc = [[QZERO] * n for _ in range(n)]
-    for i, x in enumerate(v):
-        if x:
-            for j, y in enumerate(algebra.unit):
-                if y:
-                    acc[j][i] += y * x
-    return Matrix(acc)
 
 
 # ----------------------------------------------------------------------
@@ -512,28 +439,18 @@ def separability_suite(algebra: WeakBialgebra) -> SeparabilityReport:
         checks.append(
             TheoremCheck("index-one-on-A_%s" % sigma, True, qb.index == algebra.unit)
         )
-        formula = [[QZERO] * n for _ in range(n)]
-        for u, row in enumerate(d1.data):
-            for v, c in enumerate(row):
-                if not c:
-                    continue
-                if sigma == "L":
-                    x = smaps.to_left.apply(algebra.basis_vector(u))
-                    y = algebra.basis_vector(v)
-                else:
-                    x = algebra.basis_vector(u)
-                    y = smaps.to_right.apply(algebra.basis_vector(v))
-                for a, xa in enumerate(x):
-                    if xa:
-                        w = c * xa
-                        for b, yb in enumerate(y):
-                            if yb:
-                                formula[a][b] += w * yb
+        # the unit coproduct with a wedge flip on its first leg (A_L) or on
+        # its second leg (A_R)
+        left = smaps.to_left if sigma == "L" else Matrix.identity(n)
+        right = Matrix.identity(n) if sigma == "L" else smaps.to_right
+        formula = linear_combination(
+            ((c, outer_nonzeros(left.col(u), right.col(v))) for u, v, c in nonzeros(d1)),
+            n,
+            n,
+        )
         checks.append(
             TheoremCheck(
-                "quasi-basis-formula-on-A_%s" % sigma,
-                True,
-                Matrix(formula) == qb.quasi_tensor,
+                "quasi-basis-formula-on-A_%s" % sigma, True, formula == qb.quasi_tensor
             )
         )
         if sigma == "L":
@@ -542,7 +459,7 @@ def separability_suite(algebra: WeakBialgebra) -> SeparabilityReport:
             composite = smaps.back_right * smaps.back_left
         agree = True
         for i, b in enumerate(space.basis.data):
-            expect = _combine(space.basis.data, qb.modular.col(i), n)
+            expect = vector_combination(zip(qb.modular.col(i), space.basis.data), n)
             if composite.apply(b) != expect:
                 agree = False
         checks.append(TheoremCheck("modular-automorphism-on-A_%s" % sigma, True, agree))
@@ -550,31 +467,17 @@ def separability_suite(algebra: WeakBialgebra) -> SeparabilityReport:
         basis = space.basis.data
         k = len(basis)
         ginv = inverse(qb.gram)
-        ee = {}
-        for j in range(k):
-            for l in range(k):
-                c = ginv[j, l]
-                if not c:
-                    continue
-                for jp in range(k):
-                    for lp in range(k):
-                        cp = ginv[jp, lp]
-                        if not cp:
-                            continue
-                        xx = algebra.mul(basis[j], basis[jp])
-                        yy = algebra.mul(basis[lp], basis[l])
-                        cc = c * cp
-                        key = (tuple(xx), tuple(yy))
-                        ee[key] = ee.get(key, QZERO) + cc
-        flat_ee = [[QZERO] * n for _ in range(n)]
-        for (xx, yy), c in ee.items():
-            for a, xa in enumerate(xx):
-                if xa:
-                    w = c * xa
-                    for b, yb in enumerate(yy):
-                        if yb:
-                            flat_ee[a][b] += w * yb
-        idem = Matrix(flat_ee) == qb.quasi_tensor
+        pairs = [(ginv[j, l], j, l) for j in range(k) for l in range(k) if ginv[j, l]]
+        ee = linear_combination(
+            (
+                (c * cp, outer_nonzeros(algebra.mul(basis[j], basis[jp]), algebra.mul(basis[lp], basis[l])))
+                for c, j, l in pairs
+                for cp, jp, lp in pairs
+            ),
+            n,
+            n,
+        )
+        idem = ee == qb.quasi_tensor
         checks.append(TheoremCheck("separating-idempotent-on-A_%s" % sigma, True, idem))
     return SeparabilityReport(applicable=True, checks=checks)
 
@@ -646,13 +549,8 @@ def classify_weak_hopf(algebra: WeakBialgebra) -> WeakHopfReport:
         checks.append(TheoremCheck("antipode-restricts-to-wedge-flips", True, restrict_ok))
     ordinary = False
     if is_whopf:
-        eps_mult = algebra.gram == Matrix(
-            [
-                [algebra.counit[i] * algebra.counit[j] for j in range(algebra.dim)]
-                for i in range(algebra.dim)
-            ]
-        )
-        unit_coprod = algebra.delta1 == _outer(algebra.unit, algebra.unit)
+        eps_mult = algebra.gram == outer(algebra.counit, algebra.counit)
+        unit_coprod = algebra.delta1 == outer(algebra.unit, algebra.unit)
         hopf_antipode = status.kind == "hopf_antipode"
         agree = eps_mult == unit_coprod == hopf_antipode
         checks.append(
@@ -675,10 +573,6 @@ def classify_weak_hopf(algebra: WeakBialgebra) -> WeakHopfReport:
         is_ordinary_hopf=ordinary,
         checks=checks,
     )
-
-
-def _outer(u, v):
-    return Matrix([[x * y for y in v] for x in u])
 
 
 # ----------------------------------------------------------------------
@@ -718,7 +612,7 @@ def invariant_functional_check(algebra, s: Matrix, lam) -> FunctionalCriterionVe
     gram_lam = Matrix(
         [
             [
-                _pair(lam, algebra.mul(algebra.basis_vector(i), algebra.basis_vector(j)))
+                vdot(lam, algebra.mul(algebra.basis_vector(i), algebra.basis_vector(j)))
                 for j in range(n)
             ]
             for i in range(n)
@@ -733,24 +627,23 @@ def invariant_functional_check(algebra, s: Matrix, lam) -> FunctionalCriterionVe
             detail="anti-automorphism check %s, nondegeneracy %s" % (pre, nondeg),
         )
     witness = None
+    basis = [algebra.basis_vector(i) for i in range(n)]
     for a in range(n):
-        da = algebra.comult[a]
         for b in range(n):
-            db = algebra.comult[b]
-            lhs = zero_vec(n)
-            for u, row in enumerate(da.data):
-                for v, c in enumerate(row):
-                    if c:
-                        w = c * _pair(lam, algebra.mul(algebra.basis_vector(b), algebra.basis_vector(v)))
-                        if w:
-                            lhs = vadd(lhs, vscale(w, algebra.basis_vector(u)))
-            rhs = zero_vec(n)
-            for u, row in enumerate(db.data):
-                for v, c in enumerate(row):
-                    if c:
-                        w = c * _pair(lam, algebra.mul(algebra.basis_vector(v), algebra.basis_vector(a)))
-                        if w:
-                            rhs = vadd(rhs, vscale(w, s.col(u)))
+            lhs = vector_combination(
+                (
+                    (c * vdot(lam, algebra.mul(basis[b], basis[v])), basis[u])
+                    for u, v, c in algebra._comult_nonzeros[a]
+                ),
+                n,
+            )
+            rhs = vector_combination(
+                (
+                    (c * vdot(lam, algebra.mul(basis[v], basis[a])), s.col(u))
+                    for u, v, c in algebra._comult_nonzeros[b]
+                ),
+                n,
+            )
             if lhs != rhs:
                 witness = (a, b)
                 break
@@ -880,7 +773,7 @@ def antipode_theorem_suite(algebra: WeakBialgebra):
                 TheoremCheck(
                     "antipode-normal-rigidity",
                     True,
-                    is_normal_prerigidity_map(algebra, s, report),
+                    is_normal_prerigidity_map(algebra, s),
                 )
             )
 
@@ -914,21 +807,23 @@ def antipode_theorem_suite(algebra: WeakBialgebra):
     n = algebra.dim
     d1m = algebra.delta1
     absorb = True
+    basis = [algebra.basis_vector(i) for i in range(n)]
     for k in range(n):
-        lhs1 = [[QZERO] * n for _ in range(n)]
-        lhs2 = [[QZERO] * n for _ in range(n)]
-        for (i, j, l), c in algebra.delta2(algebra.basis_vector(k)).items():
-            v1 = algebra.mul(s.col(i), algebra.basis_vector(j))
-            for u, x in enumerate(v1):
-                if x:
-                    lhs1[u][l] += c * x
-            v2 = algebra.mul(algebra.basis_vector(j), s.col(l))
-            for u, x in enumerate(v2):
-                if x:
-                    lhs2[i][u] += c * x
-        rhs1 = algebra.t2_mul(_ambient_second(algebra, algebra.basis_vector(k)), d1m)
-        rhs2 = algebra.t2_mul(d1m, _ambient_first(algebra, algebra.basis_vector(k)))
-        if Matrix(lhs1) != rhs1 or Matrix(lhs2) != rhs2:
+        d2 = algebra.delta2(basis[k]).items()
+        # S(a_(1)) a_(2) (x) a_(3) and a_(1) (x) a_(2) S(a_(3))
+        lhs1 = linear_combination(
+            ((c, outer_nonzeros(algebra.mul(s.col(i), basis[j]), basis[l])) for (i, j, l), c in d2),
+            n,
+            n,
+        )
+        lhs2 = linear_combination(
+            ((c, outer_nonzeros(basis[i], algebra.mul(basis[j], s.col(l)))) for (i, j, l), c in d2),
+            n,
+            n,
+        )
+        rhs1 = algebra.t2_mul(outer(algebra.unit, basis[k]), d1m)
+        rhs2 = algebra.t2_mul(d1m, outer(basis[k], algebra.unit))
+        if lhs1 != rhs1 or lhs2 != rhs2:
             absorb = False
             break
     checks.append(

@@ -14,6 +14,7 @@ from .antipode import classify_weak_hopf, solve_antipode
 from .constructions import (
     Algebra,
     Amalgamation,
+    CatalogNameError,
     ConstructionError,
     HopfAlgebra,
     ModuleAlgebraAction,
@@ -307,13 +308,21 @@ def _algebra_input(data) -> Algebra:
         raise ParseError("bad algebra input: %s" % exc) from exc
 
 
-def _amalgamation_input(data):
+def _amalgamation_input(data, a1, a2):
     if data is None:
         return None
+    if not isinstance(data, dict):
+        raise ParseError("amalgamation must be an object")
+    into_first = data.get("into_first")
+    into_second = data.get("into_second")
+    if not isinstance(into_first, list) or not isinstance(into_second, list):
+        raise ParseError("amalgamation needs into_first and into_second lists")
+    if len(into_first) != len(into_second):
+        raise ParseError("into_first and into_second differ in length")
     return Amalgamation(
-        dim=len(data.get("into_first", [])),
-        into_first=tuple(parse_vector(v) for v in data["into_first"]),
-        into_second=tuple(parse_vector(v) for v in data["into_second"]),
+        dim=len(into_first),
+        into_first=tuple(parse_vector(v, a1.dim) for v in into_first),
+        into_second=tuple(parse_vector(v, a2.dim) for v in into_second),
     )
 
 
@@ -340,7 +349,7 @@ def cmd_construct(args):
         a2 = _algebra_input(doc.get("a2"))
         p = parse_matrix(doc.get("p"), a2.dim, a1.dim)
         algebra = minimal_from_idempotent(
-            a1, a2, p, _amalgamation_input(doc.get("amalgamation"))
+            a1, a2, p, _amalgamation_input(doc.get("amalgamation"), a1, a2)
         )
         _emit(algebra_to_document(algebra), args)
         return EXIT_OK
@@ -350,7 +359,7 @@ def cmd_construct(args):
         omega = parse_vector(doc.get("omega"), a1.dim)
         s_r = parse_matrix(doc.get("s_r"), a1.dim, a2.dim)
         algebra, antipode = minimal_weak_hopf(
-            a1, a2, omega, s_r, _amalgamation_input(doc.get("amalgamation"))
+            a1, a2, omega, s_r, _amalgamation_input(doc.get("amalgamation"), a1, a2)
         )
         _emit(
             algebra_to_document(
@@ -519,7 +528,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, AlgebraDataError) as exc:
+    except (ParseError, AlgebraDataError, CatalogNameError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
     except (ConstructionError, ValueError) as exc:

@@ -9,6 +9,7 @@ of a group by a normal subgroup.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 from .core import WeakBialgebra
@@ -19,17 +20,35 @@ from .exactlin import (
     QZERO,
     Subspace,
     inverse,
+    linear_combination,
+    nonzeros,
+    outer,
+    outer_nonzeros,
     rank,
     solve_affine,
     unit_vec,
-    vadd,
+    vdot,
+    vector_combination,
     vscale,
-    zero_vec,
 )
 
 
 class ConstructionError(Exception):
     """A precondition of a builder failed; carries a witness when available."""
+
+
+class CatalogNameError(ConstructionError):
+    """A catalog, group or subgroup name that is unknown or does not parse."""
+
+
+_COUNT = re.compile(r"[1-9][0-9]*")
+
+
+def _count(text, name):
+    """The positive decimal integer text inside the name."""
+    if _COUNT.fullmatch(text) is None:
+        raise CatalogNameError("%r needs a positive integer, got %r" % (name, text))
+    return int(text)
 
 
 # ----------------------------------------------------------------------
@@ -59,20 +78,7 @@ class Algebra:
         alg.check()
         return alg
 
-    def mul(self, a, b):
-        acc = [QZERO] * self.dim
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            row = self.mult[i]
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                xy = x * y
-                for k, c in enumerate(row[j]):
-                    if c:
-                        acc[k] += xy * c
-        return tuple(acc)
+    mul = WeakBialgebra.mul
 
     def basis_vector(self, i):
         return unit_vec(self.dim, i)
@@ -209,10 +215,10 @@ def _perm_parity(p):
 def named_group(name) -> GroupPresentation:
     name = name.lower()
     if name.startswith("z"):
-        return GroupPresentation.cyclic(int(name[1:]))
+        return GroupPresentation.cyclic(_count(name[1:], name))
     if name == "s3":
         return GroupPresentation.symmetric(3)
-    raise ConstructionError("unknown group %r" % name)
+    raise CatalogNameError("unknown group %r" % name)
 
 
 def named_subgroup(group_name, sub_name):
@@ -227,13 +233,13 @@ def named_subgroup(group_name, sub_name):
         perms = sorted(itertools.permutations(range(3)))
         return g, [i for i, p in enumerate(perms) if _perm_parity(p) == 0]
     if group_name.lower().startswith("z") and sub_name.startswith("z"):
-        n = int(group_name[1:])
-        m = int(sub_name[1:])
+        n = g.order
+        m = _count(sub_name[1:], sub_name)
         if n % m != 0:
             raise ConstructionError("%s is not a subgroup of %s" % (sub_name, group_name))
         step = n // m
         return g, [(step * i) % n for i in range(m)]
-    raise ConstructionError("unknown subgroup %r of %r" % (sub_name, group_name))
+    raise CatalogNameError("unknown subgroup %r of %r" % (sub_name, group_name))
 
 
 def group_algebra(gp: GroupPresentation) -> WeakBialgebra:
@@ -268,13 +274,9 @@ class HopfAlgebra:
 
         algebra.require_valid()
         n = algebra.dim
-        if algebra.delta1 != Matrix(
-            [[algebra.unit[i] * algebra.unit[j] for j in range(n)] for i in range(n)]
-        ):
+        if algebra.delta1 != outer(algebra.unit, algebra.unit):
             raise ConstructionError("coproduct does not preserve the unit")
-        if algebra.gram != Matrix(
-            [[algebra.counit[i] * algebra.counit[j] for j in range(n)] for i in range(n)]
-        ):
+        if algebra.gram != outer(algebra.counit, algebra.counit):
             raise ConstructionError("counit is not multiplicative")
         cu = convolution_unit(algebra)
         ident = Matrix.identity(n)
@@ -370,13 +372,7 @@ class _Carrier:
 
     def embed_pair(self, x, y):
         """Class of x (x) y for x in the first factor, y in the second."""
-        v = [QZERO] * self.full_dim
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    if b:
-                        v[i * self.a2.dim + j] += a * b
-        return self.reduce(v)
+        return self.reduce(outer(x, y).flatten())
 
     def lift(self, q):
         """Canonical ambient representative of a quotient vector."""
@@ -426,18 +422,10 @@ def algebra_gram(alg: Algebra, omega):
     n = alg.dim
     return Matrix(
         [
-            [_pair(omega, alg.mul(alg.basis_vector(i), alg.basis_vector(j))) for j in range(n)]
+            [vdot(omega, alg.mul(alg.basis_vector(i), alg.basis_vector(j))) for j in range(n)]
             for i in range(n)
         ]
     )
-
-
-def _pair(phi, v):
-    s = QZERO
-    for x, y in zip(phi, v):
-        if x and y:
-            s += x * y
-    return s
 
 
 def algebra_quasi_basis(alg: Algebra, omega):
@@ -446,13 +434,10 @@ def algebra_quasi_basis(alg: Algebra, omega):
     ginv = inverse(g)
     if ginv is None:
         return None
-    n = alg.dim
-    index = zero_vec(n)
-    for j in range(n):
-        for k in range(n):
-            c = ginv[j, k]
-            if c:
-                index = vadd(index, vscale(c, alg.mul(alg.basis_vector(j), alg.basis_vector(k))))
+    index = vector_combination(
+        ((c, alg.mul(alg.basis_vector(j), alg.basis_vector(k))) for j, k, c in nonzeros(ginv)),
+        alg.dim,
+    )
     theta = ginv * g.transpose()
     return ginv, index, theta
 
@@ -545,19 +530,23 @@ def minimal_from_idempotent(a1: Algebra, a2: Algebra, p: Matrix, amalgamation=No
         for s in range(dim)
     ]
     unit = carrier.embed_pair(a1.unit, a2.unit)
-    comult = []
-    for (i, j) in basis_pairs:
-        acc = [[QZERO] * dim for _ in range(dim)]
-        for jp, kp, c in terms:
-            first = carrier.embed_pair(a1.basis_vector(i), a2.basis_vector(jp))
-            second = carrier.embed_pair(a1.basis_vector(kp), a2.basis_vector(j))
-            for u, x in enumerate(first):
-                if x:
-                    cx = c * x
-                    for v, y in enumerate(second):
-                        if y:
-                            acc[u][v] += cx * y
-        comult.append(Matrix(acc))
+    comult = [
+        linear_combination(
+            (
+                (
+                    c,
+                    outer_nonzeros(
+                        carrier.embed_pair(a1.basis_vector(i), a2.basis_vector(jp)),
+                        carrier.embed_pair(a1.basis_vector(kp), a2.basis_vector(j)),
+                    ),
+                )
+                for jp, kp, c in terms
+            ),
+            dim,
+            dim,
+        )
+        for (i, j) in basis_pairs
+    ]
     counit = [q[i, j] for (i, j) in basis_pairs]
     result = WeakBialgebra(dim, mult, unit, comult, counit, labels=carrier.labels())
     if result.violations:
@@ -612,7 +601,7 @@ def minimal_weak_hopf(a1: Algebra, a2: Algebra, omega, s_r: Matrix, amalgamation
         left = s_r.apply(a2.basis_vector(j))
         right = s_l.apply(a1.basis_vector(i))
         cols.append(carrier.embed_pair(left, right))
-    antipode = Matrix([[cols[t][u] for t in range(algebra.dim)] for u in range(algebra.dim)])
+    antipode = Matrix.from_columns(cols, algebra.dim)
     return algebra, antipode
 
 
@@ -630,12 +619,9 @@ class ModuleAlgebraAction:
     matrices: tuple  # one target-endomorphism matrix per Hopf basis vector
 
     def act(self, g, a):
-        n = self.target.dim
-        acc = zero_vec(n)
-        for i, c in enumerate(g):
-            if c:
-                acc = vadd(acc, vscale(c, self.matrices[i].apply(a)))
-        return acc
+        return vector_combination(
+            ((c, m.apply(a)) for c, m in zip(g, self.matrices) if c), self.target.dim
+        )
 
     def check(self):
         h = self.hopf.algebra
@@ -655,25 +641,23 @@ class ModuleAlgebraAction:
             gi = h.basis_vector(i)
             if self.act(gi, t.unit) != vscale(h.eps(gi), t.unit):
                 raise ConstructionError("action does not normalize the unit at %d" % i)
-            dk = h.comult[i]
             for a in range(t.dim):
                 for b in range(t.dim):
                     ab = t.mul(t.basis_vector(a), t.basis_vector(b))
                     lhs = self.act(gi, ab)
-                    rhs = zero_vec(t.dim)
-                    for u, row in enumerate(dk.data):
-                        for v, c in enumerate(row):
-                            if c:
-                                rhs = vadd(
-                                    rhs,
-                                    vscale(
-                                        c,
-                                        t.mul(
-                                            self.act(h.basis_vector(u), t.basis_vector(a)),
-                                            self.act(h.basis_vector(v), t.basis_vector(b)),
-                                        ),
-                                    ),
-                                )
+                    rhs = vector_combination(
+                        (
+                            (
+                                c,
+                                t.mul(
+                                    self.act(h.basis_vector(u), t.basis_vector(a)),
+                                    self.act(h.basis_vector(v), t.basis_vector(b)),
+                                ),
+                            )
+                            for u, v, c in h._comult_nonzeros[i]
+                        ),
+                        t.dim,
+                    )
                     if lhs != rhs:
                         raise ConstructionError(
                             "action is not a module-algebra action at (%d,%d,%d)"
@@ -709,8 +693,8 @@ def two_sided_crossed_product(
     for gi in range(h.dim):
         g = h.basis_vector(gi)
         for ai in range(a_l.dim):
-            lhs = _pair(omega, action.act(g, a_l.basis_vector(ai)))
-            if lhs != h.eps(g) * _pair(omega, a_l.basis_vector(ai)):
+            lhs = vdot(omega, action.act(g, a_l.basis_vector(ai)))
+            if lhs != h.eps(g) * vdot(omega, a_l.basis_vector(ai)):
                 raise ConstructionError(
                     "functional is not invariant under the action at (%d,%d)"
                     % (gi, ai)
@@ -808,7 +792,7 @@ def two_sided_crossed_product(
     for t in range(dim):
         i, k, j = _unidx(t, dg, dr)
         acc = [[QZERO] * dim for _ in range(dim)]
-        for (k1, k2, k3), ck in _hopf_delta2(h, k).items():
+        for (k1, k2, k3), ck in h.iterated_delta(h.basis_vector(k), 2).items():
             for jp in range(dr):
                 for kp in range(dl):
                     c = p[jp, kp]
@@ -824,7 +808,7 @@ def two_sided_crossed_product(
     for t in range(dim):
         i, k, j = _unidx(t, dg, dr)
         moved = action.act(s_inv.apply(h.basis_vector(k)), a_l.basis_vector(i))
-        counit.append(_pair(omega, a_l.mul(moved, s_r.apply(a_r.basis_vector(j)))))
+        counit.append(vdot(omega, a_l.mul(moved, s_r.apply(a_r.basis_vector(j)))))
     labels = [
         "%s*%s*%s" % (a_l.labels[i], h.labels[k], a_r.labels[j])
         for t in range(dim)
@@ -852,7 +836,7 @@ def two_sided_crossed_product(
                             if rx:
                                 acc[idx(lp, gp, rp)] += w * rx
         cols.append(acc)
-    antipode = Matrix([[cols[t][u] for t in range(dim)] for u in range(dim)])
+    antipode = Matrix.from_columns(cols, dim)
     return algebra, antipode
 
 
@@ -860,10 +844,6 @@ def _unidx(t, dg, dr):
     t, j = divmod(t, dr)
     i, k = divmod(t, dg)
     return i, k, j
-
-
-def _hopf_delta2(h: WeakBialgebra, k):
-    return h.delta2(h.basis_vector(k))
 
 
 # ----------------------------------------------------------------------
@@ -940,7 +920,7 @@ def ad_crossed_product(gp: GroupPresentation, subgroup):
             conj = gp.conjugate(gp.inv(gi), h)
             target = idx(hindex[conj], gp.inv(hg))
             cols.append(unit_vec(dim, target))
-    antipode = Matrix([[cols[t][u] for t in range(dim)] for u in range(dim)])
+    antipode = Matrix.from_columns(cols, dim)
     return algebra, antipode
 
 
@@ -1008,7 +988,7 @@ def catalog(name: str) -> CatalogEntry:
     if name == "example1":
         return CatalogEntry(name, build_example1())
     if name.startswith("bsz-dual:"):
-        n = int(name.split(":", 1)[1])
+        n = _count(name.split(":", 1)[1], name)
         a1 = Algebra.diagonal(n)
         a2 = Algebra.diagonal(n, labels=["f%d" % (i + 1) for i in range(n)])
         algebra, antipode = minimal_weak_hopf(
@@ -1016,7 +996,10 @@ def catalog(name: str) -> CatalogEntry:
         )
         return CatalogEntry(name, algebra, antipode=antipode)
     if name.startswith("adcross:"):
-        gname, hname = name.split(":", 1)[1].split(",")
+        names = name.split(":", 1)[1].split(",")
+        if len(names) != 2:
+            raise CatalogNameError("%r needs a group and a subgroup name" % name)
+        gname, hname = names
         gp, sub = named_subgroup(gname, hname)
         algebra, antipode = ad_crossed_product(gp, sub)
         return CatalogEntry(name, algebra, antipode=antipode)
@@ -1026,4 +1009,4 @@ def catalog(name: str) -> CatalogEntry:
         base = build_example1()
         structure = dual_rigidity_structure(base, example2_cross_map())
         return CatalogEntry(name, base.dual, rigidity=structure)
-    raise ConstructionError("unknown catalog name %r" % name)
+    raise CatalogNameError("unknown catalog name %r" % name)

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .exactlin import (
     Matrix,
     Q,
-    QONE,
     QZERO,
     Subspace,
     image,
@@ -29,14 +28,16 @@ from .exactlin import (
     kernel,
     linear_combination,
     nonzeros,
+    outer,
     qstr,
     rank,
     row_space,
     unit_vec,
     vadd,
-    vscale,
+    vdot,
     vec,
-    zero_vec,
+    vector_combination,
+    vscale,
 )
 
 
@@ -130,14 +131,10 @@ class WeakBialgebra:
         return tuple(acc)
 
     def delta(self, a):
-        return linear_combination(a, self._comult_nonzeros, self.dim, self.dim)
+        return linear_combination(zip(a, self._comult_nonzeros), self.dim, self.dim)
 
     def eps(self, a):
-        s = QZERO
-        for x, c in zip(a, self.counit):
-            if x and c:
-                s += x * c
-        return s
+        return vdot(a, self.counit)
 
     def basis_vector(self, i):
         return unit_vec(self.dim, i)
@@ -173,10 +170,10 @@ class WeakBialgebra:
         return tuple(nonzeros(m) for m in self.right_mult)
 
     def left_mult_of(self, a):
-        return linear_combination(a, self._left_mult_nonzeros, self.dim, self.dim)
+        return linear_combination(zip(a, self._left_mult_nonzeros), self.dim, self.dim)
 
     def right_mult_of(self, a):
-        return linear_combination(a, self._right_mult_nonzeros, self.dim, self.dim)
+        return linear_combination(zip(a, self._right_mult_nonzeros), self.dim, self.dim)
 
     # canonical actions of the algebra on its dual
     def act_left(self, a, phi):
@@ -186,17 +183,6 @@ class WeakBialgebra:
     def act_right(self, phi, a):
         """a acting on a functional from the right: the result pairs b to phi(a b)."""
         return self.left_mult_of(a).transpose().apply(phi)
-
-    # dual-side actions on the algebra itself
-    def dual_act_left(self, phi, a):
-        """phi acting from the left on a: a_(1) <phi|a_(2)>."""
-        da = self.delta(a)
-        return da.apply(phi)
-
-    def dual_act_right(self, a, phi):
-        """phi acting from the right on a: <phi|a_(1)> a_(2)."""
-        da = self.delta(a)
-        return da.transpose().apply(phi)
 
     # ------------------------------------------------------------------
     # tensor-square helpers (coefficient matrices over e_i (x) e_j)
@@ -240,48 +226,38 @@ class WeakBialgebra:
         return Matrix(rows)
 
     # ------------------------------------------------------------------
-    # triple-tensor helpers, sparse on (i, j, k) keys
+    # iterated coproducts, sparse dicts keyed by tuples of basis legs
     # ------------------------------------------------------------------
+
+    def delta_at(self, tensor, leg):
+        """Apply the coproduct to one leg of a sparse tensor {legs: coefficient}."""
+        out = {}
+        comult = self._comult_nonzeros
+        for key, c in tensor.items():
+            head, tail = key[:leg], key[leg + 1 :]
+            for i, j, e in comult[key[leg]]:
+                new = head + (i, j) + tail
+                val = out.get(new, QZERO) + c * e
+                if val:
+                    out[new] = val
+                else:
+                    out.pop(new, None)
+        return out
+
+    def iterated_delta(self, a, k):
+        """The k-fold iterated coproduct of a on (k+1)-tuples of legs.
+
+        Each step expands the last leg; validation compares the expansion of
+        the first leg, so that coassociativity is checked, not assumed.
+        """
+        out = {(i,): x for i, x in enumerate(a) if x}
+        for leg in range(k):
+            out = self.delta_at(out, leg)
+        return out
 
     def delta2(self, a):
         """Coefficients of the twice-iterated coproduct as a sparse dict."""
-        out = {}
-        da = self.delta(a)
-        for u, row in enumerate(da.data):
-            for v, c in enumerate(row):
-                if not c:
-                    continue
-                du = self.comult[u]
-                for i, drow in enumerate(du.data):
-                    for j, e in enumerate(drow):
-                        if e:
-                            key = (i, j, v)
-                            val = out.get(key, QZERO) + c * e
-                            if val:
-                                out[key] = val
-                            else:
-                                out.pop(key, None)
-        return out
-
-    def delta2_right(self, a):
-        """Same triple coproduct computed by expanding the second leg."""
-        out = {}
-        da = self.delta(a)
-        for u, row in enumerate(da.data):
-            for v, c in enumerate(row):
-                if not c:
-                    continue
-                dv = self.comult[v]
-                for j, drow in enumerate(dv.data):
-                    for k, e in enumerate(drow):
-                        if e:
-                            key = (u, j, k)
-                            val = out.get(key, QZERO) + c * e
-                            if val:
-                                out[key] = val
-                            else:
-                                out.pop(key, None)
-        return out
+        return self.iterated_delta(a, 2)
 
     def _comonoidal_product(self, left_first: bool):
         """(Delta(1) (x) 1)(1 (x) Delta(1)) or the reversed order, as a dict."""
@@ -361,7 +337,9 @@ class WeakBialgebra:
                 bad.append(("counit-right", (k,)))
                 break
         for k in range(n):
-            if self.delta2(basis[k]) != self.delta2_right(basis[k]):
+            # (Delta (x) id) Delta against (id (x) Delta) Delta
+            dk = self.iterated_delta(basis[k], 1)
+            if self.delta_at(dk, 0) != self.delta_at(dk, 1):
                 bad.append(("coassociativity", (k,)))
                 break
         done = False
@@ -605,12 +583,7 @@ class Functional:
         object.__setattr__(self, "coeffs", vec(self.coeffs))
 
     def __call__(self, elem) -> Fraction:
-        coeffs = elem.coeffs if isinstance(elem, Element) else elem
-        s = QZERO
-        for x, y in zip(self.coeffs, coeffs):
-            if x and y:
-                s += x * y
-        return s
+        return vdot(self.coeffs, elem.coeffs if isinstance(elem, Element) else elem)
 
     def acted_left(self, a: "Element") -> "Functional":
         return Functional(self.algebra, self.algebra.act_left(a.coeffs, self.coeffs))
@@ -706,6 +679,25 @@ def _first_matrix_witness(a: Matrix, b: Matrix):
     return None
 
 
+def computed_once(compute):
+    """Keep compute(algebra) on the instance, so that it runs once per instance.
+
+    For verdicts that depend only on the immutable structure constants.  A
+    call that raises keeps nothing, so it raises again the next time.
+    """
+    key = "_once_" + compute.__name__
+
+    @wraps(compute)
+    def once(algebra):
+        value = algebra.__dict__.get(key)
+        if value is None:
+            value = algebra.__dict__[key] = compute(algebra)
+        return value
+
+    return once
+
+
+@computed_once
 def decide_axioms(algebra: WeakBialgebra) -> AxiomReport:
     """Decide every axiom class and collect dimensions and witnesses."""
     algebra.require_valid()
@@ -907,41 +899,28 @@ def _counit_absorption_identities(algebra) -> bool:
     """
     n = algebra.dim
     basis = [algebra.basis_vector(i) for i in range(n)]
-    zero = zero_vec(n)
     p = {k: algebra.projection(*k) for k in [("L", "L"), ("R", "R"), ("L", "R"), ("R", "L")]}
     for s in range(n):
-        ds = algebra.comult[s]
         for t in range(n):
-            sums = {key: list(zero) for key in ("l1", "r1", "l2", "r2", "l3", "r3", "l4", "r4")}
-            for u, row in enumerate(ds.data):
-                for v, c in enumerate(row):
-                    if not c:
-                        continue
-                    # u is the first coproduct leg of e_s, v the second
-                    tu = algebra.mul(basis[t], basis[u])
-                    ut = algebra.mul(basis[u], basis[t])
-                    vt = algebra.mul(basis[v], basis[t])
-                    tv = algebra.mul(basis[t], basis[v])
-                    _acc(sums["l1"], c, algebra.mul(basis[v], p[("L", "L")].apply(tu)))
-                    _acc(sums["r1"], c * algebra.eps(tu), basis[v])
-                    _acc(sums["l2"], c, algebra.mul(p[("R", "R")].apply(vt), basis[u]))
-                    _acc(sums["r2"], c * algebra.eps(vt), basis[u])
-                    _acc(sums["l3"], c, algebra.mul(p[("L", "R")].apply(ut), basis[v]))
-                    _acc(sums["r3"], c * algebra.eps(ut), basis[v])
-                    _acc(sums["l4"], c, algebra.mul(basis[u], p[("R", "L")].apply(tv)))
-                    _acc(sums["r4"], c * algebra.eps(tv), basis[u])
+            sums = {key: [] for key in ("l1", "r1", "l2", "r2", "l3", "r3", "l4", "r4")}
+            # u is the first coproduct leg of e_s, v the second
+            for u, v, c in algebra._comult_nonzeros[s]:
+                tu = algebra.mul(basis[t], basis[u])
+                ut = algebra.mul(basis[u], basis[t])
+                vt = algebra.mul(basis[v], basis[t])
+                tv = algebra.mul(basis[t], basis[v])
+                sums["l1"].append((c, algebra.mul(basis[v], p[("L", "L")].apply(tu))))
+                sums["r1"].append((c * algebra.eps(tu), basis[v]))
+                sums["l2"].append((c, algebra.mul(p[("R", "R")].apply(vt), basis[u])))
+                sums["r2"].append((c * algebra.eps(vt), basis[u]))
+                sums["l3"].append((c, algebra.mul(p[("L", "R")].apply(ut), basis[v])))
+                sums["r3"].append((c * algebra.eps(ut), basis[v]))
+                sums["l4"].append((c, algebra.mul(basis[u], p[("R", "L")].apply(tv))))
+                sums["r4"].append((c * algebra.eps(tv), basis[u]))
             for a, b in (("l1", "r1"), ("l2", "r2"), ("l3", "r3"), ("l4", "r4")):
-                if sums[a] != sums[b]:
+                if vector_combination(sums[a], n) != vector_combination(sums[b], n):
                     return False
     return True
-
-
-def _acc(target, c, v):
-    if not c:
-        return
-    for i, x in enumerate(v):
-        if x:
-            target[i] += c * x
 
 
 def _projector_coproduct_forms(algebra, report) -> TheoremCheck:
@@ -958,12 +937,12 @@ def _projector_coproduct_forms(algebra, report) -> TheoremCheck:
             # coproducts of projected elements collapse onto Delta(1)
             v = p_ll.apply(basis[t])
             checks.append(
-                algebra.delta(v) == algebra.t2_mul(_column_tensor(algebra, v), d1)
+                algebra.delta(v) == algebra.t2_mul(outer(v, algebra.unit), d1)
             )
             w = p_rr.apply(basis[t])
             checks.append(
                 algebra.delta(w)
-                == algebra.t2_mul(d1, _column_tensor(algebra, w, second=True))
+                == algebra.t2_mul(d1, outer(algebra.unit, w))
             )
         for s in range(n):
             for t in range(n):
@@ -988,11 +967,11 @@ def _projector_coproduct_forms(algebra, report) -> TheoremCheck:
             v = p_rl.apply(basis[t])
             checks.append(
                 algebra.delta(v)
-                == algebra.t2_mul(_column_tensor(algebra, v, second=True), d1)
+                == algebra.t2_mul(outer(algebra.unit, v), d1)
             )
             w = p_lr.apply(basis[t])
             checks.append(
-                algebra.delta(w) == algebra.t2_mul(d1, _column_tensor(algebra, w))
+                algebra.delta(w) == algebra.t2_mul(d1, outer(w, algebra.unit))
             )
         for s in range(n):
             for t in range(n):
@@ -1016,22 +995,6 @@ def _projector_coproduct_forms(algebra, report) -> TheoremCheck:
         report.left_monoidal or report.right_monoidal,
         all(checks),
     )
-
-
-def _column_tensor(algebra, v, second=False):
-    """v (x) 1 or 1 (x) v as a tensor-square coefficient matrix."""
-    n = algebra.dim
-    one = algebra.unit
-    acc = [[QZERO] * n for _ in range(n)]
-    for i, x in enumerate(v):
-        if x:
-            for j, y in enumerate(one):
-                if y:
-                    if second:
-                        acc[j][i] += y * x
-                    else:
-                        acc[i][j] += x * y
-    return Matrix(acc)
 
 
 def _nondegenerate_pairings(algebra, report) -> TheoremCheck:
@@ -1063,12 +1026,12 @@ def _nondegenerate_pairings(algebra, report) -> TheoremCheck:
     for s in "LR":
         a_sl = sub["A_%sL" % s]
         pair = Matrix(
-            [[_dot(psi, a) for psi in e_space.basis.data] for a in a_sl.basis.data]
+            [[vdot(psi, a) for psi in e_space.basis.data] for a in a_sl.basis.data]
         ) if a_sl.dim else Matrix._empty(0)
         checks.append(a_sl.dim == e_space.dim and (a_sl.dim == 0 or rank(pair) == a_sl.dim))
         a_sr = sub["A_%sR" % s]
         pair2 = Matrix(
-            [[_dot(phi, b) for b in a_sr.basis.data] for phi in ehat_space.basis.data]
+            [[vdot(phi, b) for b in a_sr.basis.data] for phi in ehat_space.basis.data]
         ) if a_sr.dim else Matrix._empty(0)
         checks.append(a_sr.dim == ehat_space.dim and (a_sr.dim == 0 or rank(pair2) == a_sr.dim))
     dual = algebra.dual
@@ -1091,14 +1054,6 @@ def _nondegenerate_pairings(algebra, report) -> TheoremCheck:
                     checks.append(False)
                     break
     return TheoremCheck("counit-pairings", True, all(checks))
-
-
-def _dot(x, y):
-    s = QZERO
-    for a, b in zip(x, y):
-        if a and b:
-            s += a * b
-    return s
 
 
 def _fixed_point_mapping(algebra) -> TheoremCheck:

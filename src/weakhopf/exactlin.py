@@ -135,6 +135,14 @@ class Matrix:
         return Matrix(rows)
 
     @staticmethod
+    def from_columns(cols, rows: int) -> "Matrix":
+        """The matrix whose columns are the given length-rows vectors."""
+        cols = list(cols)
+        if not cols:
+            return Matrix.from_rows([()] * rows, 0)
+        return Matrix.from_rows(zip(*cols), len(cols))
+
+    @staticmethod
     def column(entries) -> "Matrix":
         return Matrix([(Q(x),) for x in entries])
 
@@ -176,10 +184,6 @@ class Matrix:
     def __neg__(self):
         return Matrix.from_rows([vscale(Q(-1), r) for r in self.data], self.cols)
 
-    def scale(self, c) -> "Matrix":
-        c = Q(c)
-        return Matrix.from_rows([vscale(c, r) for r in self.data], self.cols)
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(
@@ -212,9 +216,7 @@ class Matrix:
         return tuple(acc)
 
     def transpose(self) -> "Matrix":
-        if self.rows == 0:
-            return Matrix.from_rows([()] * self.cols, 0)
-        return Matrix.from_rows([self.col(j) for j in range(self.cols)], self.rows)
+        return Matrix.from_columns(self.data, self.cols)
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.data)
@@ -240,14 +242,36 @@ def nonzeros(m: Matrix) -> tuple:
     )
 
 
-def linear_combination(coeffs, terms, rows: int, cols: int) -> Matrix:
-    """sum_t coeffs[t] * M_t, each M_t given by its nonzeros() triples."""
+def outer_nonzeros(u, v) -> list:
+    """nonzeros() of the outer product u v^t, whose (i, j) entry is u[i] v[j]."""
+    vnz = [(j, y) for j, y in enumerate(v) if y]
+    return [(i, j, x * y) for i, x in enumerate(u) if x for j, y in vnz]
+
+
+def linear_combination(terms, rows: int, cols: int) -> Matrix:
+    """sum c * M over (c, M) pairs, each M given by its nonzeros() triples."""
     acc = [[QZERO] * cols for _ in range(rows)]
-    for c, nz in zip(coeffs, terms):
+    for c, nz in terms:
         if c:
             for i, j, x in nz:
                 acc[i][j] += c * x
     return Matrix.from_rows(acc, cols)
+
+
+def vector_combination(terms, n: int) -> tuple:
+    """sum c * v over (c, v) pairs of a scalar and a length-n vector."""
+    acc = [QZERO] * n
+    for c, v in terms:
+        if c:
+            for i, x in enumerate(v):
+                if x:
+                    acc[i] += c * x
+    return tuple(acc)
+
+
+def outer(u, v) -> Matrix:
+    """The outer product u v^t: u (x) v as a tensor-square coefficient matrix."""
+    return linear_combination([(QONE, outer_nonzeros(u, v))], len(u), len(v))
 
 
 def _sparse_row(v) -> dict:
@@ -429,15 +453,10 @@ class Subspace:
             ],
             cols,
         )
-        ker = kernel(stacked)
-        vecs = []
-        for krow in ker.basis.data:
-            coeff = krow[: self.dim]
-            v = zero_vec(self.ambient_dim)
-            for c, brow in zip(coeff, self.basis.data):
-                if c:
-                    v = vadd(v, vscale(c, brow))
-            vecs.append(v)
+        vecs = [
+            vector_combination(zip(krow[: self.dim], self.basis.data), self.ambient_dim)
+            for krow in kernel(stacked).basis.data
+        ]
         return Subspace.from_spanning(vecs, self.ambient_dim)
 
     def __contains__(self, v):

@@ -15,6 +15,7 @@ wedge subalgebra, which is naturally isomorphic to the truncated one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import TheoremCheck, WeakBialgebra, decide_axioms
 from .exactlin import (
@@ -24,11 +25,11 @@ from .exactlin import (
     image,
     kernel,
     kron,
+    linear_combination,
+    nonzeros,
     rank,
     unit_vec,
-    vadd,
-    vscale,
-    zero_vec,
+    vector_combination,
 )
 
 
@@ -45,12 +46,12 @@ class ModuleRep:
         rep.check()
         return rep
 
+    @cached_property
+    def _action_nonzeros(self):
+        return tuple(nonzeros(m) for m in self.action)
+
     def operator(self, a) -> Matrix:
-        acc = Matrix.zero(self.dim, self.dim)
-        for i, c in enumerate(a):
-            if c:
-                acc = acc + self.action[i].scale(c)
-        return acc
+        return linear_combination(zip(a, self._action_nonzeros), self.dim, self.dim)
 
     def check(self):
         alg = self.algebra
@@ -80,13 +81,12 @@ class TruncatedTensor:
 
 
 def _diagonal_operator(algebra, v: ModuleRep, w: ModuleRep, a) -> Matrix:
-    acc = Matrix.zero(v.dim * w.dim, v.dim * w.dim)
-    da = algebra.delta(a)
-    for i, row in enumerate(da.data):
-        for j, c in enumerate(row):
-            if c:
-                acc = acc + kron(v.action[i], w.action[j]).scale(c)
-    return acc
+    dim = v.dim * w.dim
+    return linear_combination(
+        ((c, nonzeros(kron(v.action[i], w.action[j]))) for i, j, c in nonzeros(algebra.delta(a))),
+        dim,
+        dim,
+    )
 
 
 def tensor_module(v: ModuleRep, w: ModuleRep) -> TruncatedTensor:
@@ -109,11 +109,7 @@ def tensor_module(v: ModuleRep, w: ModuleRep) -> TruncatedTensor:
             if coords is None:
                 raise ValueError("diagonal action does not preserve the carrier")
             cols.append(coords)
-        mats.append(
-            Matrix([[cols[k][i] for k in range(len(basis))] for i in range(len(basis))])
-            if basis
-            else Matrix._empty(0)
-        )
+        mats.append(Matrix.from_columns(cols, len(basis)))
     rep = ModuleRep.build(algebra, mats) if basis else ModuleRep(algebra, 0, tuple(mats))
     return TruncatedTensor(rep, v, w, carrier, projector)
 
@@ -137,9 +133,7 @@ def unit_module(algebra: WeakBialgebra):
             if coords is None:
                 raise ValueError("dual action does not preserve the unit carrier")
             cols.append(coords)
-        mats.append(
-            Matrix([[cols[k][i] for k in range(len(basis))] for i in range(len(basis))])
-        )
+        mats.append(Matrix.from_columns(cols, len(basis)))
     rep = ModuleRep.build(algebra, mats)
     return rep, carrier
 
@@ -237,7 +231,7 @@ def coherence_maps(v: ModuleRep) -> CoherenceMaps:
             if c:
                 vec[i * dv + k] += c
         l_cols.append(one_ev.apply(vec))
-    l_map = Matrix([[l_cols[k][i] for k in range(dv)] for i in range(de * dv)])
+    l_map = Matrix.from_columns(l_cols, de * dv)
     r_cols = []
     for k in range(dv):
         vec = [QZERO] * (dv * de)
@@ -245,30 +239,20 @@ def coherence_maps(v: ModuleRep) -> CoherenceMaps:
             if c:
                 vec[k * de + i] += c
         r_cols.append(one_ve.apply(vec))
-    r_map = Matrix([[r_cols[k][i] for k in range(dv)] for i in range(dv * de)])
+    r_map = Matrix.from_columns(r_cols, dv * de)
     # retractions pair the unit coproduct legs against the dual carrier:
     # phi (x) v goes to <phi | 1_(1)> 1_(2) . v and its mirror
     d1 = algebra.delta1
     ebasis = e_carrier.basis.data
     lbar_rows = []
     rbar_rows = []
-    act_cache = [v.operator(algebra.basis_vector(w)) for w in range(algebra.dim)]
+    # the operators of <phi | 1_(1)> 1_(2) and 1_(1) <phi | 1_(2)>
+    ops_l = [v.operator(d1.transpose().apply(phi)) for phi in ebasis]
+    ops_r = [v.operator(d1.apply(phi)) for phi in ebasis]
     for out in range(dv):
         lrow = []
         rrow = []
-        for i in range(de):
-            phi = ebasis[i]
-            op_l = Matrix.zero(dv, dv)
-            op_r = Matrix.zero(dv, dv)
-            for u, drow in enumerate(d1.data):
-                pu = phi[u]
-                for w, c in enumerate(drow):
-                    if c:
-                        if pu:
-                            op_l = op_l + act_cache[w].scale(c * pu)
-                        pw = phi[w]
-                        if pw:
-                            op_r = op_r + act_cache[u].scale(c * pw)
+        for op_l, op_r in zip(ops_l, ops_r):
             for k in range(dv):
                 lrow.append(op_l[out, k])
                 rrow.append(op_r[out, k])
@@ -372,13 +356,7 @@ def end_of_unit(algebra: WeakBialgebra) -> EndOfUnitReport:
         endo = intertwiner_space(rep, rep)
         spans = {}
         for tag, center in (("R", algebra.center_r), ("L", algebra.center_l)):
-            vecs = []
-            for z in center.basis.data:
-                op = Matrix.zero(rep.dim, rep.dim)
-                for i, c in enumerate(z):
-                    if c:
-                        op = op + rep.action[i].scale(c)
-                vecs.append(op.flatten())
+            vecs = [rep.operator(z).flatten() for z in center.basis.data]
             spans[tag] = Subspace.from_spanning(vecs, rep.dim * rep.dim)
         checks.append(
             TheoremCheck(
@@ -407,11 +385,7 @@ def end_of_unit(algebra: WeakBialgebra) -> EndOfUnitReport:
                     break
                 cols.append(coords)
             if good:
-                vecs.append(
-                    Matrix(
-                        [[cols[k][i] for k in range(rep.dim)] for i in range(rep.dim)]
-                    ).flatten()
-                )
+                vecs.append(Matrix.from_columns(cols, rep.dim).flatten())
         checks.append(
             TheoremCheck(
                 "unit-endomorphisms-as-dual-multiplications",
@@ -454,9 +428,7 @@ def end_of_unit(algebra: WeakBialgebra) -> EndOfUnitReport:
                     break
                 cols.append(coords)
             if good:
-                vecs.append(
-                    Matrix([[cols[t][i] for t in range(k)] for i in range(k)]).flatten()
-                )
+                vecs.append(Matrix.from_columns(cols, k).flatten())
         checks.append(
             TheoremCheck(
                 "unit-comodule-endomorphisms",
@@ -600,28 +572,11 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
 
     def act_left(m, com, idx):
         """m . f_idx = f_(0) eps(m f_(1))."""
-        out = zero_vec(com.dim)
-        row = com.coaction[idx]
-        for t in range(com.dim):
-            s = QZERO
-            for k in range(algebra.dim):
-                c = row[t, k]
-                if c:
-                    s += c * algebra.eps(algebra.mul(m, algebra.basis_vector(k)))
-            out = vadd(out, vscale(s, unit_vec(com.dim, t)))
-        return out
+        return com.coaction[idx].apply(algebra.act_right(algebra.counit, m))
 
     def act_right(com, idx, m):
-        out = zero_vec(com.dim)
-        row = com.coaction[idx]
-        for t in range(com.dim):
-            s = QZERO
-            for k in range(algebra.dim):
-                c = row[t, k]
-                if c:
-                    s += c * algebra.eps(algebra.mul(algebra.basis_vector(k), m))
-            out = vadd(out, vscale(s, unit_vec(com.dim, t)))
-        return out
+        """f_idx . m = f_(0) eps(f_(1) m)."""
+        return com.coaction[idx].apply(algebra.act_left(m, algebra.counit))
 
     # bimodule compatibility of the coactions with the wedge actions
     bi_ok = True
@@ -711,21 +666,13 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
     p_rr = algebra.projection("R", "R")
     p_rl = algebra.projection("R", "L")
     for idx in range(v.dim):
-        row = v.coaction[idx]
-        acc1 = zero_vec(v.dim)
-        acc2 = zero_vec(v.dim)
-        for t in range(v.dim):
-            for k in range(algebra.dim):
-                c = row[t, k]
-                if c:
-                    acc1 = vadd(
-                        acc1,
-                        vscale(c, act_left(p_rr.apply(algebra.basis_vector(k)), v, t)),
-                    )
-                    acc2 = vadd(
-                        acc2,
-                        vscale(c, act_right(v, t, p_rl.apply(algebra.basis_vector(k)))),
-                    )
+        terms = nonzeros(v.coaction[idx])
+        acc1 = vector_combination(
+            ((c, act_left(p_rr.col(k), v, t)) for t, k, c in terms), v.dim
+        )
+        acc2 = vector_combination(
+            ((c, act_right(v, t, p_rl.col(k))) for t, k, c in terms), v.dim
+        )
         if acc1 != unit_vec(v.dim, idx) or acc2 != unit_vec(v.dim, idx):
             rec_ok = False
     checks.append(TheoremCheck("counit-recovery", True, rec_ok))
@@ -837,7 +784,7 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
     fwd_cols = []
     for bvec in tbasis:
         fwd_cols.append(reduce_vec(bvec))
-    fwd = Matrix([[fwd_cols[t][i] for t in range(tdim)] for i in range(qdim)])
+    fwd = Matrix.from_columns(fwd_cols, qdim)
     bwd_cols = []
     for t in range(qdim):
         a, b = divmod(free[t], w.dim)
@@ -850,7 +797,7 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
         if coords is None:
             raise ValueError("inverse comodule map left the truncated carrier")
         bwd_cols.append(coords)
-    bwd = Matrix([[bwd_cols[t][i] for t in range(qdim)] for i in range(tdim)])
+    bwd = Matrix.from_columns(bwd_cols, tdim)
     iso_ok = fwd * bwd == Matrix.identity(qdim) and bwd * fwd == Matrix.identity(tdim)
     # the forward map is a comodule morphism
     morph_ok = True
@@ -993,12 +940,15 @@ def associativity_check(u: ModuleRep, v: ModuleRep, w: ModuleRep) -> bool:
     if space_left != space_right:
         return False
     algebra = u.algebra
-    triple = {}
-    da = algebra.delta2(algebra.unit)
     for t in range(algebra.dim):
-        op = Matrix.zero(dim_amb, dim_amb)
-        for (p, q, r), c in algebra.delta2(algebra.basis_vector(t)).items():
-            op = op + kron(kron(u.action[p], v.action[q]), w.action[r]).scale(c)
+        op = linear_combination(
+            (
+                (c, nonzeros(kron(kron(u.action[p], v.action[q]), w.action[r])))
+                for (p, q, r), c in algebra.delta2(algebra.basis_vector(t)).items()
+            ),
+            dim_amb,
+            dim_amb,
+        )
         for b in space_left.basis.data:
             if space_left.coordinates(op.apply(b)) is None:
                 return False
@@ -1036,7 +986,7 @@ def unit_representation_suite(algebra: WeakBialgebra):
                 op_cols.append(coords)
             if not good:
                 continue
-            zmat = Matrix([[op_cols[k][i] for k in range(de)] for i in range(de)])
+            zmat = Matrix.from_columns(op_cols, de)
             for i in range(de):
                 for j in range(de):
                     line = [QZERO] * (de * de)
@@ -1117,7 +1067,7 @@ def unit_representation_suite(algebra: WeakBialgebra):
                 if coords is None:
                     raise ValueError("dual action does not preserve the right wedge")
                 cols.append(coords)
-            mats.append(Matrix([[cols[t][i] for t in range(k)] for i in range(k)]))
+            mats.append(Matrix.from_columns(cols, k))
         ker_rows = []
         for i in range(k):
             for j in range(k):

@@ -12,21 +12,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .antipode import SelfCheckError, is_anti_multiplicative, is_normal_prerigidity_map
+from .antipode import (
+    SelfCheckError,
+    convolve,
+    is_anti_multiplicative,
+    is_normal_prerigidity_map,
+)
 from .core import WeakBialgebra, decide_axioms
 from .exactlin import (
     Matrix,
-    QZERO,
     Subspace,
     image,
     inverse,
     kernel,
+    linear_combination,
+    nonzeros,
+    outer,
+    outer_nonzeros,
     rank,
     solve_affine,
-    unit_vec,
-    vadd,
-    vscale,
-    zero_vec,
+    vdot,
+    vector_combination,
 )
 
 
@@ -55,72 +61,54 @@ class RigidityVerification:
     witnesses: list = field(default_factory=list)
 
 
-def _adjoint_left_matrix(algebra, s, alpha):
-    """Column t is S(e_t_(1)) alpha e_t_(2)."""
-    n = algebra.dim
-    cols = []
-    for t in range(n):
-        acc = zero_vec(n)
-        for u, row in enumerate(algebra.comult[t].data):
-            for v, c in enumerate(row):
-                if c:
-                    acc = vadd(
-                        acc,
-                        vscale(
-                            c,
-                            algebra.mul(
-                                algebra.mul(s.col(u), alpha), algebra.basis_vector(v)
-                            ),
-                        ),
-                    )
-        cols.append(acc)
-    return Matrix([[cols[t][i] for t in range(n)] for i in range(n)])
-
-
-def _adjoint_right_matrix(algebra, s, beta):
-    """Column t is e_t_(1) beta S(e_t_(2))."""
-    n = algebra.dim
-    cols = []
-    for t in range(n):
-        acc = zero_vec(n)
-        for u, row in enumerate(algebra.comult[t].data):
-            for v, c in enumerate(row):
-                if c:
-                    acc = vadd(
-                        acc,
-                        vscale(
-                            c,
-                            algebra.mul(
-                                algebra.mul(algebra.basis_vector(u), beta), s.col(v)
-                            ),
-                        ),
-                    )
-        cols.append(acc)
-    return Matrix([[cols[t][i] for t in range(n)] for i in range(n)])
+def _adjoint_maps(algebra, s, alpha, beta):
+    """The adjoint maps a -> S(a_(1)) alpha a_(2) and a -> a_(1) beta S(a_(2)),
+    as the convolutions (R_alpha S) * id and R_beta * S."""
+    ident = Matrix.identity(algebra.dim)
+    return (
+        convolve(algebra, algebra.right_mult_of(alpha) * s, ident),
+        convolve(algebra, algebra.right_mult_of(beta), s),
+    )
 
 
 def normalize_pair(algebra, s, alpha, beta):
     """Replace (alpha, beta) by their unit-adjoint normalizations."""
-    a_n = _adjoint_left_matrix(algebra, s, tuple(alpha)).apply(algebra.unit)
-    b_n = _adjoint_right_matrix(algebra, s, tuple(beta)).apply(algebra.unit)
-    return a_n, b_n
+    adj_a, adj_b = _adjoint_maps(algebra, s, tuple(alpha), tuple(beta))
+    return adj_a.apply(algebra.unit), adj_b.apply(algebra.unit)
 
 
 def _dual_tensor_pair(algebra, s, alpha, beta):
     """Reconstruct the two defining tensors from (S, alpha, beta)."""
     n = algebra.dim
-    amat = [[QZERO] * n for _ in range(n)]
-    bmat = [[QZERO] * n for _ in range(n)]
-    for (p, q, r), c in algebra.delta2(algebra.unit).items():
-        left = algebra.mul(algebra.mul(s.col(p), alpha), algebra.basis_vector(q))
-        for i, x in enumerate(left):
-            if x:
-                amat[i][r] += c * x
-        right = algebra.mul(algebra.mul(algebra.basis_vector(q), beta), s.col(r))
-        for i, x in enumerate(right):
-            if x:
-                bmat[p][i] += c * x
-    return Matrix(amat), Matrix(bmat)
+    e = algebra.basis_vector
+    d2 = algebra.delta2(algebra.unit).items()
+    amat = linear_combination(
+        ((c, outer_nonzeros(algebra.mul(algebra.mul(s.col(p), alpha), e(q)), e(r))) for (p, q, r), c in d2),
+        n,
+        n,
+    )
+    bmat = linear_combination(
+        ((c, outer_nonzeros(e(p), algebra.mul(algebra.mul(e(q), beta), s.col(r)))) for (p, q, r), c in d2),
+        n,
+        n,
+    )
+    return amat, bmat
+
+
+def _unit_words(algebra, s, alpha, beta, x):
+    """x_(1) beta S(x_(2)) alpha x_(3) and S(x_(1)) alpha x_(2) beta S(x_(3))."""
+    mul = algebra.mul
+    e = algebra.basis_vector
+    d2 = algebra.delta2(x).items()
+    first = vector_combination(
+        ((c, mul(mul(mul(e(p), beta), s.col(q)), mul(alpha, e(r)))) for (p, q, r), c in d2),
+        algebra.dim,
+    )
+    second = vector_combination(
+        ((c, mul(mul(mul(s.col(p), alpha), e(q)), mul(beta, s.col(r)))) for (p, q, r), c in d2),
+        algebra.dim,
+    )
+    return first, second
 
 
 def verify_rigidity(algebra: WeakBialgebra, r: RigidityStructure) -> RigidityVerification:
@@ -144,8 +132,7 @@ def verify_rigidity(algebra: WeakBialgebra, r: RigidityStructure) -> RigidityVer
     a_n, b_n = normalize_pair(algebra, s, alpha, beta)
     input_normalized = a_n == alpha and b_n == beta
 
-    adj_a = _adjoint_left_matrix(algebra, s, a_n)
-    adj_b = _adjoint_right_matrix(algebra, s, b_n)
+    adj_a, adj_b = _adjoint_maps(algebra, s, a_n, b_n)
     p_rl = algebra.projection("R", "L")
     p_lr = algebra.projection("L", "R")
     d1 = algebra.delta1
@@ -169,27 +156,29 @@ def verify_rigidity(algebra: WeakBialgebra, r: RigidityStructure) -> RigidityVer
     # reconstructed dual tensors must interchange the two module actions
     amat, bmat = _dual_tensor_pair(algebra, s, a_n, b_n)
     for t in range(n):
-        lhs = Matrix.zero(n, n)
-        for u, row in enumerate(algebra.comult[t].data):
-            for v, c in enumerate(row):
-                if c:
-                    op = algebra.left_mult_of(s.col(u)) * algebra.right_mult_of(
-                        algebra.basis_vector(v)
-                    )
-                    lhs = lhs + (op * amat).scale(c)
-        if lhs != amat * (p_lr * algebra.left_mult[t]).transpose():
+        # S(e_t_(1)) . e_t_(2) acting on the first tensor
+        op = linear_combination(
+            (
+                (c, nonzeros(algebra.left_mult_of(s.col(u)) * algebra.right_mult[v]))
+                for u, v, c in algebra._comult_nonzeros[t]
+            ),
+            n,
+            n,
+        )
+        if op * amat != amat * (p_lr * algebra.left_mult[t]).transpose():
             witnesses.append(("first-tensor-morphism", t))
             break
     for t in range(n):
-        lhs = Matrix.zero(n, n)
-        for u, row in enumerate(algebra.comult[t].data):
-            for v, c in enumerate(row):
-                if c:
-                    op = algebra.left_mult_of(
-                        algebra.basis_vector(u)
-                    ) * algebra.right_mult_of(s.col(v))
-                    lhs = lhs + (bmat * op.transpose()).scale(c)
-        if lhs != (p_rl * algebra.right_mult[t]) * bmat:
+        # e_t_(1) . S(e_t_(2)) acting on the second tensor
+        op = linear_combination(
+            (
+                (c, nonzeros(algebra.left_mult[u] * algebra.right_mult_of(s.col(v))))
+                for u, v, c in algebra._comult_nonzeros[t]
+            ),
+            n,
+            n,
+        )
+        if bmat * op.transpose() != (p_rl * algebra.right_mult[t]) * bmat:
             witnesses.append(("second-tensor-morphism", t))
             break
     if witnesses:
@@ -198,31 +187,7 @@ def verify_rigidity(algebra: WeakBialgebra, r: RigidityStructure) -> RigidityVer
         )
 
     # the two unit identities
-    first = zero_vec(n)
-    second = zero_vec(n)
-    for (p, q, rr), c in algebra.delta2(algebra.unit).items():
-        first = vadd(
-            first,
-            vscale(
-                c,
-                algebra.mul(
-                    algebra.mul(
-                        algebra.mul(algebra.basis_vector(p), b_n), s.col(q)
-                    ),
-                    algebra.mul(a_n, algebra.basis_vector(rr)),
-                ),
-            ),
-        )
-        second = vadd(
-            second,
-            vscale(
-                c,
-                algebra.mul(
-                    algebra.mul(algebra.mul(s.col(p), a_n), algebra.basis_vector(q)),
-                    algebra.mul(b_n, s.col(rr)),
-                ),
-            ),
-        )
+    first, second = _unit_words(algebra, s, a_n, b_n, algebra.unit)
     s_one = s.apply(algebra.unit)
     rigid = first == algebra.unit and second == s_one
     if not rigid:
@@ -279,29 +244,18 @@ def uniqueness_intertwiners(r1: RigidityStructure, r2: RigidityStructure) -> Twi
             raise ValueError("intertwiners need verified rigid structures")
     a1, b1 = normalize_pair(algebra, r1.s, r1.alpha, r1.beta)
     a2, b2 = normalize_pair(algebra, r2.s, r2.alpha, r2.beta)
-    u = zero_vec(algebra.dim)
-    ubar = zero_vec(algebra.dim)
-    for (p, q, rr), c in algebra.delta2(algebra.unit).items():
-        u = vadd(
-            u,
-            vscale(
-                c,
-                algebra.mul(
-                    algebra.mul(algebra.mul(r2.s.col(p), a2), algebra.basis_vector(q)),
-                    algebra.mul(b1, r1.s.col(rr)),
-                ),
-            ),
-        )
-        ubar = vadd(
-            ubar,
-            vscale(
-                c,
-                algebra.mul(
-                    algebra.mul(algebra.mul(r1.s.col(p), a1), algebra.basis_vector(q)),
-                    algebra.mul(b2, r2.s.col(rr)),
-                ),
-            ),
-        )
+    mul = algebra.mul
+    e = algebra.basis_vector
+    d2 = algebra.delta2(algebra.unit).items()
+    # u = S2(1_(1)) a2 1_(2) b1 S1(1_(3)) and ubar with the structures swapped
+    u = vector_combination(
+        ((c, mul(mul(mul(r2.s.col(p), a2), e(q)), mul(b1, r1.s.col(rr)))) for (p, q, rr), c in d2),
+        algebra.dim,
+    )
+    ubar = vector_combination(
+        ((c, mul(mul(mul(r1.s.col(p), a1), e(q)), mul(b2, r2.s.col(rr)))) for (p, q, rr), c in d2),
+        algebra.dim,
+    )
     table = []
     for t in range(algebra.dim):
         table.append(
@@ -344,9 +298,9 @@ def conjugation_data(algebra: WeakBialgebra, r: RigidityStructure) -> Conjugatio
     s = r.s
     alpha, beta = check.normalized_alpha, check.normalized_beta
     n = algebra.dim
-    f = Matrix.zero(n, n)
-    fbar = Matrix.zero(n, n)
-    for (p, q, rr, w), c in _delta_n(algebra, algebra.unit, 3).items():
+    f_terms = []
+    fbar_terms = []
+    for (p, q, rr, w), c in algebra.iterated_delta(algebra.unit, 3).items():
         first = algebra.mul(s.col(q), alpha)
         second = algebra.mul(s.col(p), alpha)
         third = algebra.delta(
@@ -354,16 +308,14 @@ def conjugation_data(algebra: WeakBialgebra, r: RigidityStructure) -> Conjugatio
                 algebra.basis_vector(rr), algebra.mul(beta, s.col(w))
             )
         )
-        f = f + algebra.t2_mul(_pure(algebra, first, second), third).scale(c)
+        f_terms.append((c, nonzeros(algebra.t2_mul(outer(first, second), third))))
         head = algebra.delta(
             algebra.mul(algebra.mul(s.col(p), alpha), algebra.basis_vector(q))
         )
-        tail = _pure(
-            algebra,
-            algebra.mul(beta, s.col(w)),
-            algebra.mul(beta, s.col(rr)),
-        )
-        fbar = fbar + algebra.t2_mul(head, tail).scale(c)
+        tail = outer(algebra.mul(beta, s.col(w)), algebra.mul(beta, s.col(rr)))
+        fbar_terms.append((c, nonzeros(algebra.t2_mul(head, tail))))
+    f = linear_combination(f_terms, n, n)
+    fbar = linear_combination(fbar_terms, n, n)
     ok = True
     for t in range(n):
         ds_op = algebra.comult[t].transpose()
@@ -396,179 +348,97 @@ def conjugation_data(algebra: WeakBialgebra, r: RigidityStructure) -> Conjugatio
     return ConjugationData(f=f, fbar=fbar, checks_ok=ok)
 
 
-def _pure(algebra, x, y):
-    n = algebra.dim
-    acc = [[QZERO] * n for _ in range(n)]
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                if b:
-                    acc[i][j] += a * b
-    return Matrix(acc)
-
-
-def _delta_n(algebra, a, k):
-    """Sparse dict of the k-fold iterated coproduct ((k+1)-tuples of legs)."""
-    out = {}
-    da = algebra.delta(a)
-    for u, row in enumerate(da.data):
-        for v, c in enumerate(row):
-            if c:
-                out[(u, v)] = out.get((u, v), QZERO) + c
-    for _ in range(k - 1):
-        nxt = {}
-        for key, c in out.items():
-            last = key[-1]
-            for i, row in enumerate(algebra.comult[last].data):
-                for j, e in enumerate(row):
-                    if e:
-                        nk = key[:-1] + (i, j)
-                        val = nxt.get(nk, QZERO) + c * e
-                        if val:
-                            nxt[nk] = val
-                        else:
-                            nxt.pop(nk, None)
-        out = nxt
-    return out
-
-
 def _exchange_identities(algebra, s, alpha, beta) -> bool:
     """Adjoint exchange laws moving a product through the adjoint brackets."""
     n = algebra.dim
+    mul = algebra.mul
     basis = [algebra.basis_vector(i) for i in range(n)]
+
+    def tensor(terms):
+        """sum c * x (x) y over (c, x, y) terms."""
+        return linear_combination(((c, outer_nonzeros(x, y)) for c, x, y in terms), n, n)
+
     for a in range(n):
-        d2a = algebra.delta2(basis[a])
+        d2a = algebra.delta2(basis[a]).items()
         for b in range(n):
-            d2b = algebra.delta2(basis[b])
-            lhs1 = {}
-            lhs2 = {}
-            lhs3 = {}
-            lhs4 = {}
-            for (p, q, rr), c in d2b.items():
-                bracket = algebra.mul(algebra.mul(s.col(q), alpha), basis[rr])
-                _add_pure(lhs1, algebra.mul(basis[a], basis[p]), bracket, c)
-                bracket2 = algebra.mul(algebra.mul(s.col(p), alpha), basis[q])
-                _add_pure(lhs2, bracket2, algebra.mul(basis[a], basis[rr]), c)
-            for (p, q, rr), c in d2a.items():
-                bracket3 = algebra.mul(algebra.mul(basis[p], beta), s.col(q))
-                _add_pure(lhs3, bracket3, algebra.mul(basis[rr], basis[b]), c)
-                bracket4 = algebra.mul(algebra.mul(basis[q], beta), s.col(rr))
-                _add_pure(lhs4, algebra.mul(basis[p], basis[b]), bracket4, c)
-            rhs1 = {}
-            rhs2 = {}
-            rhs3 = {}
-            rhs4 = {}
-            for (p1, q1, r1), c1 in d2a.items():
-                for (p2, q2, r2), c2 in d2b.items():
-                    c = c1 * c2
-                    prod1 = algebra.mul(basis[p1], basis[p2])
-                    prod2 = algebra.mul(basis[q1], basis[q2])
-                    prod3 = algebra.mul(basis[r1], basis[r2])
-                    _add_pure(
-                        rhs1,
-                        prod1,
-                        algebra.mul(algebra.mul(s.apply(prod2), alpha), prod3),
-                        c,
-                    )
-                    _add_pure(
-                        rhs2,
-                        algebra.mul(algebra.mul(s.apply(prod1), alpha), prod2),
-                        prod3,
-                        c,
-                    )
-                    _add_pure(
-                        rhs3,
-                        algebra.mul(algebra.mul(prod1, beta), s.apply(prod2)),
-                        prod3,
-                        c,
-                    )
-                    _add_pure(
-                        rhs4,
-                        prod1,
-                        algebra.mul(algebra.mul(prod2, beta), s.apply(prod3)),
-                        c,
-                    )
+            d2b = algebra.delta2(basis[b]).items()
+            lhs1 = tensor(
+                (c, mul(basis[a], basis[p]), mul(mul(s.col(q), alpha), basis[rr]))
+                for (p, q, rr), c in d2b
+            )
+            lhs2 = tensor(
+                (c, mul(mul(s.col(p), alpha), basis[q]), mul(basis[a], basis[rr]))
+                for (p, q, rr), c in d2b
+            )
+            lhs3 = tensor(
+                (c, mul(mul(basis[p], beta), s.col(q)), mul(basis[rr], basis[b]))
+                for (p, q, rr), c in d2a
+            )
+            lhs4 = tensor(
+                (c, mul(basis[p], basis[b]), mul(mul(basis[q], beta), s.col(rr)))
+                for (p, q, rr), c in d2a
+            )
+            # the legs of a b, leg by leg
+            legs = [
+                (c1 * c2, mul(basis[p1], basis[p2]), mul(basis[q1], basis[q2]), mul(basis[r1], basis[r2]))
+                for (p1, q1, r1), c1 in d2a
+                for (p2, q2, r2), c2 in d2b
+            ]
+            rhs1 = tensor((c, x, mul(mul(s.apply(y), alpha), z)) for c, x, y, z in legs)
+            rhs2 = tensor((c, mul(mul(s.apply(x), alpha), y), z) for c, x, y, z in legs)
+            rhs3 = tensor((c, mul(mul(x, beta), s.apply(y)), z) for c, x, y, z in legs)
+            rhs4 = tensor((c, x, mul(mul(y, beta), s.apply(z))) for c, x, y, z in legs)
             if lhs1 != rhs1 or lhs2 != rhs2 or lhs3 != rhs3 or lhs4 != rhs4:
                 return False
     return True
 
 
-def _add_pure(target, x, y, c):
-    for i, a in enumerate(x):
-        if a:
-            ca = c * a
-            for j, b in enumerate(y):
-                if b:
-                    key = (i, j)
-                    val = target.get(key, QZERO) + ca * b
-                    if val:
-                        target[key] = val
-                    else:
-                        target.pop(key, None)
-
-
 def _absorption_identities(algebra, s, alpha, beta) -> bool:
     """Unit absorption: the alternating adjoint words collapse elementwise."""
     n = algebra.dim
+    mul = algebra.mul
     basis = [algebra.basis_vector(i) for i in range(n)]
     for t in range(n):
-        acc = zero_vec(n)
-        acc2 = zero_vec(n)
-        for (p, q, rr), c in algebra.delta2(basis[t]).items():
-            acc = vadd(
-                acc,
-                vscale(
-                    c,
-                    algebra.mul(
-                        algebra.mul(algebra.mul(basis[p], beta), s.col(q)),
-                        algebra.mul(alpha, basis[rr]),
-                    ),
-                ),
-            )
-            acc2 = vadd(
-                acc2,
-                vscale(
-                    c,
-                    algebra.mul(
-                        algebra.mul(algebra.mul(s.col(p), alpha), basis[q]),
-                        algebra.mul(beta, s.col(rr)),
-                    ),
-                ),
-            )
-        if acc != basis[t] or acc2 != s.col(t):
+        first, second = _unit_words(algebra, s, alpha, beta, basis[t])
+        if first != basis[t] or second != s.col(t):
             return False
     for t in range(n):
-        lhs = Matrix.zero(n, n)
-        for key, c in _delta_n(algebra, basis[t], 5).items():
-            a1, a2, a3, a4, a5, a6 = key
-            first = algebra.mul(
-                algebra.mul(algebra.mul(basis[a1], beta), s.col(a4)),
-                algebra.mul(alpha, basis[a5]),
-            )
-            second = algebra.mul(
-                algebra.mul(algebra.mul(basis[a2], beta), s.col(a3)),
-                algebra.mul(alpha, basis[a6]),
-            )
-            lhs = lhs + _pure(algebra, first, second).scale(c)
+        d5 = algebra.iterated_delta(basis[t], 5).items()
+        lhs = linear_combination(
+            (
+                (
+                    c,
+                    outer_nonzeros(
+                        mul(mul(mul(basis[a1], beta), s.col(a4)), mul(alpha, basis[a5])),
+                        mul(mul(mul(basis[a2], beta), s.col(a3)), mul(alpha, basis[a6])),
+                    ),
+                )
+                for (a1, a2, a3, a4, a5, a6), c in d5
+            ),
+            n,
+            n,
+        )
         if lhs != algebra.comult[t]:
             return False
-        lhs2 = Matrix.zero(n, n)
-        rhs2 = Matrix.zero(n, n)
-        for key, c in _delta_n(algebra, basis[t], 5).items():
-            a1, a2, a3, a4, a5, a6 = key
-            first = algebra.mul(
-                algebra.mul(algebra.mul(s.col(a2), alpha), basis[a3]),
-                algebra.mul(beta, s.col(a6)),
-            )
-            second = algebra.mul(
-                algebra.mul(algebra.mul(s.col(a1), alpha), basis[a4]),
-                algebra.mul(beta, s.col(a5)),
-            )
-            lhs2 = lhs2 + _pure(algebra, first, second).scale(c)
-        for u, row in enumerate(algebra.comult[t].data):
-            for v, c in enumerate(row):
-                if c:
-                    rhs2 = rhs2 + _pure(algebra, s.col(v), s.col(u)).scale(c)
+        lhs2 = linear_combination(
+            (
+                (
+                    c,
+                    outer_nonzeros(
+                        mul(mul(mul(s.col(a2), alpha), basis[a3]), mul(beta, s.col(a6))),
+                        mul(mul(mul(s.col(a1), alpha), basis[a4]), mul(beta, s.col(a5))),
+                    ),
+                )
+                for (a1, a2, a3, a4, a5, a6), c in d5
+            ),
+            n,
+            n,
+        )
+        rhs2 = linear_combination(
+            ((c, outer_nonzeros(s.col(v), s.col(u))) for u, v, c in algebra._comult_nonzeros[t]),
+            n,
+            n,
+        )
         if lhs2 != rhs2:
             return False
     return True
@@ -600,7 +470,7 @@ def sqcap_suite(algebra: WeakBialgebra, s: Matrix) -> SqcapReport:
     report = decide_axioms(algebra)
     if not report.monoidal:
         raise ValueError("adjoint contraction suite needs a monoidal instance")
-    if not is_normal_prerigidity_map(algebra, s, report):
+    if not is_normal_prerigidity_map(algebra, s):
         raise ValueError("map is not a normal pre-rigidity map")
     cap_l, cap_r = sqcap_maps(algebra, s)
     img_l = image(cap_l)
@@ -643,53 +513,24 @@ def sqcap_suite(algebra: WeakBialgebra, s: Matrix) -> SqcapReport:
     checks.append(("dimension-chain", dims_ok))
     # module-map property of the contractions on the two realizations
     n = algebra.dim
+    ident = Matrix.identity(n)
     lin_ok = True
     for sigma in "LR":
-        space = sub["A_%sR" % sigma]
         proj = p[(sigma, "R")]
-        for t in range(n):
-            for x in space.basis.data:
+        for x in sub["A_%sR" % sigma].basis.data:
+            # column t is e_t_(1) cap_l(x) S(e_t_(2))
+            rhs = convolve(algebra, algebra.right_mult_of(cap_l.apply(x)), s)
+            for t in range(n):
                 acted = proj.apply(algebra.mul(algebra.basis_vector(t), x))
-                lhs = cap_l.apply(acted)
-                rhs = zero_vec(n)
-                for u, row in enumerate(algebra.comult[t].data):
-                    for v, c in enumerate(row):
-                        if c:
-                            rhs = vadd(
-                                rhs,
-                                vscale(
-                                    c,
-                                    algebra.mul(
-                                        algebra.mul(
-                                            algebra.basis_vector(u), cap_l.apply(x)
-                                        ),
-                                        s.col(v),
-                                    ),
-                                ),
-                            )
-                if lhs != rhs:
+                if cap_l.apply(acted) != rhs.col(t):
                     lin_ok = False
-        space2 = sub["A_%sL" % sigma]
         proj2 = p[(sigma, "L")]
-        for t in range(n):
-            for x in space2.basis.data:
+        for x in sub["A_%sL" % sigma].basis.data:
+            # column t is S(e_t_(1)) cap_r(x) e_t_(2)
+            rhs = convolve(algebra, algebra.right_mult_of(cap_r.apply(x)) * s, ident)
+            for t in range(n):
                 acted = proj2.apply(algebra.mul(x, algebra.basis_vector(t)))
-                lhs = cap_r.apply(acted)
-                rhs = zero_vec(n)
-                for u, row in enumerate(algebra.comult[t].data):
-                    for v, c in enumerate(row):
-                        if c:
-                            rhs = vadd(
-                                rhs,
-                                vscale(
-                                    c,
-                                    algebra.mul(
-                                        algebra.mul(s.col(u), cap_r.apply(x)),
-                                        algebra.basis_vector(v),
-                                    ),
-                                ),
-                            )
-                if lhs != rhs:
+                if cap_r.apply(acted) != rhs.col(t):
                     lin_ok = False
     checks.append(("module-map-property", lin_ok))
     inv_ok = True
@@ -733,130 +574,61 @@ def regular_module_rigidity_identities(algebra: WeakBialgebra, r: RigidityStruct
     n = algebra.dim
     p_lr = algebra.projection("L", "R")
     p_rr = algebra.projection("R", "R")
-    d1 = algebra.delta1
+    e = algebra.basis_vector
 
     # ev[j][k] (a vector in A): evaluation of e^j (x) e_k
     ev = [[None] * n for _ in range(n)]
-    d2u = algebra.delta2(algebra.unit)
-    for j in range(n):
-        for k in range(n):
-            acc = zero_vec(n)
-            for (p, q, rr), c in d2u.items():
-                vec = algebra.mul(
-                    algebra.mul(algebra.mul(s.col(p), alpha), algebra.basis_vector(q)),
-                    algebra.basis_vector(k),
-                )
-                w = c * vec[j]
-                if w:
-                    acc = vadd(acc, vscale(w, algebra.basis_vector(rr)))
-            ev[j][k] = acc
+    d2u = algebra.delta2(algebra.unit).items()
+    for k in range(n):
+        words = [
+            (c, algebra.mul(algebra.mul(algebra.mul(s.col(p), alpha), e(q)), e(k)), rr)
+            for (p, q, rr), c in d2u
+        ]
+        for j in range(n):
+            ev[j][k] = vector_combination(((c * w[j], e(rr)) for c, w, rr in words), n)
 
-    def coev_operator(x):
-        """Left multiplication by x_(1) beta S(x_(2))."""
-        dx = algebra.delta(x)
-        out = Matrix.zero(n, n)
-        for u, row in enumerate(dx.data):
-            for v, c in enumerate(row):
-                if c:
-                    elem = algebra.mul(
-                        algebra.mul(algebra.basis_vector(u), beta), s.col(v)
-                    )
-                    out = out + algebra.left_mult_of(elem).scale(c)
-        return out
+    # coevaluation of x: left multiplication by x_(1) beta S(x_(2))
+    _, adj_b = _adjoint_maps(algebra, s, alpha, beta)
 
     # first zig-zag on the regular module
     for t in range(n):
-        basis_t = algebra.basis_vector(t)
-        total = zero_vec(n)
-        for u, row in enumerate(d1.data):
-            for v, c in enumerate(row):
-                if not c:
-                    continue
-                e_leg = p_lr.apply(algebra.basis_vector(u))
-                w_vec = algebra.mul(algebra.basis_vector(v), basis_t)
-                op = coev_operator(e_leg)
-                # op (x) w expands in the middle legs; contract with ev
-                for i in range(n):
-                    for j in range(n):
-                        mij = op[i, j]
-                        if not mij:
-                            continue
-                        for k, wk in enumerate(w_vec):
-                            if wk:
-                                e_out = ev[j][k]
-                                contracted = p_rr.apply(e_out)
-                                total = vadd(
-                                    total,
-                                    vscale(
-                                        c * mij * wk,
-                                        algebra.mul(contracted, algebra.basis_vector(i)),
-                                    ),
-                                )
-        if total != basis_t:
+        terms = []
+        for u, v, c in nonzeros(algebra.delta1):
+            op = algebra.left_mult_of(adj_b.apply(p_lr.col(u)))
+            w_vec = algebra.mul(e(v), e(t))
+            # op (x) w expands in the middle legs; contract with ev
+            for i, j, mij in nonzeros(op):
+                for k, wk in enumerate(w_vec):
+                    if wk:
+                        terms.append((c * mij * wk, algebra.mul(p_rr.apply(ev[j][k]), e(i))))
+        if vector_combination(terms, n) != e(t):
             return False
 
-    return _conjugate_zigzag(algebra, s, alpha, beta, ev)
+    return _conjugate_zigzag(algebra, s, adj_b, ev)
 
 
-def _conjugate_zigzag(algebra, s, alpha, beta, ev) -> bool:
+def _conjugate_zigzag(algebra, s, adj_b, ev) -> bool:
     """Zig-zag on the conjugate of the regular module."""
     n = algebra.dim
     p_lr = algebra.projection("L", "R")
-    d1 = algebra.delta1
-    lst = {t: algebra.left_mult_of(s.col(t)).transpose() for t in range(n)}
-    s_one_op = algebra.left_mult_of(s.apply(algebra.unit)).transpose()
-    vbar = image(s_one_op)
-
-    def act_bar(t, phi):
-        return lst[t].apply(phi)
-
+    lst = [algebra.left_mult_of(s.col(t)).transpose() for t in range(n)]
+    vbar = image(algebra.left_mult_of(s.apply(algebra.unit)).transpose())
     for phi0 in vbar.basis.data:
-        total = zero_vec(n)
+        terms = []
         # coevaluation inserted on the right leg of the conjugate module
-        for u, row in enumerate(d1.data):
-            for v, c in enumerate(row):
-                if not c:
-                    continue
-                phi1 = act_bar_elem(algebra, lst, algebra.basis_vector(u), phi0)
-                e_leg = p_lr.apply(algebra.basis_vector(v))
-                op = Matrix.zero(n, n)
-                dx = algebra.delta(e_leg)
-                for a, arow in enumerate(dx.data):
-                    for b, cc in enumerate(arow):
-                        if cc:
-                            elem = algebra.mul(
-                                algebra.mul(algebra.basis_vector(a), beta), s.col(b)
-                            )
-                            op = op + algebra.left_mult_of(elem).scale(cc)
-                for i in range(n):
-                    for j in range(n):
-                        mij = op[i, j]
-                        if not mij:
-                            continue
-                        w = c * mij
-                        # evaluation consumes (phi1, module leg e_i)
-                        e_out = zero_vec(n)
-                        for jj, pj in enumerate(phi1):
-                            if pj:
-                                e_out = vadd(e_out, vscale(pj, ev[jj][i]))
-                        # leftover conjugate functional e^j acted by the
-                        # counit projection of the evaluation output
-                        move = p_lr.apply(e_out)
-                        phi2 = algebra.left_mult_of(s.apply(move)).transpose().apply(
-                            unit_vec(n, j)
-                        )
-                        total = vadd(total, vscale(w, phi2))
-        if total != phi0:
+        for u, v, c in nonzeros(algebra.delta1):
+            phi1 = lst[u].apply(phi0)
+            op = algebra.left_mult_of(adj_b.apply(p_lr.col(v)))
+            for i, j, mij in nonzeros(op):
+                # evaluation consumes (phi1, module leg e_i)
+                e_out = vector_combination(((pj, ev[jj][i]) for jj, pj in enumerate(phi1)), n)
+                # leftover conjugate functional e^j acted by the
+                # counit projection of the evaluation output
+                move = p_lr.apply(e_out)
+                terms.append((c * mij, algebra.left_mult_of(s.apply(move)).row(j)))
+        if vector_combination(terms, n) != phi0:
             return False
     return True
-
-
-def act_bar_elem(algebra, lst, a, phi):
-    acc = zero_vec(algebra.dim)
-    for t, c in enumerate(a):
-        if c:
-            acc = vadd(acc, vscale(c, lst[t].apply(phi)))
-    return acc
 
 
 # ----------------------------------------------------------------------
@@ -901,16 +673,12 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
             zx = a_r.coordinates(b.mul(zv, rv))
             if zx is None:
                 raise ValueError("shared wedge does not act on the right wedge")
-            mapped = _combine_rows(lbasis, s_r.apply(zx), n)
-            direct = b.mul(zv, _combine_rows(lbasis, s_r.col(j), n))
+            mapped = vector_combination(zip(s_r.apply(zx), lbasis), n)
+            direct = b.mul(zv, vector_combination(zip(s_r.col(j), lbasis), n))
             if mapped != direct:
                 raise ValueError("cross map is not linear over the shared wedge")
     # decompose the ambient basis into wedge products
-    prods = []
-    for i in range(a_l.dim):
-        for j in range(a_r.dim):
-            prods.append(b.mul(lbasis[i], rbasis[j]))
-    pmat = Matrix([[prods[t][i] for t in range(len(prods))] for i in range(n)])
+    pmat = Matrix.from_columns([b.mul(x, y) for x in lbasis for y in rbasis], n)
     decomp = []
     for t in range(n):
         res = solve_affine(pmat, b.basis_vector(t))
@@ -918,43 +686,20 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
             raise ValueError("instance is not spanned by wedge products")
         decomp.append(res[0])
 
-    def flip_of_pair(i, j):
-        left = _combine_rows(rbasis, s_l.col(i), n)
-        right = _combine_rows(lbasis, s_r.col(j), n)
-        return b.mul(right, left)
-
-    flips = [
-        [flip_of_pair(i, j) for j in range(a_r.dim)] for i in range(a_l.dim)
-    ]
-    ker = kernel(pmat)
-    for kv in ker.basis.data:
-        acc = zero_vec(n)
-        pos = 0
-        for i in range(a_l.dim):
-            for j in range(a_r.dim):
-                c = kv[pos]
-                pos += 1
-                if c:
-                    acc = vadd(acc, vscale(c, flips[i][j]))
-        if acc != zero_vec(n):
+    # s_l and s_r images of the wedge bases, and the flip of each wedge product
+    s_l_elems = [vector_combination(zip(s_l.col(i), rbasis), n) for i in range(a_l.dim)]
+    s_r_elems = [vector_combination(zip(s_r.col(j), lbasis), n) for j in range(a_r.dim)]
+    flips = [b.mul(right, left) for left in s_l_elems for right in s_r_elems]
+    for kv in kernel(pmat).basis.data:
+        if any(vector_combination(zip(kv, flips), n)):
             raise ValueError("cross map does not descend to the instance")
-    cols = []
-    alphas = []
-    for t in range(n):
-        acc = zero_vec(n)
-        aval = QZERO
-        pos = 0
-        for i in range(a_l.dim):
-            for j in range(a_r.dim):
-                c = decomp[t][pos]
-                pos += 1
-                if c:
-                    acc = vadd(acc, vscale(c, flips[i][j]))
-                    s_l_elem = _combine_rows(rbasis, s_l.col(i), n)
-                    aval += c * b.eps(b.mul(s_l_elem, rbasis[j]))
-        cols.append(acc)
-        alphas.append(aval)
-    s_b = Matrix([[cols[t][i] for t in range(n)] for i in range(n)])
+    pairings = [
+        b.eps(b.mul(left, rbasis[j])) for left in s_l_elems for j in range(a_r.dim)
+    ]
+    s_b = Matrix.from_columns(
+        [vector_combination(zip(coeffs, flips), n) for coeffs in decomp], n
+    )
+    alphas = [vdot(coeffs, pairings) for coeffs in decomp]
     # the flip must be anti-comultiplicative so its transpose is an algebra
     # anti-morphism on the dual
     for t in range(n):
@@ -974,14 +719,6 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
     return structure
 
 
-def _combine_rows(rows, coeffs, n):
-    acc = zero_vec(n)
-    for c, row in zip(coeffs, rows):
-        if c:
-            acc = vadd(acc, vscale(c, row))
-    return acc
-
-
 # ----------------------------------------------------------------------
 # bridges to the antipode axioms
 # ----------------------------------------------------------------------
@@ -998,7 +735,7 @@ def pre_antipode_normal_bridge(algebra: WeakBialgebra, s: Matrix):
     sub = algebra.subspaces
     lhs = _pre_antipode_holds(algebra, s)
     rhs = (
-        is_normal_prerigidity_map(algebra, s, report)
+        is_normal_prerigidity_map(algebra, s)
         and sub["A_LL"] == sub["A_LR"]
         and sub["A_RR"] == sub["A_RL"]
     )

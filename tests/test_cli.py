@@ -293,6 +293,9 @@ def test_witness_limit_zero_hides_witnesses(tmp_path, capsys):
     assert json.loads(out)["axioms"]["witnesses"] == {}
 
 
+_DIAGONAL = [[0, 0, 0, "1"], [1, 1, 1, "1"]]
+
+
 def _minimal_spec(a1_mult):
     algebra = {"dim": 2, "mult": [[0, 0, 0, "1"], [1, 1, 1, "1"]], "unit": ["1", "1"]}
     return {"a1": dict(algebra, mult=a1_mult), "a2": algebra, "p": [["1", "0"], ["0", "1"]]}
@@ -324,6 +327,16 @@ MALFORMED = [
     ("validate-negative-denominator", "validate", _document([1, 1, 1, "1/-2"])),
     ("validate-empty-scalar", "validate", _document([1, 1, 1, ""])),
     ("catalog-emit-without-name", "catalog emit", None),
+    ("minimal-amalgamation-not-object", "construct minimal", dict(_minimal_spec(_DIAGONAL), amalgamation=5)),
+    (
+        "minimal-amalgamation-without-into-second",
+        "construct minimal",
+        dict(_minimal_spec(_DIAGONAL), amalgamation={"into_first": [["1", "1"]]}),
+    ),
+    ("catalog-emit-unknown-name", "catalog emit nosuch", None),
+    ("catalog-emit-non-integer-order", "catalog emit group:zabc", None),
+    ("catalog-emit-adcross-one-name", "catalog emit adcross:z4", None),
+    ("catalog-emit-order-zero", "catalog emit group:z0", None),
 ]
 
 

@@ -49,6 +49,24 @@ def test_non_coassociative_witness():
     assert names
 
 
+def test_coassociativity_compares_both_leg_expansions():
+    # e0 is the unit and every other product vanishes; on e2 the two
+    # expansions (Delta (x) id) Delta and (id (x) Delta) Delta differ
+    mult = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        mult[0][i][i] = mult[i][0][i] = 1
+    comult = [
+        [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 1], [1, 0, 0]],
+    ]
+    bad = WeakBialgebra(3, mult, [1, 0, 0], comult, [1, 0, 0])
+    assert bad.violations == (
+        ("coassociativity", (2,)),
+        ("coproduct-multiplicativity", (1, 1)),
+    )
+
+
 def test_dimension_mismatch_is_structural_fault():
     with pytest.raises(AlgebraDataError):
         WeakBialgebra(2, [[[1], [0]], [[0], [1]]], [1, 0], [[[1]]], [1])
