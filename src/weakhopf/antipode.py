@@ -175,7 +175,7 @@ def _antipode_system(algebra):
                         line[p * n + i] += c * w
             rows.append(line)
             rhs.append(p_rl[u, k])
-    return Matrix.from_rows(rows, n * n), tuple(rhs)
+    return Matrix._of_fractions(rows, n * n), tuple(rhs)
 
 
 def _matrix_from_unknowns(x, n) -> Matrix:

@@ -12,7 +12,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .core import WeakBialgebra
+from .core import WeakBialgebra, algebra_axiom_violations
 from .exactlin import (
     Matrix,
     Q,
@@ -78,25 +78,21 @@ class Algebra:
         alg.check()
         return alg
 
+    _mult_nonzeros = WeakBialgebra._mult_nonzeros
     mul = WeakBialgebra.mul
 
     def basis_vector(self, i):
         return unit_vec(self.dim, i)
 
     def check(self):
-        n = self.dim
-        basis = [self.basis_vector(i) for i in range(n)]
-        for i in range(n):
-            if self.mul(self.unit, basis[i]) != basis[i] or self.mul(basis[i], self.unit) != basis[i]:
-                raise ConstructionError("unit axiom fails at basis %d" % i)
-        for i in range(n):
-            for j in range(n):
-                ij = self.mul(basis[i], basis[j])
-                for k in range(n):
-                    if self.mul(ij, basis[k]) != self.mul(basis[i], self.mul(basis[j], basis[k])):
-                        raise ConstructionError(
-                            "associativity fails at (%d,%d,%d)" % (i, j, k)
-                        )
+        bad = dict(algebra_axiom_violations(self))
+        units = [bad[name][0] for name in ("unit-left", "unit-right") if name in bad]
+        if units:
+            raise ConstructionError("unit axiom fails at basis %d" % min(units))
+        if "associativity" in bad:
+            raise ConstructionError(
+                "associativity fails at (%d,%d,%d)" % bad["associativity"]
+            )
 
     @staticmethod
     def diagonal(n, labels=None):

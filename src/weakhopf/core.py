@@ -75,6 +75,55 @@ def _as_comult_tensor(dim, comult):
     return tuple(out)
 
 
+def _sum_nonzeros(terms, n):
+    """sum c * v over (c, v) pairs, each v given by its (k, x) nonzeros."""
+    acc = [QZERO] * n
+    for c, nz in terms:
+        for k, x in nz:
+            acc[k] += c * x
+    return acc
+
+
+def algebra_axiom_violations(algebra):
+    """The failed unit and associativity axioms, with a witness basis tuple each.
+
+    algebra needs dim, unit, mul and the per-(i, j) nonzero lists
+    _mult_nonzeros.  Each axiom reports its first failure in basis order;
+    associativity compares (e_i e_j) e_k with e_i (e_j e_k) over the lists.
+    """
+    bad = []
+    n = algebra.dim
+    one = algebra.unit
+    basis = [unit_vec(n, i) for i in range(n)]
+    for i in range(n):
+        if algebra.mul(one, basis[i]) != basis[i]:
+            bad.append(("unit-left", (i,)))
+            break
+    for i in range(n):
+        if algebra.mul(basis[i], one) != basis[i]:
+            bad.append(("unit-right", (i,)))
+            break
+    table = algebra._mult_nonzeros
+    done = False
+    for i in range(n):
+        if done:
+            break
+        ti = table[i]
+        for j in range(n):
+            if done:
+                break
+            ij = ti[j]
+            tj = table[j]
+            for k in range(n):
+                left = _sum_nonzeros(((c, table[l][k]) for l, c in ij), n)
+                right = _sum_nonzeros(((c, ti[m]) for m, c in tj[k]), n)
+                if left != right:
+                    bad.append(("associativity", (i, j, k)))
+                    done = True
+                    break
+    return bad
+
+
 class WeakBialgebra:
     """Immutable structure-constant presentation of a weak bialgebra."""
 
@@ -113,20 +162,24 @@ class WeakBialgebra:
     # elementary algebra operations on coefficient vectors
     # ------------------------------------------------------------------
 
+    @cached_property
+    def _mult_nonzeros(self):
+        """Entry (i, j) lists the nonzero (k, c): e_i e_j = sum c e_k."""
+        return tuple(
+            tuple(tuple((k, c) for k, c in enumerate(ij) if c) for ij in row)
+            for row in self.mult
+        )
+
     def mul(self, a, b):
-        n = self.dim
-        acc = [QZERO] * n
-        mult = self.mult
+        acc = [QZERO] * self.dim
+        table = self._mult_nonzeros
+        bnz = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
-            if not x:
-                continue
-            row = mult[i]
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                xy = x * y
-                for k, c in enumerate(row[j]):
-                    if c:
+            if x:
+                row = table[i]
+                for j, y in bnz:
+                    xy = x * y
+                    for k, c in row[j]:
                         acc[k] += xy * c
         return tuple(acc)
 
@@ -144,7 +197,9 @@ class WeakBialgebra:
         """L_i with (L_i)[k][j] = coefficient of e_k in e_i e_j."""
         n = self.dim
         return tuple(
-            Matrix([[self.mult[i][j][k] for j in range(n)] for k in range(n)])
+            Matrix._of_fractions(
+                [[self.mult[i][j][k] for j in range(n)] for k in range(n)], n
+            )
             for i in range(n)
         )
 
@@ -153,7 +208,9 @@ class WeakBialgebra:
         """R_j with (R_j)[k][i] = coefficient of e_k in e_i e_j."""
         n = self.dim
         return tuple(
-            Matrix([[self.mult[i][j][k] for i in range(n)] for k in range(n)])
+            Matrix._of_fractions(
+                [[self.mult[i][j][k] for i in range(n)] for k in range(n)], n
+            )
             for j in range(n)
         )
 
@@ -189,28 +246,28 @@ class WeakBialgebra:
     # ------------------------------------------------------------------
 
     def t2_mul(self, X: Matrix, Y: Matrix) -> Matrix:
+        return self._t2_product(nonzeros(X), nonzeros(Y))
+
+    def _t2_product(self, xnz, ynz) -> Matrix:
+        """t2_mul of the two matrices with the given nonzeros() triples."""
         n = self.dim
         acc = [[QZERO] * n for _ in range(n)]
-        ynz = nonzeros(Y)
-        mult = self.mult
-        for p, xrow in enumerate(X.data):
-            for q, c in enumerate(xrow):
-                if not c:
+        table = self._mult_nonzeros
+        for p, q, c in xnz:
+            tp = table[p]
+            tq = table[q]
+            for r, s, d in ynz:
+                first = tp[r]
+                second = tq[s]
+                if not (first and second):
                     continue
-                mp = mult[p]
-                mq = mult[q]
-                for r, s, d in ynz:
-                    cd = c * d
-                    first = mp[r]
-                    second = mq[s]
-                    for u, fu in enumerate(first):
-                        if fu:
-                            w = cd * fu
-                            arow = acc[u]
-                            for v, sv in enumerate(second):
-                                if sv:
-                                    arow[v] += w * sv
-        return Matrix(acc)
+                cd = c * d
+                for u, fu in first:
+                    w = cd * fu
+                    arow = acc[u]
+                    for v, sv in second:
+                        arow[v] += w * sv
+        return Matrix._of_fractions(acc, n)
 
     @cached_property
     def delta1(self) -> Matrix:
@@ -222,8 +279,8 @@ class WeakBialgebra:
         n = self.dim
         rows = []
         for i in range(n):
-            rows.append(tuple(self.eps(self.mul(self.basis_vector(i), self.basis_vector(j))) for j in range(n)))
-        return Matrix(rows)
+            rows.append([self.eps(self.mul(self.basis_vector(i), self.basis_vector(j))) for j in range(n)])
+        return Matrix._of_fractions(rows, n)
 
     # ------------------------------------------------------------------
     # iterated coproducts, sparse dicts keyed by tuples of basis legs
@@ -237,11 +294,14 @@ class WeakBialgebra:
             head, tail = key[:leg], key[leg + 1 :]
             for i, j, e in comult[key[leg]]:
                 new = head + (i, j) + tail
-                val = out.get(new, QZERO) + c * e
+                val = c * e
+                prev = out.get(new)
+                if prev is not None:
+                    val += prev
                 if val:
                     out[new] = val
-                else:
-                    out.pop(new, None)
+                elif prev is not None:
+                    del out[new]
         return out
 
     def iterated_delta(self, a, k):
@@ -299,33 +359,9 @@ class WeakBialgebra:
     @cached_property
     def violations(self):
         """All failed structural axioms with a witness basis tuple each."""
-        bad = []
+        bad = algebra_axiom_violations(self)
         n = self.dim
-        one = self.unit
         basis = [self.basis_vector(i) for i in range(n)]
-        for i in range(n):
-            if self.mul(one, basis[i]) != basis[i]:
-                bad.append(("unit-left", (i,)))
-                break
-        for i in range(n):
-            if self.mul(basis[i], one) != basis[i]:
-                bad.append(("unit-right", (i,)))
-                break
-        done = False
-        for i in range(n):
-            if done:
-                break
-            for j in range(n):
-                if done:
-                    break
-                ij = self.mul(basis[i], basis[j])
-                for k in range(n):
-                    if self.mul(ij, basis[k]) != self.mul(
-                        basis[i], self.mul(basis[j], basis[k])
-                    ):
-                        bad.append(("associativity", (i, j, k)))
-                        done = True
-                        break
         for k in range(n):
             dk = self.comult[k]
             left = dk.transpose().apply(self.counit)
@@ -343,13 +379,14 @@ class WeakBialgebra:
                 bad.append(("coassociativity", (k,)))
                 break
         done = False
+        comult = self._comult_nonzeros
         for i in range(n):
             if done:
                 break
-            di = self.comult[i]
+            di = comult[i]
             for j in range(n):
                 lhs = self.delta(self.mul(basis[i], basis[j]))
-                rhs = self.t2_mul(di, self.comult[j])
+                rhs = self._t2_product(di, comult[j])
                 if lhs != rhs:
                     bad.append(("coproduct-multiplicativity", (i, j)))
                     done = True
@@ -379,7 +416,9 @@ class WeakBialgebra:
             for i in range(n)
         ]
         comult = [
-            Matrix([[self.mult[i][j][k] for j in range(n)] for i in range(n)])
+            Matrix._of_fractions(
+                [[self.mult[i][j][k] for j in range(n)] for i in range(n)], n
+            )
             for k in range(n)
         ]
         labels = tuple(
@@ -484,10 +523,10 @@ class WeakBialgebra:
                     if w:
                         rows_rr[u * n + j][k] -= c * w
         return {
-            ("L", "L"): kernel(Matrix(rows_ll)),
-            ("L", "R"): kernel(Matrix(rows_lr)),
-            ("R", "L"): kernel(Matrix(rows_rl)),
-            ("R", "R"): kernel(Matrix(rows_rr)),
+            ("L", "L"): kernel(Matrix._of_fractions(rows_ll, n)),
+            ("L", "R"): kernel(Matrix._of_fractions(rows_lr, n)),
+            ("R", "L"): kernel(Matrix._of_fractions(rows_rl, n)),
+            ("R", "R"): kernel(Matrix._of_fractions(rows_rr, n)),
         }
 
     @cached_property
@@ -497,7 +536,7 @@ class WeakBialgebra:
         for t in range(n):
             diff = self.left_mult[t] - self.right_mult[t]
             rows.extend(diff.data)
-        return kernel(Matrix.from_rows(rows, n))
+        return kernel(Matrix._of_fractions(rows, n))
 
     @cached_property
     def center_l(self) -> Subspace:

@@ -110,20 +110,32 @@ class Matrix:
                 raise ValueError("ragged matrix rows")
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix([(QZERO,) * cols] * rows) if rows else Matrix._empty(cols)
+    def _of_fractions(rows, cols: int) -> "Matrix":
+        """The matrix on rows whose entries are already Fractions.
 
-    @staticmethod
-    def _empty(cols: int) -> "Matrix":
+        Internal: for results of Fraction arithmetic, which need no
+        re-wrapping.  Rows must still all have length cols.
+        """
         m = Matrix.__new__(Matrix)
-        m.data = ()
-        m.rows = 0
+        m.data = data = tuple(map(tuple, rows))
+        m.rows = len(data)
         m.cols = cols
+        for row in data:
+            if len(row) != cols:
+                raise ValueError("ragged matrix rows")
         return m
 
     @staticmethod
+    def zero(rows: int, cols: int) -> "Matrix":
+        return Matrix._of_fractions([(QZERO,) * cols] * rows, cols)
+
+    @staticmethod
+    def _empty(cols: int) -> "Matrix":
+        return Matrix._of_fractions((), cols)
+
+    @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([unit_vec(n, i) for i in range(n)]) if n else Matrix._empty(0)
+        return Matrix._of_fractions([unit_vec(n, i) for i in range(n)], n)
 
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> "Matrix":
@@ -170,19 +182,17 @@ class Matrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
-        return Matrix.from_rows(
-            [vadd(r, s) for r, s in zip(self.data, other.data)], self.cols
-        )
+        return Matrix._of_fractions(map(vadd, self.data, other.data), self.cols)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix subtraction")
-        return Matrix.from_rows(
-            [vsub(r, s) for r, s in zip(self.data, other.data)], self.cols
-        )
+        return Matrix._of_fractions(map(vsub, self.data, other.data), self.cols)
 
     def __neg__(self):
-        return Matrix.from_rows([vscale(Q(-1), r) for r in self.data], self.cols)
+        return Matrix._of_fractions(
+            [tuple(-x for x in r) for r in self.data], self.cols
+        )
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -199,8 +209,8 @@ class Matrix:
                     for j, v in enumerate(orow):
                         if v:
                             acc[j] += c * v
-            out.append(tuple(acc))
-        return Matrix.from_rows(out, other.cols)
+            out.append(acc)
+        return Matrix._of_fractions(out, other.cols)
 
     def apply(self, v) -> tuple:
         """Matrix times coordinate column, given and returned as a tuple."""
@@ -216,7 +226,9 @@ class Matrix:
         return tuple(acc)
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_columns(self.data, self.cols)
+        if not self.rows:
+            return Matrix._of_fractions([()] * self.cols, 0)
+        return Matrix._of_fractions(zip(*self.data), self.rows)
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.data)
@@ -255,7 +267,7 @@ def linear_combination(terms, rows: int, cols: int) -> Matrix:
         if c:
             for i, j, x in nz:
                 acc[i][j] += c * x
-    return Matrix.from_rows(acc, cols)
+    return Matrix._of_fractions(acc, cols)
 
 
 def vector_combination(terms, n: int) -> tuple:
@@ -337,8 +349,8 @@ def _eliminate(rows, width: int):
 def rref(m: Matrix) -> Matrix:
     """Canonical reduced row-echelon form with zero rows dropped."""
     red = _eliminate([_sparse_row(r) for r in m.data], m.cols)
-    return Matrix.from_rows(
-        [tuple(row.get(j, QZERO) for j in range(m.cols)) for _, row in red], m.cols
+    return Matrix._of_fractions(
+        [[row.get(j, QZERO) for j in range(m.cols)] for _, row in red], m.cols
     )
 
 
@@ -359,8 +371,8 @@ def inverse(m: Matrix) -> Matrix | None:
     red = _eliminate(aug, 2 * n)
     if [c for c, _ in red] != list(range(n)):
         return None
-    return Matrix.from_rows(
-        [tuple(row.get(n + j, QZERO) for j in range(n)) for _, row in red], n
+    return Matrix._of_fractions(
+        [[row.get(n + j, QZERO) for j in range(n)] for _, row in red], n
     )
 
 
@@ -375,8 +387,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                     line.extend([QZERO] * len(brow))
                 else:
                     line.extend([x * y for y in brow])
-            out.append(tuple(line))
-    return Matrix.from_rows(out, a.cols * b.cols)
+            out.append(line)
+    return Matrix._of_fractions(out, a.cols * b.cols)
 
 
 @dataclass(frozen=True)
@@ -392,8 +404,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("spanning vector has wrong dimension")
-        reduced = rref(Matrix.from_rows(vectors, ambient_dim))
-        return Subspace(ambient_dim, reduced)
+        return row_space(Matrix.from_rows(vectors, ambient_dim))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -432,8 +443,8 @@ class Subspace:
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.from_spanning(
-            list(self.basis.data) + list(other.basis.data), self.ambient_dim
+        return row_space(
+            Matrix._of_fractions(self.basis.data + other.basis.data, self.ambient_dim)
         )
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -446,18 +457,14 @@ class Subspace:
         b1t = self.basis.transpose()
         b2t = other.basis.transpose()
         cols = self.dim + other.dim
-        stacked = Matrix.from_rows(
-            [
-                tuple(b1t.data[i]) + tuple(-x for x in b2t.data[i])
-                for i in range(self.ambient_dim)
-            ],
-            cols,
+        stacked = Matrix._of_fractions(
+            [r1 + tuple(-x for x in r2) for r1, r2 in zip(b1t.data, b2t.data)], cols
         )
         vecs = [
             vector_combination(zip(krow[: self.dim], self.basis.data), self.ambient_dim)
             for krow in kernel(stacked).basis.data
         ]
-        return Subspace.from_spanning(vecs, self.ambient_dim)
+        return row_space(Matrix._of_fractions(vecs, self.ambient_dim))
 
     def __contains__(self, v):
         return self.contains(v)
@@ -477,7 +484,7 @@ def _null_space(red, n: int) -> Subspace:
         for j, x in row.items():
             if j in free:
                 free[j][pc] = -x
-    return Subspace.from_spanning([tuple(v) for v in free.values()], n)
+    return row_space(Matrix._of_fractions(free.values(), n))
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -487,11 +494,11 @@ def kernel(m: Matrix) -> Subspace:
 
 def image(m: Matrix) -> Subspace:
     """Column space of m as a canonical subspace of K^rows."""
-    return Subspace.from_spanning([m.col(j) for j in range(m.cols)], m.rows)
+    return row_space(m.transpose())
 
 
 def row_space(m: Matrix) -> Subspace:
-    return Subspace.from_spanning(list(m.data), m.cols)
+    return Subspace(m.cols, rref(m))
 
 
 def solve_affine(a: Matrix, b):

@@ -14,6 +14,7 @@ wedge subalgebra, which is naturally isomorphic to the truncated one.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -765,18 +766,22 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
     tdim = len(tbasis)
     t_coaction = []
     for bvec in tbasis:
-        rows = [[QZERO] * algebra.dim for _ in range(tdim)]
+        # the e_k component of the coaction, summed in the plain tensor; only
+        # the sum, not each term, has to lie in the carrier
+        components = defaultdict(lambda: [QZERO] * plain)
         for pos, c in enumerate(bvec):
             if not c:
                 continue
             a, b = divmod(pos, w.dim)
             for (pos2, k), c2 in plain_coaction(a, b).items():
-                part = carrier.coordinates(_scaled_unit(plain, pos2, c * c2))
-                if part is None:
-                    raise ValueError("truncated coaction left its carrier")
-                for x, c3 in enumerate(part):
-                    if c3:
-                        rows[x][k] += c3
+                components[k][pos2] += c * c2
+        rows = [[QZERO] * algebra.dim for _ in range(tdim)]
+        for k, component in components.items():
+            part = carrier.coordinates(component)
+            if part is None:
+                raise ValueError("truncated coaction left its carrier")
+            for x, c3 in enumerate(part):
+                rows[x][k] = c3
         t_coaction.append(Matrix(rows))
     truncated = Comodule.build(algebra, t_coaction)
 
@@ -833,12 +838,6 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
         truncated_carrier=carrier,
         checks=checks,
     )
-
-
-def _scaled_unit(n, pos, c):
-    out = [QZERO] * n
-    out[pos] = c
-    return tuple(out)
 
 
 def amalg_coaction_entry(amalgamated, t, x, k, fwd):

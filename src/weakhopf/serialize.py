@@ -57,6 +57,8 @@ def vector_to_list(v):
 
 
 def parse_matrix(data, rows=None, cols=None) -> Matrix:
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ParseError("a matrix is a list of row lists")
     try:
         m = Matrix([[parse_scalar(x) for x in row] for row in data])
     except (TypeError, ValueError) as exc:
@@ -69,6 +71,8 @@ def parse_matrix(data, rows=None, cols=None) -> Matrix:
 
 
 def parse_vector(data, dim=None):
+    if not isinstance(data, list):
+        raise ParseError("a vector is a list of scalars")
     try:
         v = tuple(parse_scalar(x) for x in data)
     except (TypeError, ValueError) as exc:
@@ -110,11 +114,13 @@ def document_to_algebra(doc) -> WeakBialgebra:
 def parse_sparse_entries(entries, n):
     """Validated (a, b, c, scalar) quadruples of a sparse tensor listing.
 
-    Indices must be JSON integers (booleans are not) in range(n).
+    Indices must be JSON integers (booleans are not) in range(n), and no
+    index triple may repeat.
     """
     if not isinstance(entries, list):
         raise ParseError("sparse tensors are lists of [i, j, k, scalar] quadruples")
     out = []
+    seen = set()
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != 4:
             raise ParseError("sparse entries are [i, j, k, scalar] quadruples")
@@ -122,6 +128,10 @@ def parse_sparse_entries(entries, n):
         for x in indices:
             if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n:
                 raise ParseError("index %r out of range" % (x,))
+        key = tuple(indices)
+        if key in seen:
+            raise ParseError("repeated sparse entry %r" % (indices,))
+        seen.add(key)
         try:
             val = parse_scalar(s)
         except ValueError as exc:

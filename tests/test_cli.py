@@ -337,6 +337,19 @@ MALFORMED = [
     ("catalog-emit-non-integer-order", "catalog emit group:zabc", None),
     ("catalog-emit-adcross-one-name", "catalog emit adcross:z4", None),
     ("catalog-emit-order-zero", "catalog emit group:z0", None),
+    (
+        "minimal-string-vectors",
+        "construct minimal",
+        dict(_minimal_spec(_DIAGONAL), a1=dict(_minimal_spec(_DIAGONAL)["a1"], unit="11"), p=["10", "01"]),
+    ),
+    ("minimal-string-unit", "construct minimal", dict(_minimal_spec(_DIAGONAL), a1=dict(_minimal_spec(_DIAGONAL)["a1"], unit="11"))),
+    ("minimal-string-matrix-rows", "construct minimal", dict(_minimal_spec(_DIAGONAL), p=["10", "01"])),
+    ("validate-duplicate-mult-entry", "validate", _document([0, 0, 0, "1"])),
+    (
+        "validate-duplicate-comult-entry",
+        "validate",
+        dict(_document([1, 1, 1, "1"]), comult=[[0, 0, 0, "1"], [1, 1, 1, "1"], [1, 1, 1, "0"]]),
+    ),
 ]
 
 
