@@ -52,12 +52,10 @@ def convolution_unit(algebra: WeakBialgebra) -> Matrix:
 
 
 def is_anti_multiplicative(algebra, s: Matrix) -> bool:
-    n = algebra.dim
-    for i in range(n):
-        si = s.col(i)
-        for j in range(n):
-            lhs = s.apply(algebra.mul(algebra.basis_vector(i), algebra.basis_vector(j)))
-            if lhs != algebra.mul(s.col(j), si):
+    cols = s.transpose().data
+    for i, row in enumerate(algebra.mult):
+        for j, ij in enumerate(row):
+            if s.apply(ij) != algebra.mul(cols[j], cols[i]):
                 return False
     return True
 
@@ -609,15 +607,7 @@ def invariant_functional_check(algebra, s: Matrix, lam) -> FunctionalCriterionVe
         and s.apply(algebra.unit) == algebra.unit
         and s.transpose().apply(algebra.counit) == algebra.counit
     )
-    gram_lam = Matrix(
-        [
-            [
-                vdot(lam, algebra.mul(algebra.basis_vector(i), algebra.basis_vector(j)))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
+    gram_lam = Matrix([[vdot(lam, ij) for ij in row] for row in algebra.mult])
     nondeg = rank(gram_lam) == n
     if not pre or not nondeg:
         return FunctionalCriterionVerdict(
@@ -632,14 +622,14 @@ def invariant_functional_check(algebra, s: Matrix, lam) -> FunctionalCriterionVe
         for b in range(n):
             lhs = vector_combination(
                 (
-                    (c * vdot(lam, algebra.mul(basis[b], basis[v])), basis[u])
+                    (c * vdot(lam, algebra.mult[b][v]), basis[u])
                     for u, v, c in algebra._comult_nonzeros[a]
                 ),
                 n,
             )
             rhs = vector_combination(
                 (
-                    (c * vdot(lam, algebra.mul(basis[v], basis[a])), s.col(u))
+                    (c * vdot(lam, algebra.mult[v][a]), s.col(u))
                     for u, v, c in algebra._comult_nonzeros[b]
                 ),
                 n,

@@ -18,12 +18,11 @@ from .constructions import (
     ConstructionError,
     HopfAlgebra,
     ModuleAlgebraAction,
-    ad_crossed_product,
     catalog,
     catalog_names,
     minimal_from_idempotent,
     minimal_weak_hopf,
-    named_subgroup,
+    named_ad_crossed_product,
     two_sided_crossed_product,
 )
 from .core import AlgebraDataError, decide_axioms
@@ -330,8 +329,7 @@ def cmd_construct(args):
     if args.sub == "adcross":
         if not args.group or not args.subgroup:
             raise ParseError("adcross needs --group and --subgroup")
-        gp, sub = named_subgroup(args.group, args.subgroup)
-        algebra, antipode = ad_crossed_product(gp, sub)
+        algebra, antipode = named_ad_crossed_product(args.group, args.subgroup)
         _emit(
             algebra_to_document(
                 algebra, extras={"antipode": matrix_to_lists(antipode)}

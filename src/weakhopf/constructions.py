@@ -38,17 +38,39 @@ class ConstructionError(Exception):
 
 
 class CatalogNameError(ConstructionError):
-    """A catalog, group or subgroup name that is unknown or does not parse."""
+    """A catalog, group or subgroup name that is unknown, does not parse or
+    names an instance larger than MAX_NAMED_DIM."""
 
 
 _COUNT = re.compile(r"[1-9][0-9]*")
 
+# Largest dimension of an instance built from a name (catalog names and the
+# groups of `construct adcross`); adcross:z8,z4 has dimension 32.
+MAX_NAMED_DIM = 64
+
+
+def _within_limit(dim, name):
+    if dim > MAX_NAMED_DIM:
+        raise CatalogNameError(
+            "%r has dimension %d, above the limit of %d" % (name, dim, MAX_NAMED_DIM)
+        )
+    return dim
+
 
 def _count(text, name):
-    """The positive decimal integer text inside the name."""
+    """The positive decimal integer text inside the name.
+
+    Every count (a group or subgroup order, the n of bsz-dual:n) bounds the
+    dimension of the named instance from below, so a count above the limit
+    is refused; one with more digits than the limit, before conversion.
+    """
     if _COUNT.fullmatch(text) is None:
         raise CatalogNameError("%r needs a positive integer, got %r" % (name, text))
-    return int(text)
+    if len(text) > len(str(MAX_NAMED_DIM)):
+        raise CatalogNameError(
+            "%r exceeds the dimension limit of %d" % (name, MAX_NAMED_DIM)
+        )
+    return _within_limit(int(text), name)
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +258,17 @@ def named_subgroup(group_name, sub_name):
         step = n // m
         return g, [(step * i) % n for i in range(m)]
     raise CatalogNameError("unknown subgroup %r of %r" % (sub_name, group_name))
+
+
+def named_ad_crossed_product(group_name, sub_name):
+    """ad_crossed_product of a named group by a named normal subgroup.
+
+    The instance has dimension |G| |H|, which must be within MAX_NAMED_DIM;
+    a larger one is refused before its tables are built.
+    """
+    gp, sub = named_subgroup(group_name, sub_name)
+    _within_limit(gp.order * len(sub), "adcross:%s,%s" % (group_name, sub_name))
+    return ad_crossed_product(gp, sub)
 
 
 def group_algebra(gp: GroupPresentation) -> WeakBialgebra:
@@ -985,6 +1018,7 @@ def catalog(name: str) -> CatalogEntry:
         return CatalogEntry(name, build_example1())
     if name.startswith("bsz-dual:"):
         n = _count(name.split(":", 1)[1], name)
+        _within_limit(n * n, name)
         a1 = Algebra.diagonal(n)
         a2 = Algebra.diagonal(n, labels=["f%d" % (i + 1) for i in range(n)])
         algebra, antipode = minimal_weak_hopf(
@@ -995,9 +1029,7 @@ def catalog(name: str) -> CatalogEntry:
         names = name.split(":", 1)[1].split(",")
         if len(names) != 2:
             raise CatalogNameError("%r needs a group and a subgroup name" % name)
-        gname, hname = names
-        gp, sub = named_subgroup(gname, hname)
-        algebra, antipode = ad_crossed_product(gp, sub)
+        algebra, antipode = named_ad_crossed_product(*names)
         return CatalogEntry(name, algebra, antipode=antipode)
     if name == "example2-rigidity":
         from .rigidity import dual_rigidity_structure

@@ -276,11 +276,9 @@ class WeakBialgebra:
     @cached_property
     def gram(self) -> Matrix:
         """Gram matrix of the counit pairing: entry (i, j) is eps(e_i e_j)."""
-        n = self.dim
-        rows = []
-        for i in range(n):
-            rows.append([self.eps(self.mul(self.basis_vector(i), self.basis_vector(j))) for j in range(n)])
-        return Matrix._of_fractions(rows, n)
+        return Matrix._of_fractions(
+            [[self.eps(ij) for ij in row] for row in self.mult], self.dim
+        )
 
     # ------------------------------------------------------------------
     # iterated coproducts, sparse dicts keyed by tuples of basis legs
@@ -321,35 +319,24 @@ class WeakBialgebra:
 
     def _comonoidal_product(self, left_first: bool):
         """(Delta(1) (x) 1)(1 (x) Delta(1)) or the reversed order, as a dict."""
-        n = self.dim
-        d1 = self.delta1
+        table = self._mult_nonzeros
         out = {}
-        nz = nonzeros(d1)
+        nz = nonzeros(self.delta1)
         for u, v, c in nz:
             for up, vp, cp in nz:
-                # left_first: legs (u, v*up, vp); else legs (u*up... reversed
+                # left_first: legs (u, v up, vp); else legs (up, u vp, v)
                 if left_first:
-                    mid = self.mul(self.basis_vector(v), self.basis_vector(up))
-                    cc = c * cp
-                    for w, mw in enumerate(mid):
-                        if mw:
-                            key = (u, w, vp)
-                            val = out.get(key, QZERO) + cc * mw
-                            if val:
-                                out[key] = val
-                            else:
-                                out.pop(key, None)
+                    head, mid, tail = u, table[v][up], vp
                 else:
-                    mid = self.mul(self.basis_vector(u), self.basis_vector(vp))
-                    cc = c * cp
-                    for w, mw in enumerate(mid):
-                        if mw:
-                            key = (up, w, v)
-                            val = out.get(key, QZERO) + cc * mw
-                            if val:
-                                out[key] = val
-                            else:
-                                out.pop(key, None)
+                    head, mid, tail = up, table[u][vp], v
+                cc = c * cp
+                for w, mw in mid:
+                    key = (head, w, tail)
+                    val = out.get(key, QZERO) + cc * mw
+                    if val:
+                        out[key] = val
+                    else:
+                        out.pop(key, None)
         return out
 
     # ------------------------------------------------------------------
@@ -385,7 +372,7 @@ class WeakBialgebra:
                 break
             di = comult[i]
             for j in range(n):
-                lhs = self.delta(self.mul(basis[i], basis[j]))
+                lhs = self.delta(self.mult[i][j])
                 rhs = self._t2_product(di, comult[j])
                 if lhs != rhs:
                     bad.append(("coproduct-multiplicativity", (i, j)))
@@ -832,7 +819,7 @@ def _axiom_tensor_shapes(algebra, left: bool):
         )
         out["dual-ll-absorb"] = all(
             dual.comult[t] * dp_ll.transpose()
-            == dual.left_mult_of(dual.basis_vector(t)) * dual.delta1
+            == dual.left_mult[t] * dual.delta1
             for t in range(n)
         )
         out["left-coproduct-drop"] = all(
@@ -845,7 +832,7 @@ def _axiom_tensor_shapes(algebra, left: bool):
         )
         out["dual-rr-absorb"] = all(
             dp_rr * dual.comult[t]
-            == dual.delta1 * dual.right_mult_of(dual.basis_vector(t)).transpose()
+            == dual.delta1 * dual.right_mult[t].transpose()
             for t in range(n)
         )
         out["right-coproduct-drop"] = all(
@@ -864,7 +851,7 @@ def _axiom_tensor_shapes(algebra, left: bool):
         )
         out["dual-lr-absorb"] = all(
             dual.comult[t] * dp_lr.transpose()
-            == dual.right_mult_of(dual.basis_vector(t)) * dual.delta1
+            == dual.right_mult[t] * dual.delta1
             for t in range(n)
         )
         out["left-coproduct-drop"] = all(
@@ -878,7 +865,7 @@ def _axiom_tensor_shapes(algebra, left: bool):
         )
         out["dual-rl-absorb"] = all(
             dp_rl * dual.comult[t]
-            == dual.delta1 * dual.left_mult_of(dual.basis_vector(t)).transpose()
+            == dual.delta1 * dual.left_mult[t].transpose()
             for t in range(n)
         )
         out["right-coproduct-drop"] = all(
@@ -938,16 +925,17 @@ def _counit_absorption_identities(algebra) -> bool:
     """
     n = algebra.dim
     basis = [algebra.basis_vector(i) for i in range(n)]
+    mult = algebra.mult
     p = {k: algebra.projection(*k) for k in [("L", "L"), ("R", "R"), ("L", "R"), ("R", "L")]}
     for s in range(n):
         for t in range(n):
             sums = {key: [] for key in ("l1", "r1", "l2", "r2", "l3", "r3", "l4", "r4")}
             # u is the first coproduct leg of e_s, v the second
             for u, v, c in algebra._comult_nonzeros[s]:
-                tu = algebra.mul(basis[t], basis[u])
-                ut = algebra.mul(basis[u], basis[t])
-                vt = algebra.mul(basis[v], basis[t])
-                tv = algebra.mul(basis[t], basis[v])
+                tu = mult[t][u]
+                ut = mult[u][t]
+                vt = mult[v][t]
+                tv = mult[t][v]
                 sums["l1"].append((c, algebra.mul(basis[v], p[("L", "L")].apply(tu))))
                 sums["r1"].append((c * algebra.eps(tu), basis[v]))
                 sums["l2"].append((c, algebra.mul(p[("R", "R")].apply(vt), basis[u])))
@@ -1082,13 +1070,14 @@ def _nondegenerate_pairings(algebra, report) -> TheoremCheck:
     ) if ehat_space.dim else Matrix._empty(0)
     checks.append(ehat_space.dim == 0 or rank(pair3) == ehat_space.dim)
     # right-module duality of the two candidates
-    n = algebra.dim
+    # e_t acting on functionals from the left and from the right
+    on_left = [m.transpose() for m in algebra.right_mult]
+    on_right = [m.transpose() for m in algebra.left_mult]
     for phi in ehat_space.basis.data:
         for psi in e_space.basis.data:
-            for t in range(n):
-                a = algebra.basis_vector(t)
-                lhs = dual.eps(dual.mul(phi, algebra.act_left(a, psi)))
-                rhs = dual.eps(dual.mul(algebra.act_right(phi, a), psi))
+            for t in range(algebra.dim):
+                lhs = dual.eps(dual.mul(phi, on_left[t].apply(psi)))
+                rhs = dual.eps(dual.mul(on_right[t].apply(phi), psi))
                 if lhs != rhs:
                     checks.append(False)
                     break
@@ -1147,6 +1136,25 @@ def _fixed_point_mapping(algebra) -> TheoremCheck:
     return TheoremCheck("fixed-point-duality", True, ok)
 
 
+def _dual_action_operator(algebra, sigma, phi) -> Matrix:
+    """The operator of a functional phi acting through the coproduct.
+
+    Column i pairs phi with the first (sigma "L") or the second ("R") leg of
+    Delta(e_i); the other leg gives the row.
+    """
+    n = algebra.dim
+    rows = [[QZERO] * n for _ in range(n)]
+    for i, legs in enumerate(algebra._comult_nonzeros):
+        for u, v, c in legs:
+            if sigma == "L":
+                x, row = phi[u], v
+            else:
+                x, row = phi[v], u
+            if x:
+                rows[row][i] += c * x
+    return Matrix._of_fractions(rows, n)
+
+
 def _multiplier_realization(algebra) -> TheoremCheck:
     """Fixed-point subalgebras realized inside the endomorphisms of the
     algebra: left/right multipliers against the dual-action operators."""
@@ -1158,46 +1166,34 @@ def _multiplier_realization(algebra) -> TheoremCheck:
     def q_op(sigma, v):
         return algebra.left_mult_of(v) if sigma == "L" else algebra.right_mult_of(v)
 
-    def p_op(sigma, phi):
-        n_ = algebra.dim
-        if sigma == "L":
-            rows = [
-                [
-                    sum((algebra.comult[i][u, vv] * phi[u] for u in range(n_)), QZERO)
-                    for i in range(n_)
-                ]
-                for vv in range(n_)
-            ]
-        else:
-            rows = [
-                [
-                    sum((algebra.comult[i][u, vv] * phi[vv] for vv in range(n_)), QZERO)
-                    for i in range(n_)
-                ]
-                for u in range(n_)
-            ]
-        return Matrix(rows)
-
     ok = True
-    flat_q = {s: [] for s in "LR"}
-    for s in "LR":
-        for t in range(n):
-            flat_q[s].append(q_op(s, algebra.basis_vector(t)).flatten())
-    flat_p = {s: [] for s in "LR"}
-    for s in "LR":
-        for t in range(n):
-            flat_p[s].append(p_op(s, algebra.basis_vector(t)).flatten())
+    span_q = {
+        s: Subspace.from_spanning([m.flatten() for m in mults], n * n)
+        for s, mults in (("L", algebra.left_mult), ("R", algebra.right_mult))
+    }
+    span_p = {
+        s: Subspace.from_spanning(
+            [
+                _dual_action_operator(algebra, s, algebra.basis_vector(t)).flatten()
+                for t in range(n)
+            ],
+            n * n,
+        )
+        for s in "LR"
+    }
     for s in "LR":
         for sp in "LR":
             lhs = Subspace.from_spanning(
                 [q_op(s, v).flatten() for v in nfix[(sp, s)].basis.data], n * n
             )
             rhs = Subspace.from_spanning(
-                [p_op(sp, ph).flatten() for ph in dfix[(s, sp)].basis.data], n * n
+                [
+                    _dual_action_operator(algebra, sp, ph).flatten()
+                    for ph in dfix[(s, sp)].basis.data
+                ],
+                n * n,
             )
-            both = Subspace.from_spanning(flat_q[s], n * n).intersect(
-                Subspace.from_spanning(flat_p[sp], n * n)
-            )
+            both = span_q[s].intersect(span_p[sp])
             if lhs != rhs or lhs != both:
                 ok = False
     return TheoremCheck("multiplier-realization", True, ok)

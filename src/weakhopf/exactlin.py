@@ -200,15 +200,20 @@ class Matrix:
                 "shape mismatch: (%d x %d) * (%d x %d)"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
+        # the nonzeros of each row of other, found once for the rows that
+        # self's nonzeros reach
+        data = other.data
+        reached = {}
         out = []
         for row in self.data:
             acc = [QZERO] * other.cols
             for k, c in enumerate(row):
                 if c:
-                    orow = other.data[k]
-                    for j, v in enumerate(orow):
-                        if v:
-                            acc[j] += c * v
+                    nz = reached.get(k)
+                    if nz is None:
+                        nz = reached[k] = [(j, v) for j, v in enumerate(data[k]) if v]
+                    for j, v in nz:
+                        acc[j] += c * v
             out.append(acc)
         return Matrix._of_fractions(out, other.cols)
 
@@ -216,14 +221,16 @@ class Matrix:
         """Matrix times coordinate column, given and returned as a tuple."""
         if self.cols != len(v):
             raise ValueError("shape mismatch in matrix application")
-        acc = [QZERO] * self.rows
-        for i, row in enumerate(self.data):
+        vnz = [(j, x) for j, x in enumerate(v) if x]
+        out = []
+        for row in self.data:
             s = QZERO
-            for c, x in zip(row, v):
-                if c and x:
+            for j, x in vnz:
+                c = row[j]
+                if c:
                     s += c * x
-            acc[i] = s
-        return tuple(acc)
+            out.append(s)
+        return tuple(out)
 
     def transpose(self) -> "Matrix":
         if not self.rows:
@@ -434,7 +441,7 @@ class Subspace:
 
     def coordinates(self, v):
         """Coefficients of v in the stored basis, or None if v is outside."""
-        row = _sparse_row(v)
+        row = _sparse_row(vec(v))
         coeffs = tuple(row.get(pc, QZERO) for pc in self._pivot_rows)
         if _reduce(row, self._pivot_rows):
             return None
@@ -508,7 +515,7 @@ def solve_affine(a: Matrix, b):
     column space.  The particular solution sets every free variable to zero,
     so it is deterministic.
     """
-    b = tuple(b)
+    b = vec(b)
     if a.rows != len(b):
         raise ValueError("right-hand side has wrong dimension")
     n = a.cols

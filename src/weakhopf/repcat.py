@@ -61,7 +61,7 @@ class ModuleRep:
             raise ValueError("module action does not send the unit to the identity")
         for i in range(n):
             for j in range(n):
-                prod = self.operator(alg.mul(alg.basis_vector(i), alg.basis_vector(j)))
+                prod = self.operator(alg.mult[i][j])
                 if prod != self.action[i] * self.action[j]:
                     raise ValueError(
                         "module action is not multiplicative at (%d,%d)" % (i, j)
@@ -608,7 +608,7 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
                                 continue
                             # (m_(1) . f_x) (x) m_(2) e_k
                             moved = act_left(algebra.basis_vector(u), v, x)
-                            prod = algebra.mul(algebra.basis_vector(z), algebra.basis_vector(k))
+                            prod = algebra.mult[z][k]
                             for xx, c3 in enumerate(moved):
                                 if c3:
                                     for kk, c4 in enumerate(prod):

@@ -238,7 +238,7 @@ def uniqueness_intertwiners(r1: RigidityStructure, r2: RigidityStructure) -> Twi
     algebra = r1.algebra
     if r2.algebra != algebra:
         raise ValueError("structures live on different algebras")
-    for r in (r1, r2):
+    for r in (r1,) if r2 is r1 else (r1, r2):
         check = verify_rigidity(algebra, r)
         if check.status in ("failed", "pre_rigid"):
             raise ValueError("intertwiners need verified rigid structures")
@@ -352,6 +352,7 @@ def _exchange_identities(algebra, s, alpha, beta) -> bool:
     """Adjoint exchange laws moving a product through the adjoint brackets."""
     n = algebra.dim
     mul = algebra.mul
+    mult = algebra.mult
     basis = [algebra.basis_vector(i) for i in range(n)]
 
     def tensor(terms):
@@ -363,24 +364,24 @@ def _exchange_identities(algebra, s, alpha, beta) -> bool:
         for b in range(n):
             d2b = algebra.delta2(basis[b]).items()
             lhs1 = tensor(
-                (c, mul(basis[a], basis[p]), mul(mul(s.col(q), alpha), basis[rr]))
+                (c, mult[a][p], mul(mul(s.col(q), alpha), basis[rr]))
                 for (p, q, rr), c in d2b
             )
             lhs2 = tensor(
-                (c, mul(mul(s.col(p), alpha), basis[q]), mul(basis[a], basis[rr]))
+                (c, mul(mul(s.col(p), alpha), basis[q]), mult[a][rr])
                 for (p, q, rr), c in d2b
             )
             lhs3 = tensor(
-                (c, mul(mul(basis[p], beta), s.col(q)), mul(basis[rr], basis[b]))
+                (c, mul(mul(basis[p], beta), s.col(q)), mult[rr][b])
                 for (p, q, rr), c in d2a
             )
             lhs4 = tensor(
-                (c, mul(basis[p], basis[b]), mul(mul(basis[q], beta), s.col(rr)))
+                (c, mult[p][b], mul(mul(basis[q], beta), s.col(rr)))
                 for (p, q, rr), c in d2a
             )
             # the legs of a b, leg by leg
             legs = [
-                (c1 * c2, mul(basis[p1], basis[p2]), mul(basis[q1], basis[q2]), mul(basis[r1], basis[r2]))
+                (c1 * c2, mult[p1][p2], mult[q1][q2], mult[r1][r2])
                 for (p1, q1, r1), c1 in d2a
                 for (p2, q2, r2), c2 in d2b
             ]
@@ -595,7 +596,7 @@ def regular_module_rigidity_identities(algebra: WeakBialgebra, r: RigidityStruct
         terms = []
         for u, v, c in nonzeros(algebra.delta1):
             op = algebra.left_mult_of(adj_b.apply(p_lr.col(u)))
-            w_vec = algebra.mul(e(v), e(t))
+            w_vec = algebra.mult[v][t]
             # op (x) w expands in the middle legs; contract with ev
             for i, j, mij in nonzeros(op):
                 for k, wk in enumerate(w_vec):

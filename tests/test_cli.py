@@ -337,6 +337,12 @@ MALFORMED = [
     ("catalog-emit-non-integer-order", "catalog emit group:zabc", None),
     ("catalog-emit-adcross-one-name", "catalog emit adcross:z4", None),
     ("catalog-emit-order-zero", "catalog emit group:z0", None),
+    ("catalog-emit-group-above-dimension-limit", "catalog emit group:z100000", None),
+    ("catalog-emit-adcross-above-dimension-limit", "catalog emit adcross:z100000,z2", None),
+    ("catalog-emit-dualgroup-above-dimension-limit", "catalog emit dualgroup:z65", None),
+    ("catalog-emit-bsz-dual-above-dimension-limit", "catalog emit bsz-dual:9", None),
+    ("catalog-emit-adcross-product-above-dimension-limit", "catalog emit adcross:z16,z8", None),
+    ("construct-adcross-above-dimension-limit", "construct adcross --group z100000 --subgroup z2", None),
     (
         "minimal-string-vectors",
         "construct minimal",

@@ -2,8 +2,10 @@ import pytest
 
 from weakhopf.antipode import classify_weak_hopf, sigma_maps, solve_antipode
 from weakhopf.constructions import (
+    MAX_NAMED_DIM,
     Algebra,
     Amalgamation,
+    CatalogNameError,
     ConstructionError,
     GroupPresentation,
     HopfAlgebra,
@@ -17,6 +19,7 @@ from weakhopf.constructions import (
     group_antipode,
     minimal_from_idempotent,
     minimal_weak_hopf,
+    named_ad_crossed_product,
     named_subgroup,
     two_sided_crossed_product,
 )
@@ -378,6 +381,16 @@ def test_catalog_instances_validate(entries):
 def test_catalog_unknown_name():
     with pytest.raises(ConstructionError):
         catalog("no-such-instance")
+
+
+def test_catalog_dimension_limit():
+    # adcross:z8,z4 (dimension 32) stays accepted
+    assert catalog("adcross:z8,z4").algebra.dim == 32 <= MAX_NAMED_DIM
+    for name in ("group:z65", "dualgroup:z100000", "adcross:z16,z8", "bsz-dual:9"):
+        with pytest.raises(CatalogNameError, match="limit of %d" % MAX_NAMED_DIM):
+            catalog(name)
+    with pytest.raises(CatalogNameError):
+        named_ad_crossed_product("z100000", "z2")
 
 
 def test_catalog_example2_rigidity(entries):

@@ -2,11 +2,14 @@
 
 mul, t2_mul and the unit and associativity checks of violations loop over
 per-(i, j) nonzero lists of the multiplication tensor, and Algebra.check
-shares the same check.  The dense loops they replaced are kept here
-verbatim as oracles.  A sweep of the trusted matrix path follows: every
-matrix that exactlin builds from Fraction arithmetic, and every t2_mul
-product, must hold only Fraction entries, also when the inputs were ints.
-The last tests take comodule tensor products on adcross:z2,z2.
+shares the same check.  Matrix products and Matrix.apply run over
+nonzeros, and the dual-action operators of the multiplier-realization
+check are built from the coproduct's nonzero lists.  The dense loops they
+replaced are kept here verbatim as oracles.  A sweep of the trusted matrix
+path follows: every matrix and vector that exactlin builds from Fraction
+arithmetic, and every t2_mul product, must hold only Fraction entries, also
+when the inputs were ints.  The last tests take comodule tensor products on
+adcross:z2,z2.
 """
 
 import random
@@ -16,7 +19,7 @@ import pytest
 
 from conftest import monomial_scramble
 from weakhopf.constructions import Algebra, ConstructionError
-from weakhopf.core import WeakBialgebra
+from weakhopf.core import WeakBialgebra, _dual_action_operator
 from weakhopf.exactlin import (
     Matrix,
     Q,
@@ -53,7 +56,8 @@ SMALL = [
 
 
 # ----------------------------------------------------------------------
-# oracles: the dense loops the kernels replaced (self is the algebra)
+# oracles: the dense loops the kernels replaced (self is the algebra, or
+# the matrix for matrix_mul and matrix_apply)
 # ----------------------------------------------------------------------
 
 
@@ -177,6 +181,61 @@ def check(self):
                     )
 
 
+def matrix_mul(self, other: Matrix) -> Matrix:
+    if self.cols != other.rows:
+        raise ValueError(
+            "shape mismatch: (%d x %d) * (%d x %d)"
+            % (self.rows, self.cols, other.rows, other.cols)
+        )
+    out = []
+    for row in self.data:
+        acc = [QZERO] * other.cols
+        for k, c in enumerate(row):
+            if c:
+                orow = other.data[k]
+                for j, v in enumerate(orow):
+                    if v:
+                        acc[j] += c * v
+        out.append(acc)
+    return Matrix._of_fractions(out, other.cols)
+
+
+def matrix_apply(self, v) -> tuple:
+    """Matrix times coordinate column, given and returned as a tuple."""
+    if self.cols != len(v):
+        raise ValueError("shape mismatch in matrix application")
+    acc = [QZERO] * self.rows
+    for i, row in enumerate(self.data):
+        s = QZERO
+        for c, x in zip(row, v):
+            if c and x:
+                s += c * x
+        acc[i] = s
+    return tuple(acc)
+
+
+def p_op(algebra, sigma, phi):
+    """The dual-action operator of _multiplier_realization."""
+    n_ = algebra.dim
+    if sigma == "L":
+        rows = [
+            [
+                sum((algebra.comult[i][u, vv] * phi[u] for u in range(n_)), QZERO)
+                for i in range(n_)
+            ]
+            for vv in range(n_)
+        ]
+    else:
+        rows = [
+            [
+                sum((algebra.comult[i][u, vv] * phi[vv] for vv in range(n_)), QZERO)
+                for i in range(n_)
+            ]
+            for u in range(n_)
+        ]
+    return Matrix(rows)
+
+
 # ----------------------------------------------------------------------
 # instances
 # ----------------------------------------------------------------------
@@ -264,6 +323,99 @@ def test_mul_and_t2_mul_match_dense_oracle(entries, name):
         for x in matrices:
             for y in matrices:
                 assert algebra.t2_mul(x, y) == t2_mul(algebra, x, y)
+
+
+def _shaped_matrix(rng, rows, cols, density):
+    return Matrix.from_rows(
+        [_random_vector(rng, cols, density) for _ in range(rows)], cols
+    )
+
+
+def _matrix_pairs(rng):
+    """Seeded (a, b) with a * b defined: sparse, dense, with zero rows, and
+    the 0 x n and n x 0 shapes on either side."""
+    pairs = []
+    for rows, inner, cols in ((3, 4, 5), (5, 5, 5), (1, 6, 2), (6, 1, 3)):
+        for da in (0.0, 0.2, 0.6, 1.0):
+            for db in (0.0, 0.3, 1.0):
+                pairs.append(
+                    (_shaped_matrix(rng, rows, inner, da), _shaped_matrix(rng, inner, cols, db))
+                )
+    zero_rows = Matrix([[0, 0, 0], [1, 0, 2], [0, 0, 0]])
+    pairs.append((zero_rows, _shaped_matrix(rng, 3, 3, 1.0)))
+    pairs.append((_shaped_matrix(rng, 3, 3, 1.0), zero_rows))
+    for n in (1, 3):
+        empty_rows = Matrix.from_rows([], n)  # 0 x n
+        empty_cols = Matrix.from_rows([()] * n, 0)  # n x 0
+        pairs.append((empty_rows, _shaped_matrix(rng, n, 2, 1.0)))
+        pairs.append((_shaped_matrix(rng, 2, n, 1.0), empty_cols))
+        pairs.append((empty_cols, empty_rows))  # n x n of zeros
+        pairs.append((empty_rows, empty_cols))  # 0 x 0
+    return pairs
+
+
+def test_matrix_products_match_dense_oracle():
+    rng = random.Random(5150)
+    for a, b in _matrix_pairs(rng):
+        assert a * b == matrix_mul(a, b)
+        for v in (_random_vector(rng, a.cols, d) for d in (0.0, 0.4, 1.0)):
+            assert a.apply(v) == matrix_apply(a, v)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Matrix.identity(2) * Matrix.identity(3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Matrix.identity(2).apply((1, 2, 3))
+
+
+class _Counted(Fraction):
+    """A Fraction that counts the products it is the right factor of."""
+
+    products = 0
+
+    def __rmul__(self, other):
+        _Counted.products += 1
+        return Fraction.__rmul__(self, other)
+
+
+def test_products_and_apply_multiply_only_nonzero_pairs():
+    a = Matrix([[1, 0, 2], [0, 0, 3], [4, 5, 0]])
+    v = tuple(_Counted(x) for x in (0, 2, 0))
+    _Counted.products = 0
+    assert a.apply(v) == matrix_apply(a, v) == (0, 0, 10)
+    assert _Counted.products == 2  # a[2, 1] v[1], in the oracle and in apply
+    b = Matrix._of_fractions([[_Counted(x) for x in row] for row in ((0, 1), (0, 0), (3, 0))], 2)
+    _Counted.products = 0
+    assert a * b == matrix_mul(a, b)
+    # each oracle product of a nonzero a[i, k] and b[k, j] happens twice
+    assert _Counted.products == 2 * 4
+
+
+def _catalog_matrices(algebra):
+    out = [algebra.gram, algebra.delta1, algebra.comult[0], algebra.left_mult[-1]]
+    out += [algebra.right_mult[0], algebra.comult[-1].transpose()]
+    return out + list(algebra.projections.values())
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_catalog_products_and_tables_match_dense_oracles(entries, name):
+    rng = random.Random("products:" + name)
+    for algebra in _variants(entries[name].algebra):
+        n = algebra.dim
+        basis = [algebra.basis_vector(i) for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                assert algebra.mult[i][j] == algebra.mul(basis[i], basis[j])
+            assert algebra.left_mult[i] == algebra.left_mult_of(basis[i])
+            assert algebra.right_mult[i] == algebra.right_mult_of(basis[i])
+        matrices = _catalog_matrices(algebra)
+        vectors = [algebra.unit, algebra.counit, basis[-1], _random_vector(rng, n)]
+        for a in matrices:
+            for b in matrices:
+                assert a * b == matrix_mul(a, b)
+            for v in vectors:
+                assert a.apply(v) == matrix_apply(a, v)
+        for sigma in "LR":
+            for phi in basis + vectors:
+                assert _dual_action_operator(algebra, sigma, phi) == p_op(algebra, sigma, phi)
 
 
 def _plain_algebras(entries):
@@ -354,6 +506,22 @@ def _matrices_from_int_inputs():
 def test_exactlin_results_hold_only_fractions():
     for label, m in _matrices_from_int_inputs().items():
         assert _entries_are_fractions(m), label
+
+
+def test_exactlin_vectors_hold_only_fractions():
+    a = Matrix([[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    vectors = {
+        "apply": a.apply((1, 0, 2)),
+        "apply-zero": a.apply((0, 0, 0)),
+        "mul-empty-inner": (Matrix.from_rows([()] * 2, 0) * Matrix.from_rows([], 2)).flatten(),
+        "solve_affine-particular": solve_affine(Matrix([[1, 0], [0, 1]]), (1, 2))[0],
+        "solve_affine-zero": solve_affine(Matrix([[1, 1, 0]]), (0,))[0],
+        "coordinates": Subspace.from_spanning([(1, 0, 0)], 3).coordinates((2, 0, 0)),
+    }
+    for label, v in vectors.items():
+        assert v and all(type(x) is Fraction for x in v), label
+    assert vectors["solve_affine-particular"] == (1, 2)
+    assert vectors["coordinates"] == (2,)
 
 
 @pytest.mark.parametrize("name", SMALL)

@@ -105,6 +105,33 @@ def test_self_intertwiner_collapses(example2):
     assert tuple(pair.ubar) == tuple(s_one)
 
 
+def test_intertwiners_verify_a_shared_structure_once(entries, monkeypatch):
+    import weakhopf.rigidity as rigidity
+
+    alg = entries["group:z3"].algebra
+    s = solve_antipode(alg).matrix
+    r = RigidityStructure(alg, s, alg.unit, alg.unit)
+    other = RigidityStructure(alg, s, alg.unit, alg.unit)
+    verified = []
+    real = rigidity.verify_rigidity
+
+    def counting(algebra, structure):
+        verified.append(structure)
+        return real(algebra, structure)
+
+    monkeypatch.setattr(rigidity, "verify_rigidity", counting)
+    same = uniqueness_intertwiners(r, r)
+    assert [x is r for x in verified] == [True]
+    verified.clear()
+    assert uniqueness_intertwiners(r, other) == same
+    assert [x is r for x in verified] == [True, False]
+    # a structure that does not verify is refused, also paired with itself
+    plain = entries["example1"].algebra
+    bad = RigidityStructure(plain, Matrix.identity(plain.dim), plain.unit, plain.unit)
+    with pytest.raises(ValueError, match="verified rigid"):
+        uniqueness_intertwiners(bad, bad)
+
+
 def test_normal_vs_twisted_recovers_pair(entries):
     alg = entries["bsz-dual:2"].algebra
     s = solve_antipode(alg).matrix
