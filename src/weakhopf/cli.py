@@ -67,8 +67,12 @@ def _emit(doc, args, text_renderer=None):
         payload = dumps(doc)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            # an unwritable --out path is bad input, like an unreadable file
+            raise ParseError("cannot write %s: %s" % (out, exc)) from exc
     else:
         sys.stdout.write(payload)
 

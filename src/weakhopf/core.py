@@ -124,6 +124,29 @@ def algebra_axiom_violations(algebra):
     return bad
 
 
+def computed_once(compute):
+    """Keep compute(algebra, *args) on the instance, once per instance and args.
+
+    For verdicts that depend only on the immutable structure constants and
+    on immutable, hashable arguments compared by value (a Matrix, a tuple of
+    Fractions), so that equal arguments share one verdict and different ones
+    never do.  Kept values are shared by every caller and must not be
+    mutated.  A call that raises keeps nothing, so it raises again the next
+    time.
+    """
+    key = "_once_%s.%s" % (compute.__module__, compute.__qualname__)
+
+    @wraps(compute)
+    def once(algebra, *args):
+        kept = algebra.__dict__.setdefault(key, {})
+        value = kept.get(args)
+        if value is None:
+            value = kept[args] = compute(algebra, *args)
+        return value
+
+    return once
+
+
 class WeakBialgebra:
     """Immutable structure-constant presentation of a weak bialgebra."""
 
@@ -317,8 +340,11 @@ class WeakBialgebra:
         """Coefficients of the twice-iterated coproduct as a sparse dict."""
         return self.iterated_delta(a, 2)
 
+    @computed_once
     def _comonoidal_product(self, left_first: bool):
-        """(Delta(1) (x) 1)(1 (x) Delta(1)) or the reversed order, as a dict."""
+        """(Delta(1) (x) 1)(1 (x) Delta(1)) or the reversed order, as a dict.
+
+        Kept per instance and order; callers only read it."""
         table = self._mult_nonzeros
         out = {}
         nz = nonzeros(self.delta1)
@@ -533,6 +559,7 @@ class WeakBialgebra:
     def center_r(self) -> Subspace:
         return self.center.intersect(self.fixed_point_subalgebras[("R", "L")])
 
+    @computed_once
     def subspace_product(self, u: Subspace, v: Subspace) -> Subspace:
         prods = []
         for a in u.basis.data:
@@ -540,6 +567,7 @@ class WeakBialgebra:
                 prods.append(self.mul(a, b))
         return Subspace.from_spanning(prods, self.dim)
 
+    @computed_once
     def is_unital_subalgebra(self, s: Subspace) -> bool:
         if not s.contains(self.unit):
             return False
@@ -549,6 +577,7 @@ class WeakBialgebra:
                     return False
         return True
 
+    @computed_once
     def commutator_vanishes(self, u: Subspace, v: Subspace) -> bool:
         for a in u.basis.data:
             for b in v.basis.data:
@@ -672,23 +701,22 @@ class AxiomReport:
 def _first_monoidal_witness(algebra, right: bool):
     """Lexicographically first (a, b, c) basis triple violating the axiom."""
     n = algebra.dim
-    g = algebra.gram
-    residuals = []
-    for k in range(n):
-        dk = algebra.comult[k]
-        mid = dk.transpose() if right else dk
-        residuals.append(algebra.right_mult[k].transpose() * g - g * mid * g)
+    kept = _counit_triples(algebra)
+    lhs = kept["rt_g"]
+    rhs = kept["g_dt_g"] if right else kept["g_d_g"]
     for i in range(n):
         for k in range(n):
-            res = residuals[k]
-            for j in range(n):
-                if res[i, j] != 0:
-                    return (i, k, j)
+            a = lhs[k].row(i)
+            b = rhs[k].row(i)
+            if a != b:
+                for j in range(n):
+                    if a[j] != b[j]:
+                        return (i, k, j)
     return None
 
 
 def _first_comonoidal_witness(algebra, right: bool):
-    lhs = algebra._comonoidal_product(left_first=not right)
+    lhs = algebra._comonoidal_product(not right)
     rhs = algebra.delta2(algebra.unit)
     keys = sorted(set(lhs) | set(rhs))
     for key in keys:
@@ -705,22 +733,24 @@ def _first_matrix_witness(a: Matrix, b: Matrix):
     return None
 
 
-def computed_once(compute):
-    """Keep compute(algebra) on the instance, so that it runs once per instance.
-
-    For verdicts that depend only on the immutable structure constants.  A
-    call that raises keeps nothing, so it raises again the next time.
-    """
-    key = "_once_" + compute.__name__
-
-    @wraps(compute)
-    def once(algebra):
-        value = algebra.__dict__.get(key)
-        if value is None:
-            value = algebra.__dict__[key] = compute(algebra)
-        return value
-
-    return once
+@computed_once
+def _counit_triples(algebra):
+    """Per basis index k, with g the Gram matrix, D_k the coproduct of e_k
+    and R_k right multiplication by e_k: R_k^t, R_k^t g, D_k g, D_k^t g,
+    g D_k g and g D_k^t g.  The monoidality deciders compare R_k^t g with
+    the last two, and the shape cross-check shares all of them."""
+    g = algebra.gram
+    rt = [m.transpose() for m in algebra.right_mult]
+    d_g = [d * g for d in algebra.comult]
+    dt_g = [d.transpose() * g for d in algebra.comult]
+    return {
+        "rt": rt,
+        "rt_g": [m * g for m in rt],
+        "d_g": d_g,
+        "dt_g": dt_g,
+        "g_d_g": [g * m for m in d_g],
+        "g_dt_g": [g * m for m in dt_g],
+    }
 
 
 @computed_once
@@ -799,7 +829,9 @@ def _axiom_tensor_shapes(algebra, left: bool):
     """Evaluate the list of equivalent monoidality axioms, one bool each."""
     n = algebra.dim
     g = algebra.gram
+    gt = g.transpose()
     d1 = algebra.delta1
+    # eps_l is g^t and eps_r is g, so eps_l^t = g and eps_r^t = g^t
     eps_l = algebra.eps_maps["eps_l"]
     eps_r = algebra.eps_maps["eps_r"]
     p_ll = algebra.projection("L", "L")
@@ -811,71 +843,68 @@ def _axiom_tensor_shapes(algebra, left: bool):
     dp_rr = dual.projection("R", "R")
     dp_lr = dual.projection("L", "R")
     dp_rl = dual.projection("R", "L")
+    kept = _counit_triples(algebra)
     out = {}
     if left:
         out["counit-triple"] = all(
-            algebra.right_mult[k].transpose() * g == g * algebra.comult[k] * g
-            for k in range(n)
+            a == b for a, b in zip(kept["rt_g"], kept["g_d_g"])
         )
+        dp_ll_t = dp_ll.transpose()
         out["dual-ll-absorb"] = all(
-            dual.comult[t] * dp_ll.transpose()
+            dual.comult[t] * dp_ll_t
             == dual.left_mult[t] * dual.delta1
             for t in range(n)
         )
         out["left-coproduct-drop"] = all(
-            algebra.comult[t] * eps_l.transpose()
-            == algebra.left_mult[t] * d1 * eps_l.transpose()
-            for t in range(n)
+            kept["d_g"][t] == algebra.left_mult[t] * d1 * g for t in range(n)
         )
         out["rr-projection-product"] = all(
-            algebra.left_mult[s] * p_rr == algebra.comult[s] * g for s in range(n)
+            algebra.left_mult[s] * p_rr == kept["d_g"][s] for s in range(n)
         )
         out["dual-rr-absorb"] = all(
             dp_rr * dual.comult[t]
             == dual.delta1 * dual.right_mult[t].transpose()
             for t in range(n)
         )
+        eps_r_d1 = eps_r * d1
         out["right-coproduct-drop"] = all(
-            eps_r * algebra.comult[s] == eps_r * d1 * algebra.right_mult[s].transpose()
+            eps_r * algebra.comult[s] == eps_r_d1 * kept["rt"][s]
             for s in range(n)
         )
         out["ll-projection-product"] = all(
-            algebra.right_mult[s] * p_ll == algebra.comult[s].transpose() * g.transpose()
+            algebra.right_mult[s] * p_ll == algebra.comult[s].transpose() * gt
             for s in range(n)
         )
     else:
         out["counit-triple"] = all(
-            algebra.right_mult[k].transpose() * g
-            == g * algebra.comult[k].transpose() * g
-            for k in range(n)
+            a == b for a, b in zip(kept["rt_g"], kept["g_dt_g"])
         )
+        dp_lr_t = dp_lr.transpose()
         out["dual-lr-absorb"] = all(
-            dual.comult[t] * dp_lr.transpose()
+            dual.comult[t] * dp_lr_t
             == dual.right_mult[t] * dual.delta1
             for t in range(n)
         )
+        eps_l_d1 = eps_l * d1
         out["left-coproduct-drop"] = all(
             eps_l * algebra.comult[s]
-            == eps_l * d1 * algebra.left_mult[s].transpose()
+            == eps_l_d1 * algebra.left_mult[s].transpose()
             for s in range(n)
         )
         out["lr-projection-product"] = all(
-            algebra.left_mult[s] * p_lr == algebra.comult[s].transpose() * g
-            for s in range(n)
+            algebra.left_mult[s] * p_lr == kept["dt_g"][s] for s in range(n)
         )
         out["dual-rl-absorb"] = all(
             dp_rl * dual.comult[t]
             == dual.delta1 * dual.left_mult[t].transpose()
             for t in range(n)
         )
+        d_gt = [d * gt for d in algebra.comult]
         out["right-coproduct-drop"] = all(
-            algebra.comult[t] * eps_r.transpose()
-            == algebra.right_mult[t] * d1 * eps_r.transpose()
-            for t in range(n)
+            d_gt[t] == algebra.right_mult[t] * d1 * gt for t in range(n)
         )
         out["rl-projection-product"] = all(
-            algebra.right_mult[s] * p_rl == algebra.comult[s] * g.transpose()
-            for s in range(n)
+            algebra.right_mult[s] * p_rl == d_gt[s] for s in range(n)
         )
     return out
 
@@ -926,24 +955,26 @@ def _counit_absorption_identities(algebra) -> bool:
     n = algebra.dim
     basis = [algebra.basis_vector(i) for i in range(n)]
     mult = algebra.mult
-    p = {k: algebra.projection(*k) for k in [("L", "L"), ("R", "R"), ("L", "R"), ("R", "L")]}
+    g = algebra.gram
+    # each projected table product P(e_i e_j), once per (i, j)
+    p_ll, p_rr, p_lr, p_rl = (
+        [[proj.apply(ij) for ij in row] for row in mult]
+        for proj in (algebra.projection(*key) for key in ("LL", "RR", "LR", "RL"))
+    )
     for s in range(n):
         for t in range(n):
             sums = {key: [] for key in ("l1", "r1", "l2", "r2", "l3", "r3", "l4", "r4")}
-            # u is the first coproduct leg of e_s, v the second
+            # u is the first coproduct leg of e_s, v the second; eps(e_i e_j)
+            # is g[i, j]
             for u, v, c in algebra._comult_nonzeros[s]:
-                tu = mult[t][u]
-                ut = mult[u][t]
-                vt = mult[v][t]
-                tv = mult[t][v]
-                sums["l1"].append((c, algebra.mul(basis[v], p[("L", "L")].apply(tu))))
-                sums["r1"].append((c * algebra.eps(tu), basis[v]))
-                sums["l2"].append((c, algebra.mul(p[("R", "R")].apply(vt), basis[u])))
-                sums["r2"].append((c * algebra.eps(vt), basis[u]))
-                sums["l3"].append((c, algebra.mul(p[("L", "R")].apply(ut), basis[v])))
-                sums["r3"].append((c * algebra.eps(ut), basis[v]))
-                sums["l4"].append((c, algebra.mul(basis[u], p[("R", "L")].apply(tv))))
-                sums["r4"].append((c * algebra.eps(tv), basis[u]))
+                sums["l1"].append((c, algebra.mul(basis[v], p_ll[t][u])))
+                sums["r1"].append((c * g[t, u], basis[v]))
+                sums["l2"].append((c, algebra.mul(p_rr[v][t], basis[u])))
+                sums["r2"].append((c * g[v, t], basis[u]))
+                sums["l3"].append((c, algebra.mul(p_lr[u][t], basis[v])))
+                sums["r3"].append((c * g[u, t], basis[v]))
+                sums["l4"].append((c, algebra.mul(basis[u], p_rl[t][v])))
+                sums["r4"].append((c * g[t, v], basis[u]))
             for a, b in (("l1", "r1"), ("l2", "r2"), ("l3", "r3"), ("l4", "r4")):
                 if vector_combination(sums[a], n) != vector_combination(sums[b], n):
                     return False
@@ -960,28 +991,29 @@ def _projector_coproduct_forms(algebra, report) -> TheoremCheck:
     if report.left_monoidal:
         p_ll = algebra.projection("L", "L")
         p_rr = algebra.projection("R", "R")
+        # column t of a projection is its image of e_t
+        ll = p_ll.transpose().data
+        rr = p_rr.transpose().data
         for t in range(n):
             # coproducts of projected elements collapse onto Delta(1)
-            v = p_ll.apply(basis[t])
+            v = ll[t]
             checks.append(
                 algebra.delta(v) == algebra.t2_mul(outer(v, algebra.unit), d1)
             )
-            w = p_rr.apply(basis[t])
+            w = rr[t]
             checks.append(
                 algebra.delta(w)
                 == algebra.t2_mul(d1, outer(algebra.unit, w))
             )
         for s in range(n):
+            a = ll[s]
+            ar = rr[s]
             for t in range(n):
-                a = p_ll.apply(basis[s])
-                b = p_ll.apply(basis[t])
                 checks.append(
-                    algebra.mul(b, a) == p_ll.apply(algebra.mul(basis[t], a))
+                    algebra.mul(ll[t], a) == p_ll.apply(algebra.mul(basis[t], a))
                 )
-                ar = p_rr.apply(basis[s])
-                br = p_rr.apply(basis[t])
                 checks.append(
-                    algebra.mul(ar, br) == p_rr.apply(algebra.mul(ar, basis[t]))
+                    algebra.mul(ar, rr[t]) == p_rr.apply(algebra.mul(ar, basis[t]))
                 )
         checks.append(p_ll * p_ll == p_ll)
         checks.append(p_rr * p_rr == p_rr)
@@ -990,24 +1022,24 @@ def _projector_coproduct_forms(algebra, report) -> TheoremCheck:
     if report.right_monoidal:
         p_rl = algebra.projection("R", "L")
         p_lr = algebra.projection("L", "R")
+        rl = p_rl.transpose().data
+        lr = p_lr.transpose().data
         for t in range(n):
-            v = p_rl.apply(basis[t])
+            v = rl[t]
             checks.append(
                 algebra.delta(v)
                 == algebra.t2_mul(outer(algebra.unit, v), d1)
             )
-            w = p_lr.apply(basis[t])
+            w = lr[t]
             checks.append(
                 algebra.delta(w) == algebra.t2_mul(d1, outer(w, algebra.unit))
             )
         for s in range(n):
+            a = rl[s]
+            al = lr[s]
             for t in range(n):
-                a = p_rl.apply(basis[s])
-                b = p_rl.apply(basis[t])
-                checks.append(algebra.mul(b, a) == p_rl.apply(algebra.mul(basis[t], a)))
-                al = p_lr.apply(basis[s])
-                bl = p_lr.apply(basis[t])
-                checks.append(algebra.mul(al, bl) == p_lr.apply(algebra.mul(al, basis[t])))
+                checks.append(algebra.mul(rl[t], a) == p_rl.apply(algebra.mul(basis[t], a)))
+                checks.append(algebra.mul(al, lr[t]) == p_lr.apply(algebra.mul(al, basis[t])))
         checks.append(p_rl * p_rl == p_rl)
         checks.append(p_lr * p_lr == p_lr)
         checks.append(algebra.is_unital_subalgebra(sub["A_RL"]))
@@ -1070,14 +1102,16 @@ def _nondegenerate_pairings(algebra, report) -> TheoremCheck:
     ) if ehat_space.dim else Matrix._empty(0)
     checks.append(ehat_space.dim == 0 or rank(pair3) == ehat_space.dim)
     # right-module duality of the two candidates
-    # e_t acting on functionals from the left and from the right
+    # e_t acting on functionals from the left and from the right, once each
     on_left = [m.transpose() for m in algebra.right_mult]
     on_right = [m.transpose() for m in algebra.left_mult]
+    psi_acted = [[m.apply(psi) for m in on_left] for psi in e_space.basis.data]
     for phi in ehat_space.basis.data:
-        for psi in e_space.basis.data:
+        phi_acted = [m.apply(phi) for m in on_right]
+        for psi, acted in zip(e_space.basis.data, psi_acted):
             for t in range(algebra.dim):
-                lhs = dual.eps(dual.mul(phi, on_left[t].apply(psi)))
-                rhs = dual.eps(dual.mul(on_right[t].apply(phi), psi))
+                lhs = dual.eps(dual.mul(phi, acted[t]))
+                rhs = dual.eps(dual.mul(phi_acted[t], psi))
                 if lhs != rhs:
                     checks.append(False)
                     break
@@ -1097,20 +1131,18 @@ def _fixed_point_mapping(algebra) -> TheoremCheck:
         for sp in "LR":
             src = nfix[(sp, s)]
             dst = dfix[(s, sp)]
-            img = Subspace.from_spanning(
-                [eps[s].apply(v) for v in src.basis.data], algebra.dim
-            )
+            # the image of each basis vector, once
+            images = [eps[s].apply(v) for v in src.basis.data]
+            img = Subspace.from_spanning(images, algebra.dim)
             if img != dst:
                 ok = False
                 continue
-            for v in src.basis.data:
-                back = ehat[sp].apply(eps[s].apply(v))
+            for v, fv in zip(src.basis.data, images):
+                back = ehat[sp].apply(fv)
                 if back != v:
                     ok = False
-            for a in src.basis.data:
-                for b in src.basis.data:
-                    fa = eps[s].apply(a)
-                    fb = eps[s].apply(b)
+            for a, fa in zip(src.basis.data, images):
+                for b, fb in zip(src.basis.data, images):
                     prod = (
                         dual.mul(fa, fb) if s != sp else dual.mul(fb, fa)
                     )
@@ -1254,7 +1286,7 @@ def _monoidal_comonoidal_bridges(algebra, report) -> TheoremCheck:
     checks = []
     d1 = algebra.delta1
     if report.left_monoidal:
-        lhs = algebra._comonoidal_product(left_first=True)
+        lhs = algebra._comonoidal_product(True)
         contracted = [[QZERO] * n for _ in range(n)]
         for (i, j, k), c in lhs.items():
             e = algebra.counit[j]
@@ -1262,7 +1294,7 @@ def _monoidal_comonoidal_bridges(algebra, report) -> TheoremCheck:
                 contracted[i][k] += c * e
         checks.append((Matrix(contracted) == d1) == report.left_comonoidal)
     if report.right_monoidal:
-        lhs = algebra._comonoidal_product(left_first=False)
+        lhs = algebra._comonoidal_product(False)
         contracted = [[QZERO] * n for _ in range(n)]
         for (i, j, k), c in lhs.items():
             e = algebra.counit[j]
@@ -1295,16 +1327,18 @@ def _wedge_anti_isomorphisms(algebra, report) -> TheoremCheck:
         dst = sub["A_L%s" % s]
         fwd = algebra.projection("L", s)
         bwd = algebra.projection("R", s)
-        img = Subspace.from_spanning([fwd.apply(v) for v in src.basis.data], algebra.dim)
+        # the image of each basis vector, once
+        images = [fwd.apply(v) for v in src.basis.data]
+        img = Subspace.from_spanning(images, algebra.dim)
         if img != dst:
             ok = False
             continue
-        for v in src.basis.data:
-            if bwd.apply(fwd.apply(v)) != v:
+        for v, fv in zip(src.basis.data, images):
+            if bwd.apply(fv) != v:
                 ok = False
-        for a in src.basis.data:
-            for b in src.basis.data:
-                if fwd.apply(algebra.mul(a, b)) != algebra.mul(fwd.apply(b), fwd.apply(a)):
+        for a, fa in zip(src.basis.data, images):
+            for b, fb in zip(src.basis.data, images):
+                if fwd.apply(algebra.mul(a, b)) != algebra.mul(fb, fa):
                     ok = False
     return TheoremCheck("wedge-anti-isomorphisms", True, ok)
 
@@ -1332,34 +1366,30 @@ def _counit_factorization_shapes(algebra, report) -> TheoremCheck:
     eps_r = algebra.eps_maps["eps_r"]
     ehat_l = algebra.eps_maps["epshat_l"]
     ehat_r = algebra.eps_maps["epshat_r"]
-    p_ll = algebra.projection("L", "L")
-    p_rr = algebra.projection("R", "R")
-    p_rl = algebra.projection("R", "L")
-    p_lr = algebra.projection("L", "R")
+    # column t of a projection is its image of e_t
+    ll, rr, rl, lr = (
+        algebra.projection(*key).transpose().data
+        for key in (("L", "L"), ("R", "R"), ("R", "L"), ("L", "R"))
+    )
+    # eps_l L_t and eps_r R_t, each shared by both sides
+    eps_l_left = [eps_l * m for m in algebra.left_mult]
+    eps_r_right = [eps_r * m for m in algebra.right_mult]
     left_forms = {
         "project-first": all(
-            eps_l * algebra.left_mult[t]
-            == eps_l * algebra.left_mult_of(p_ll.apply(algebra.basis_vector(t)))
-            for t in range(n)
+            eps_l_left[t] == eps_l * algebra.left_mult_of(ll[t]) for t in range(n)
         ),
         "project-second": all(
-            eps_r * algebra.right_mult[t]
-            == eps_r * algebra.right_mult_of(p_rr.apply(algebra.basis_vector(t)))
-            for t in range(n)
+            eps_r_right[t] == eps_r * algebra.right_mult_of(rr[t]) for t in range(n)
         ),
         "triple-compose-l": eps_l * ehat_l * eps_l == eps_l,
         "triple-compose-r": eps_r * ehat_r * eps_r == eps_r,
     }
     right_forms = {
         "project-first": all(
-            eps_l * algebra.left_mult[t]
-            == eps_l * algebra.left_mult_of(p_rl.apply(algebra.basis_vector(t)))
-            for t in range(n)
+            eps_l_left[t] == eps_l * algebra.left_mult_of(rl[t]) for t in range(n)
         ),
         "project-second": all(
-            eps_r * algebra.right_mult[t]
-            == eps_r * algebra.right_mult_of(p_lr.apply(algebra.basis_vector(t)))
-            for t in range(n)
+            eps_r_right[t] == eps_r * algebra.right_mult_of(lr[t]) for t in range(n)
         ),
         "triple-compose-l": eps_l * ehat_r * eps_l == eps_l,
         "triple-compose-r": eps_r * ehat_l * eps_r == eps_r,

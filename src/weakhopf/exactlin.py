@@ -62,7 +62,7 @@ def parse_scalar(s) -> Fraction:
 
 
 def vec(entries) -> tuple:
-    return tuple(Q(x) for x in entries)
+    return tuple(x if type(x) is Fraction else Q(x) for x in entries)
 
 
 def zero_vec(n: int) -> tuple:
@@ -101,7 +101,8 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        rows = tuple(tuple(Q(x) for x in row) for row in data)
+        # a Fraction is immutable and needs no re-wrapping
+        rows = tuple(tuple(x if type(x) is Fraction else Q(x) for x in row) for row in data)
         self.data = rows
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0

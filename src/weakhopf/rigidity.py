@@ -10,15 +10,15 @@ to twisting by a quasi-invertible pair (u, ubar), and normal structures
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .antipode import (
     SelfCheckError,
-    convolve,
+    _kept_convolution,
     is_anti_multiplicative,
     is_normal_prerigidity_map,
 )
-from .core import WeakBialgebra, decide_axioms
+from .core import WeakBialgebra, computed_once, decide_axioms
 from .exactlin import (
     Matrix,
     Subspace,
@@ -63,11 +63,12 @@ class RigidityVerification:
 
 def _adjoint_maps(algebra, s, alpha, beta):
     """The adjoint maps a -> S(a_(1)) alpha a_(2) and a -> a_(1) beta S(a_(2)),
-    as the convolutions (R_alpha S) * id and R_beta * S."""
+    as the convolutions (R_alpha S) * id and R_beta * S.  With alpha = beta
+    = 1 these are S * id and id * S, shared with sqcap_maps."""
     ident = Matrix.identity(algebra.dim)
     return (
-        convolve(algebra, algebra.right_mult_of(alpha) * s, ident),
-        convolve(algebra, algebra.right_mult_of(beta), s),
+        _kept_convolution(algebra, algebra.right_mult_of(alpha) * s, ident),
+        _kept_convolution(algebra, algebra.right_mult_of(beta), s),
     )
 
 
@@ -77,43 +78,43 @@ def normalize_pair(algebra, s, alpha, beta):
     return adj_a.apply(algebra.unit), adj_b.apply(algebra.unit)
 
 
-def _dual_tensor_pair(algebra, s, alpha, beta):
-    """Reconstruct the two defining tensors from (S, alpha, beta)."""
-    n = algebra.dim
-    e = algebra.basis_vector
-    d2 = algebra.delta2(algebra.unit).items()
-    amat = linear_combination(
-        ((c, outer_nonzeros(algebra.mul(algebra.mul(s.col(p), alpha), e(q)), e(r))) for (p, q, r), c in d2),
-        n,
-        n,
-    )
-    bmat = linear_combination(
-        ((c, outer_nonzeros(e(p), algebra.mul(algebra.mul(e(q), beta), s.col(r)))) for (p, q, r), c in d2),
-        n,
-        n,
-    )
-    return amat, bmat
-
-
 def _unit_words(algebra, s, alpha, beta, x):
-    """x_(1) beta S(x_(2)) alpha x_(3) and S(x_(1)) alpha x_(2) beta S(x_(3))."""
+    """x_(1) beta S(x_(2)) alpha x_(3) and S(x_(1)) alpha x_(2) beta S(x_(3)).
+
+    Over (id (x) Delta) Delta(x) the last two legs of each word make a
+    column of an adjoint map, so the words are x_(1) beta A(x_(2)) and
+    S(x_(1)) alpha B(x_(2)), with A and B the adjoint maps of (S, alpha,
+    beta): one pair of products per coproduct term of x.
+    """
     mul = algebra.mul
-    e = algebra.basis_vector
-    d2 = algebra.delta2(x).items()
+    n = algebra.dim
+    adj_a, adj_b = _adjoint_maps(algebra, s, alpha, beta)
+    a_cols = adj_a.transpose().data
+    b_cols = adj_b.transpose().data
+    s_cols = s.transpose().data
+    legs = nonzeros(algebra.delta(x))
     first = vector_combination(
-        ((c, mul(mul(mul(e(p), beta), s.col(q)), mul(alpha, e(r)))) for (p, q, r), c in d2),
-        algebra.dim,
+        ((c, mul(mul(algebra.basis_vector(p), beta), a_cols[y])) for p, y, c in legs), n
     )
     second = vector_combination(
-        ((c, mul(mul(mul(s.col(p), alpha), e(q)), mul(beta, s.col(r)))) for (p, q, r), c in d2),
-        algebra.dim,
+        ((c, mul(mul(s_cols[p], alpha), b_cols[y])) for p, y, c in legs), n
     )
     return first, second
 
 
 def verify_rigidity(algebra: WeakBialgebra, r: RigidityStructure) -> RigidityVerification:
     """Check the rigidity axioms; alpha and beta are normalized internally,
-    so any representative pair generating the same structure verifies."""
+    so any representative pair generating the same structure verifies.
+
+    The verdict is kept per (instance, S, alpha, beta), never per structure
+    object, which callers may change; each call returns its own copy.
+    """
+    kept = _verification(algebra, r.s, tuple(r.alpha), tuple(r.beta))
+    return replace(kept, witnesses=list(kept.witnesses))
+
+
+@computed_once
+def _verification(algebra, s, alpha, beta) -> RigidityVerification:
     algebra.require_valid()
     witnesses = []
     report = decide_axioms(algebra)
@@ -121,14 +122,11 @@ def verify_rigidity(algebra: WeakBialgebra, r: RigidityStructure) -> RigidityVer
     if not report.monoidal:
         witnesses.append(("not-monoidal", None))
         pre_ok = False
-    s = r.s
     if not is_anti_multiplicative(algebra, s):
         witnesses.append(("not-anti-multiplicative", None))
         pre_ok = False
     if not pre_ok:
         return RigidityVerification("failed", False, False, witnesses=witnesses)
-    alpha = tuple(r.alpha)
-    beta = tuple(r.beta)
     a_n, b_n = normalize_pair(algebra, s, alpha, beta)
     input_normalized = a_n == alpha and b_n == beta
 
@@ -137,48 +135,58 @@ def verify_rigidity(algebra: WeakBialgebra, r: RigidityStructure) -> RigidityVer
     p_lr = algebra.projection("L", "R")
     d1 = algebra.delta1
     n = algebra.dim
+    # (p_lr L_t)^t and p_rl R_t, each used by two of the loops below
+    lr_left = [(p_lr * m).transpose() for m in algebra.left_mult]
+    rl_right = [p_rl * m for m in algebra.right_mult]
     if adj_a != adj_a * p_rl:
         witnesses.append(("alpha-adjoint-invariance", None))
     if adj_b != adj_b * p_lr:
         witnesses.append(("beta-adjoint-invariance", None))
+    adj_a_d1 = adj_a * d1
     for t in range(n):
         lhs = adj_a * algebra.right_mult[t] * d1
-        rhs = adj_a * d1 * (p_lr * algebra.left_mult[t]).transpose()
+        rhs = adj_a_d1 * lr_left[t]
         if lhs != rhs:
             witnesses.append(("alpha-tensor-invariance", t))
             break
+    d1_adj_b = d1 * adj_b.transpose()
     for t in range(n):
         lhs = d1 * (adj_b * algebra.left_mult[t]).transpose()
-        rhs = (p_rl * algebra.right_mult[t]) * d1 * adj_b.transpose()
+        rhs = rl_right[t] * d1_adj_b
         if lhs != rhs:
             witnesses.append(("beta-tensor-invariance", t))
             break
-    # reconstructed dual tensors must interchange the two module actions
-    amat, bmat = _dual_tensor_pair(algebra, s, a_n, b_n)
+    # reconstructed dual tensors must interchange the two module actions:
+    # S(1_(1)) alpha 1_(2) (x) 1_(3) is A Delta(1) by coassociativity, and
+    # 1_(1) (x) 1_(2) beta S(1_(3)) is Delta(1) B^t
+    amat, bmat = adj_a_d1, d1_adj_b
+    s_cols = s.transpose().data
+    left_of_s = [algebra.left_mult_of(c) for c in s_cols]
+    right_of_s = [algebra.right_mult_of(c) for c in s_cols]
     for t in range(n):
         # S(e_t_(1)) . e_t_(2) acting on the first tensor
         op = linear_combination(
             (
-                (c, nonzeros(algebra.left_mult_of(s.col(u)) * algebra.right_mult[v]))
+                (c, nonzeros(left_of_s[u] * algebra.right_mult[v]))
                 for u, v, c in algebra._comult_nonzeros[t]
             ),
             n,
             n,
         )
-        if op * amat != amat * (p_lr * algebra.left_mult[t]).transpose():
+        if op * amat != amat * lr_left[t]:
             witnesses.append(("first-tensor-morphism", t))
             break
     for t in range(n):
         # e_t_(1) . S(e_t_(2)) acting on the second tensor
         op = linear_combination(
             (
-                (c, nonzeros(algebra.left_mult[u] * algebra.right_mult_of(s.col(v))))
+                (c, nonzeros(algebra.left_mult[u] * right_of_s[v]))
                 for u, v, c in algebra._comult_nonzeros[t]
             ),
             n,
             n,
         )
-        if bmat * op.transpose() != (p_rl * algebra.right_mult[t]) * bmat:
+        if bmat * op.transpose() != rl_right[t] * bmat:
             witnesses.append(("second-tensor-morphism", t))
             break
     if witnesses:
@@ -238,24 +246,32 @@ def uniqueness_intertwiners(r1: RigidityStructure, r2: RigidityStructure) -> Twi
     algebra = r1.algebra
     if r2.algebra != algebra:
         raise ValueError("structures live on different algebras")
+    normalized = []
     for r in (r1,) if r2 is r1 else (r1, r2):
         check = verify_rigidity(algebra, r)
         if check.status in ("failed", "pre_rigid"):
             raise ValueError("intertwiners need verified rigid structures")
-    a1, b1 = normalize_pair(algebra, r1.s, r1.alpha, r1.beta)
-    a2, b2 = normalize_pair(algebra, r2.s, r2.alpha, r2.beta)
+        normalized.append((check.normalized_alpha, check.normalized_beta))
+    (a1, b1), (a2, b2) = normalized[0], normalized[-1]
     mul = algebra.mul
-    e = algebra.basis_vector
-    d2 = algebra.delta2(algebra.unit).items()
-    # u = S2(1_(1)) a2 1_(2) b1 S1(1_(3)) and ubar with the structures swapped
-    u = vector_combination(
-        ((c, mul(mul(mul(r2.s.col(p), a2), e(q)), mul(b1, r1.s.col(rr)))) for (p, q, rr), c in d2),
-        algebra.dim,
-    )
-    ubar = vector_combination(
-        ((c, mul(mul(mul(r1.s.col(p), a1), e(q)), mul(b2, r2.s.col(rr)))) for (p, q, rr), c in d2),
-        algebra.dim,
-    )
+    legs = nonzeros(algebra.delta1)
+
+    def word(first, second):
+        """S(1_(1)) a 1_(2) b' S'(1_(3)) for normalized structures (S, a, b)
+        and (S', a', b'), as S(1_(1)) a B'(1_(2)) with B' the adjoint map
+        y -> y_(1) b' S'(y_(2)) of the second."""
+        (s_f, a_f, _), (s_s, a_s, b_s) = first, second
+        f_cols = s_f.transpose().data
+        b_cols = _adjoint_maps(algebra, s_s, a_s, b_s)[1].transpose().data
+        return vector_combination(
+            ((c, mul(mul(f_cols[p], a_f), b_cols[y])) for p, y, c in legs), algebra.dim
+        )
+
+    one, two = (r1.s, a1, b1), (r2.s, a2, b2)
+    # u = S2(1_(1)) a2 1_(2) b1 S1(1_(3)) and ubar with the structures
+    # swapped, which is u itself when they are one structure
+    u = word(two, one)
+    ubar = u if r2 is r1 else word(one, two)
     table = []
     for t in range(algebra.dim):
         table.append(
@@ -519,16 +535,18 @@ def sqcap_suite(algebra: WeakBialgebra, s: Matrix) -> SqcapReport:
     for sigma in "LR":
         proj = p[(sigma, "R")]
         for x in sub["A_%sR" % sigma].basis.data:
-            # column t is e_t_(1) cap_l(x) S(e_t_(2))
-            rhs = convolve(algebra, algebra.right_mult_of(cap_l.apply(x)), s)
+            # column t is e_t_(1) cap_l(x) S(e_t_(2)), which is id * S
+            # itself when cap_l(x) is the unit
+            rhs = _kept_convolution(algebra, algebra.right_mult_of(cap_l.apply(x)), s)
             for t in range(n):
                 acted = proj.apply(algebra.mul(algebra.basis_vector(t), x))
                 if cap_l.apply(acted) != rhs.col(t):
                     lin_ok = False
         proj2 = p[(sigma, "L")]
         for x in sub["A_%sL" % sigma].basis.data:
-            # column t is S(e_t_(1)) cap_r(x) e_t_(2)
-            rhs = convolve(algebra, algebra.right_mult_of(cap_r.apply(x)) * s, ident)
+            # column t is S(e_t_(1)) cap_r(x) e_t_(2), which is S * id
+            # itself when cap_r(x) is the unit
+            rhs = _kept_convolution(algebra, algebra.right_mult_of(cap_r.apply(x)) * s, ident)
             for t in range(n):
                 acted = proj2.apply(algebra.mul(x, algebra.basis_vector(t)))
                 if cap_r.apply(acted) != rhs.col(t):

@@ -356,6 +356,8 @@ MALFORMED = [
         "validate",
         dict(_document([1, 1, 1, "1"]), comult=[[0, 0, 0, "1"], [1, 1, 1, "1"], [1, 1, 1, "0"]]),
     ),
+    ("report-out-in-missing-directory", "report --out /nonexistent_dir/x.json", _document([1, 1, 1, "1"])),
+    ("dual-out-is-a-directory", "dual --out .", _document([1, 1, 1, "1"])),
 ]
 
 

@@ -322,6 +322,33 @@ def test_sparse_elimination_matches_dense_oracle(index):
     _check_against_oracle(ORACLE_CASES[index][1], random.Random(index))
 
 
+def test_sparse_elimination_matches_dense_oracle_on_random_rationals():
+    """Property: rref, kernel and solve_affine agree with the dense oracles on
+    random small rational matrices, sparse and dense, with consistent and
+    arbitrary right-hand sides.  Skipped when Hypothesis is not installed."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = st.one_of(
+        st.just(Q(0)), st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    )
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data(), st.integers(0, 6), st.integers(1, 6))
+    def agree(data, rows, cols):
+        m = Matrix.from_rows(
+            [tuple(data.draw(st.lists(scalars, min_size=cols, max_size=cols))) for _ in range(rows)],
+            cols,
+        )
+        assert rref(m) == dense_rref(m)
+        assert kernel(m) == dense_kernel(m)
+        x = tuple(data.draw(st.lists(scalars, min_size=cols, max_size=cols)))
+        b = tuple(data.draw(st.lists(scalars, min_size=rows, max_size=rows)))
+        for rhs in (m.apply(x), b):
+            assert solve_affine(m, rhs) == dense_solve_affine(m, rhs)
+
+    agree()
+
+
 def test_inconsistent_systems_agree_with_oracle():
     rng = random.Random(9)
     seen = 0

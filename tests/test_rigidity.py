@@ -301,3 +301,110 @@ def test_scaled_alpha_is_pre_rigid_only(example2):
         "antipode-unit-identity",
         None,
     ) in check.witnesses
+
+
+def _fresh(entries, name):
+    """A newly parsed copy of a catalog instance, with nothing kept on it."""
+    from weakhopf.serialize import algebra_to_document, document_to_algebra
+
+    return document_to_algebra(algebra_to_document(entries[name].algebra))
+
+
+def _calls(functions, work):
+    """Run work(); return, per function, the argument tuples of its calls."""
+    import sys
+
+    codes = {f.__code__: f for f in functions}
+    seen = {f: [] for f in functions}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            f = codes[frame.f_code]
+            names = f.__code__.co_varnames[: f.__code__.co_argcount]
+            seen[f].append(tuple(frame.f_locals[v] for v in names))
+
+    sys.setprofile(profile)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_pool_sequence_computes_each_antipode_verdict_once(entries):
+    """The benchmark pool's sequence on one instance runs the
+    anti-multiplicativity loop, id * S and S * id once each."""
+    import weakhopf.antipode as antipode
+    from weakhopf.antipode import antipode_theorem_suite, classify_weak_hopf, convolve
+
+    alg = _fresh(entries, "bsz-dual:2")
+    anti = antipode.is_anti_multiplicative.__wrapped__
+    solved = []
+
+    def pool_item():
+        _, status = antipode_theorem_suite(alg)
+        classify_weak_hopf(alg)
+        s = status.matrix
+        sqcap_suite(alg, s)
+        r = RigidityStructure(alg, s, alg.unit, alg.unit)
+        verify_rigidity(alg, r)
+        uniqueness_intertwiners(r, r)
+        solved.append(s)
+
+    seen = _calls([anti, convolve], pool_item)
+    s = solved[0]
+    ident = Matrix.identity(alg.dim)
+    assert [args[1] for args in seen[anti]] == [s]
+    # the pode check convolves over the coopposite coproduct, another instance
+    pairs = [(args[1], args[2]) for args in seen[convolve] if args[0] is alg]
+    assert pairs.count((ident, s)) == 1
+    assert pairs.count((s, ident)) == 1
+
+
+def test_kept_verdicts_follow_the_map_not_the_call(entries):
+    """Two maps one entry apart on one instance get the verdicts a freshly
+    parsed instance gives each; returned verifications are copies; a call
+    that raises keeps nothing."""
+    import weakhopf.antipode as antipode
+    from weakhopf.core import AlgebraDataError, WeakBialgebra
+
+    name = "bsz-dual:2"
+    shared = _fresh(entries, name)
+    s = solve_antipode(shared).matrix
+    rows = [list(r) for r in s.data]
+    rows[0][1] += 1
+    near = Matrix(rows)
+
+    def verdicts(alg, m):
+        r = RigidityStructure(alg, m, alg.unit, alg.unit)
+        return (
+            antipode.is_anti_multiplicative(alg, m),
+            antipode.is_normal_prerigidity_map(alg, m),
+            antipode.sqcap_maps(alg, m),
+            verify_rigidity(alg, r),
+        )
+
+    on_shared = [verdicts(shared, m) for m in (s, near, s, near)]
+    on_fresh = [verdicts(_fresh(entries, name), m) for m in (s, near)]
+    assert on_shared == on_fresh + on_fresh
+    assert on_fresh[0] != on_fresh[1]
+    # a structure changed after a call is verified as it is now
+    r = RigidityStructure(shared, s, shared.unit, shared.unit)
+    assert verify_rigidity(shared, r) == on_fresh[0][3]
+    r.s = near
+    assert verify_rigidity(shared, r) == on_fresh[1][3]
+    # the caller owns the verification it is given
+    got = verify_rigidity(shared, r)
+    got.witnesses.append(("edited", None))
+    got.status = "edited"
+    assert verify_rigidity(shared, r) == on_fresh[1][3]
+    # a call that raises keeps nothing, so it raises again
+    n = shared.dim
+    first_only = [[[1 if k == 0 else 0 for k in range(n)] for _ in range(n)] for _ in range(n)]
+    broken = WeakBialgebra(n, first_only, shared.unit, shared.comult, shared.counit)
+    bad = RigidityStructure(broken, s, broken.unit, broken.unit)
+    for _ in range(2):
+        with pytest.raises(AlgebraDataError):
+            verify_rigidity(broken, bad)
+        with pytest.raises(ValueError):
+            antipode.is_anti_multiplicative(shared, Matrix.identity(n + 1))
