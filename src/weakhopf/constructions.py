@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
-from .core import WeakBialgebra, algebra_axiom_violations
+from .core import WeakBialgebra, _integer_algebra_tables, algebra_axiom_violations
 from .exactlin import (
     Matrix,
     Q,
@@ -101,6 +102,7 @@ class Algebra:
         return alg
 
     _mult_nonzeros = WeakBialgebra._mult_nonzeros
+    _integer_tables = cached_property(_integer_algebra_tables)
     mul = WeakBialgebra.mul
 
     def basis_vector(self, i):

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
+from math import lcm
+from typing import NamedTuple
 
 from .exactlin import (
     Matrix,
@@ -49,17 +51,17 @@ class AlgebraDataError(Exception):
 
 
 def _as_mult_tensor(dim, mult):
+    if len(mult) != dim or any(len(r) != dim for r in mult):
+        raise AlgebraDataError("mult tensor has wrong shape")
     out = []
     for i in range(dim):
         row = []
         for j in range(dim):
-            entry = tuple(Q(x) for x in mult[i][j])
+            entry = vec(mult[i][j])
             if len(entry) != dim:
                 raise AlgebraDataError("mult tensor has wrong width at (%d,%d)" % (i, j))
             row.append(entry)
         out.append(tuple(row))
-    if len(mult) != dim or any(len(r) != dim for r in mult):
-        raise AlgebraDataError("mult tensor has wrong shape")
     return tuple(out)
 
 
@@ -68,59 +70,139 @@ def _as_comult_tensor(dim, comult):
         raise AlgebraDataError("comult tensor has wrong shape")
     out = []
     for k in range(dim):
-        m = Matrix(comult[k]) if not isinstance(comult[k], Matrix) else comult[k]
-        if m.rows != dim or m.cols != dim:
+        m = comult[k]
+        rows = m.data if isinstance(m, Matrix) else m
+        if len(rows) != dim or any(len(r) != dim for r in rows):
             raise AlgebraDataError("comult slice %d has wrong shape" % k)
-        out.append(m)
+        out.append(m if isinstance(m, Matrix) else Matrix(m))
     return tuple(out)
 
 
-def _sum_nonzeros(terms, n):
-    """sum c * v over (c, v) pairs, each v given by its (k, x) nonzeros."""
-    acc = [QZERO] * n
-    for c, nz in terms:
-        for k, x in nz:
-            acc[k] += c * x
+class _IntegerTables(NamedTuple):
+    """Structure constants with their denominators cleared.
+
+    Each of mult, unit, comult and counit is multiplied by the lcm of its
+    own denominators (d_mult, d_unit, d_comult, d_counit), which is exact
+    over the rationals.  mult[i][j] lists the nonzero (k, D_m m[i][j][k]),
+    comult[k] the nonzero (i, j, D_c d[k][i][j]); unit and counit are dense
+    tuples of ints.  A plain algebra keeps the defaults of the coalgebra
+    half.
+    """
+
+    d_mult: int
+    mult: tuple
+    d_unit: int
+    unit: tuple
+    d_comult: int = 1
+    comult: tuple = ()
+    d_counit: int = 1
+    counit: tuple = ()
+
+
+def _denominator_lcm(values):
+    """The lcm of the denominators of the rationals in values (1 if none)."""
+    return lcm(*{x.denominator for x in values})
+
+
+def _cleared(x, d):
+    """The integer d * x, for a rational x whose denominator divides d."""
+    return x.numerator * (d // x.denominator)
+
+
+def _integer_algebra_tables(algebra):
+    """_IntegerTables of the multiplication and unit of algebra."""
+    table = algebra._mult_nonzeros
+    d_m = _denominator_lcm(c for row in table for ij in row for _, c in ij)
+    d_u = _denominator_lcm(algebra.unit)
+    return _IntegerTables(
+        d_m,
+        tuple(
+            tuple(tuple((k, _cleared(c, d_m)) for k, c in ij) for ij in row)
+            for row in table
+        ),
+        d_u,
+        tuple(_cleared(x, d_u) for x in algebra.unit),
+    )
+
+
+def _summed(terms):
+    """The nonzero sums of the values of (key, value) pairs, as {key: sum}."""
+    acc = {}
+    for key, x in terms:
+        acc[key] = acc.get(key, 0) + x
+    return {key: x for key, x in acc.items() if x}
+
+
+def _t2_terms(table, xnz, ynz):
+    """X Y in the tensor square, as a {(u, v): coefficient} dict.
+
+    The sum of c d (e_p e_r) (x) (e_q e_s) over the nonzeros (p, q, c) of X
+    and (r, s, d) of Y.  table holds the per-(i, j) nonzero lists of the
+    multiplication, of rationals or of ints; the result may hold zeros.
+    """
+    acc = {}
+    for p, q, c in xnz:
+        tp = table[p]
+        tq = table[q]
+        for r, s, d in ynz:
+            first = tp[r]
+            second = tq[s]
+            if not (first and second):
+                continue
+            cd = c * d
+            for u, fu in first:
+                w = cd * fu
+                for v, sv in second:
+                    key = (u, v)
+                    prev = acc.get(key)
+                    acc[key] = w * sv if prev is None else prev + w * sv
     return acc
 
 
 def algebra_axiom_violations(algebra):
     """The failed unit and associativity axioms, with a witness basis tuple each.
 
-    algebra needs dim, unit, mul and the per-(i, j) nonzero lists
-    _mult_nonzeros.  Each axiom reports its first failure in basis order;
-    associativity compares (e_i e_j) e_k with e_i (e_j e_k) over the lists.
+    algebra needs dim and _integer_tables.  Each axiom reports its first
+    failure in basis order.  The unit laws compare 1 e_i and e_i 1 with
+    D_u D_m e_i; associativity, of degree two in the multiplication,
+    compares (e_i e_j) e_k with e_i (e_j e_k) as they stand.
     """
     bad = []
     n = algebra.dim
-    one = algebra.unit
-    basis = [unit_vec(n, i) for i in range(n)]
+    tables = algebra._integer_tables
+    table = tables.mult
+    one = [(l, u) for l, u in enumerate(tables.unit) if u]
+    scale = tables.d_unit * tables.d_mult
     for i in range(n):
-        if algebra.mul(one, basis[i]) != basis[i]:
+        if _summed((k, u * x) for l, u in one for k, x in table[l][i]) != {i: scale}:
             bad.append(("unit-left", (i,)))
             break
     for i in range(n):
-        if algebra.mul(basis[i], one) != basis[i]:
+        if _summed((k, u * x) for l, u in one for k, x in table[i][l]) != {i: scale}:
             bad.append(("unit-right", (i,)))
             break
-    table = algebra._mult_nonzeros
-    done = False
     for i in range(n):
-        if done:
-            break
         ti = table[i]
         for j in range(n):
-            if done:
-                break
-            ij = ti[j]
             tj = table[j]
-            for k in range(n):
-                left = _sum_nonzeros(((c, table[l][k]) for l, c in ij), n)
-                right = _sum_nonzeros(((c, ti[m]) for m, c in tj[k]), n)
-                if left != right:
-                    bad.append(("associativity", (i, j, k)))
-                    done = True
-                    break
+            # (e_i e_j) e_k and e_i (e_j e_k) for every k at once, keyed (k, t)
+            left = _summed(
+                ((k, t), c * x)
+                for l, c in ti[j]
+                for k, lk in enumerate(table[l])
+                for t, x in lk
+            )
+            right = _summed(
+                ((k, t), c * x) for k, jk in enumerate(tj) for m, c in jk for t, x in ti[m]
+            )
+            if left != right:
+                k = min(
+                    key[0]
+                    for key in left.keys() | right.keys()
+                    if left.get(key) != right.get(key)
+                )
+                bad.append(("associativity", (i, j, k)))
+                return bad
     return bad
 
 
@@ -269,28 +351,11 @@ class WeakBialgebra:
     # ------------------------------------------------------------------
 
     def t2_mul(self, X: Matrix, Y: Matrix) -> Matrix:
-        return self._t2_product(nonzeros(X), nonzeros(Y))
-
-    def _t2_product(self, xnz, ynz) -> Matrix:
-        """t2_mul of the two matrices with the given nonzeros() triples."""
         n = self.dim
-        acc = [[QZERO] * n for _ in range(n)]
-        table = self._mult_nonzeros
-        for p, q, c in xnz:
-            tp = table[p]
-            tq = table[q]
-            for r, s, d in ynz:
-                first = tp[r]
-                second = tq[s]
-                if not (first and second):
-                    continue
-                cd = c * d
-                for u, fu in first:
-                    w = cd * fu
-                    arow = acc[u]
-                    for v, sv in second:
-                        arow[v] += w * sv
-        return Matrix._of_fractions(acc, n)
+        rows = [[QZERO] * n for _ in range(n)]
+        for (u, v), x in _t2_terms(self._mult_nonzeros, nonzeros(X), nonzeros(Y)).items():
+            rows[u][v] = x
+        return Matrix._of_fractions(rows, n)
 
     @cached_property
     def delta1(self) -> Matrix:
@@ -328,8 +393,8 @@ class WeakBialgebra:
     def iterated_delta(self, a, k):
         """The k-fold iterated coproduct of a on (k+1)-tuples of legs.
 
-        Each step expands the last leg; validation compares the expansion of
-        the first leg, so that coassociativity is checked, not assumed.
+        Each step expands the last leg, which relies on coassociativity;
+        validation checks it.
         """
         out = {(i,): x for i, x in enumerate(a) if x}
         for leg in range(k):
@@ -370,40 +435,61 @@ class WeakBialgebra:
     # ------------------------------------------------------------------
 
     @cached_property
+    def _integer_tables(self) -> _IntegerTables:
+        """The structure constants with denominators cleared, once per instance."""
+        comult = self._comult_nonzeros
+        d_c = _denominator_lcm(c for nz in comult for _, _, c in nz)
+        d_e = _denominator_lcm(self.counit)
+        return _integer_algebra_tables(self)._replace(
+            d_comult=d_c,
+            comult=tuple(
+                tuple((i, j, _cleared(c, d_c)) for i, j, c in nz) for nz in comult
+            ),
+            d_counit=d_e,
+            counit=tuple(_cleared(x, d_e) for x in self.counit),
+        )
+
+    @cached_property
     def violations(self):
-        """All failed structural axioms with a witness basis tuple each."""
+        """All failed structural axioms with a witness basis tuple each.
+
+        Every check runs over _integer_tables.  Coassociativity, of degree
+        two in the coproduct, compares as it stands; the counit laws compare
+        against D_e D_c e_k, and multiplicativity compares D_m D_c Delta(e_i e_j)
+        with Delta(e_i) Delta(e_j).
+        """
         bad = algebra_axiom_violations(self)
         n = self.dim
-        basis = [self.basis_vector(i) for i in range(n)]
+        tables = self._integer_tables
+        table, comult, eps = tables.mult, tables.comult, tables.counit
+        scale = tables.d_comult * tables.d_counit
         for k in range(n):
-            dk = self.comult[k]
-            left = dk.transpose().apply(self.counit)
-            right = dk.apply(self.counit)
-            if left != basis[k]:
+            # (eps (x) id) Delta and (id (x) eps) Delta against e_k
+            if _summed((j, c * eps[i]) for i, j, c in comult[k]) != {k: scale}:
                 bad.append(("counit-left", (k,)))
                 break
-            if right != basis[k]:
+            if _summed((i, c * eps[j]) for i, j, c in comult[k]) != {k: scale}:
                 bad.append(("counit-right", (k,)))
                 break
         for k in range(n):
             # (Delta (x) id) Delta against (id (x) Delta) Delta
-            dk = self.iterated_delta(basis[k], 1)
-            if self.delta_at(dk, 0) != self.delta_at(dk, 1):
+            dk = comult[k]
+            left = _summed(((a, b, j), c * x) for i, j, c in dk for a, b, x in comult[i])
+            right = _summed(((i, a, b), c * x) for i, j, c in dk for a, b, x in comult[j])
+            if left != right:
                 bad.append(("coassociativity", (k,)))
                 break
-        done = False
-        comult = self._comult_nonzeros
+        scale = tables.d_mult * tables.d_comult
         for i in range(n):
-            if done:
-                break
+            ti = table[i]
             di = comult[i]
             for j in range(n):
-                lhs = self.delta(self.mult[i][j])
-                rhs = self._t2_product(di, comult[j])
-                if lhs != rhs:
+                lhs = _summed(
+                    ((a, b), scale * m * x) for l, m in ti[j] for a, b, x in comult[l]
+                )
+                if lhs != _summed(_t2_terms(table, di, comult[j]).items()):
                     bad.append(("coproduct-multiplicativity", (i, j)))
-                    done = True
-                    break
+                    return tuple(bad)
         return tuple(bad)
 
     @property

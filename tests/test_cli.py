@@ -3,7 +3,8 @@ import json
 import pytest
 
 from weakhopf.cli import main
-from weakhopf.serialize import dumps, load_path
+from weakhopf.constructions import catalog
+from weakhopf.serialize import algebra_to_document, dumps, load_path
 
 
 def run(args, capsys):
@@ -372,4 +373,29 @@ def test_malformed_input_exits_two(tmp_path, capsys, command, payload):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("input error: ")
+    assert "Traceback" not in captured.err
+
+
+# well-formed inputs on which the requested construction fails: exit 1 with
+# a "failed: " line, never a traceback
+FAILING = [
+    (
+        "rigidity-example2-cross-map-fails-verification",
+        "rigidity example2",
+        algebra_to_document(
+            catalog("example1").algebra,
+            extras={"cross_map": [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]]},
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("command,payload", [c[1:] for c in FAILING], ids=[c[0] for c in FAILING])
+def test_failing_input_exits_one(tmp_path, capsys, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code = main(command.split() + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("failed: ")
     assert "Traceback" not in captured.err

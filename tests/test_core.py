@@ -72,6 +72,28 @@ def test_dimension_mismatch_is_structural_fault():
         WeakBialgebra(2, [[[1], [0]], [[0], [1]]], [1, 0], [[[1]]], [1])
 
 
+_GOOD_MULT = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+_GOOD_COMULT = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+
+
+@pytest.mark.parametrize(
+    "mult,comult",
+    [
+        # a mult tensor with one row of cells missing
+        ([[[1, 0], [0, 1]]], _GOOD_COMULT),
+        # a mult row with one cell missing
+        ([[[1, 0], [0, 1]], [[0, 1]]], _GOOD_COMULT),
+        # a ragged comult slice
+        (_GOOD_MULT, [[[1, 0], [0, 0]], [[0, 0], [1]]]),
+    ],
+    ids=["short-mult-tensor", "short-mult-row", "ragged-comult-slice"],
+)
+def test_malformed_tensors_are_structural_faults(mult, comult):
+    WeakBialgebra(2, _GOOD_MULT, [1, 0], _GOOD_COMULT, [1, 1])
+    with pytest.raises(AlgebraDataError):
+        WeakBialgebra(2, mult, [1, 0], comult, [1, 1])
+
+
 def test_dual_involution(entries):
     for name in ("group:z3", "example1", "bsz-dual:2", "adcross:z2,z2"):
         a = entries[name].algebra

@@ -5,8 +5,11 @@ per-(i, j) nonzero lists of the multiplication tensor, and Algebra.check
 shares the same check.  Matrix products and Matrix.apply run over
 nonzeros, and the dual-action operators of the multiplier-realization
 check are built from the coproduct's nonzero lists.  The dense loops they
-replaced are kept here verbatim as oracles.  A sweep of the trusted matrix
-path follows: every matrix and vector that exactlin builds from Fraction
+replaced are kept here verbatim as oracles, and so are the Fraction loops
+of violations and algebra_axiom_violations that the checks over integer
+tables (denominators cleared once per instance) replaced.  A sweep of the
+trusted matrix path follows: every matrix and vector that exactlin builds
+from Fraction
 arithmetic, and every t2_mul product, must hold only Fraction entries, also
 when the inputs were ints.  The last tests take comodule tensor products on
 adcross:z2,z2.
@@ -19,7 +22,7 @@ import pytest
 
 from conftest import monomial_scramble
 from weakhopf.constructions import Algebra, ConstructionError
-from weakhopf.core import WeakBialgebra, _dual_action_operator
+from weakhopf.core import WeakBialgebra, _dual_action_operator, algebra_axiom_violations
 from weakhopf.exactlin import (
     Matrix,
     Q,
@@ -35,6 +38,7 @@ from weakhopf.exactlin import (
     rref,
     row_space,
     solve_affine,
+    unit_vec,
 )
 from weakhopf.repcat import comodule_tensor, regular_comodule
 
@@ -157,6 +161,120 @@ def violations(self):
         for j in range(n):
             lhs = self.delta(mul(self, basis[i], basis[j]))
             rhs = t2_mul(self, di, self.comult[j])
+            if lhs != rhs:
+                bad.append(("coproduct-multiplicativity", (i, j)))
+                done = True
+                break
+    return tuple(bad)
+
+
+# ----------------------------------------------------------------------
+# oracles: the Fraction loops that the integer-table checks replaced
+# (violations, algebra_axiom_violations and the t2 product they used)
+# ----------------------------------------------------------------------
+
+
+def _sum_nonzeros(terms, n):
+    """sum c * v over (c, v) pairs, each v given by its (k, x) nonzeros."""
+    acc = [QZERO] * n
+    for c, nz in terms:
+        for k, x in nz:
+            acc[k] += c * x
+    return acc
+
+
+def fraction_algebra_axiom_violations(algebra):
+    """The failed unit and associativity axioms, with a witness basis tuple each.
+
+    algebra needs dim, unit, mul and the per-(i, j) nonzero lists
+    _mult_nonzeros.  Each axiom reports its first failure in basis order;
+    associativity compares (e_i e_j) e_k with e_i (e_j e_k) over the lists.
+    """
+    bad = []
+    n = algebra.dim
+    one = algebra.unit
+    basis = [unit_vec(n, i) for i in range(n)]
+    for i in range(n):
+        if algebra.mul(one, basis[i]) != basis[i]:
+            bad.append(("unit-left", (i,)))
+            break
+    for i in range(n):
+        if algebra.mul(basis[i], one) != basis[i]:
+            bad.append(("unit-right", (i,)))
+            break
+    table = algebra._mult_nonzeros
+    done = False
+    for i in range(n):
+        if done:
+            break
+        ti = table[i]
+        for j in range(n):
+            if done:
+                break
+            ij = ti[j]
+            tj = table[j]
+            for k in range(n):
+                left = _sum_nonzeros(((c, table[l][k]) for l, c in ij), n)
+                right = _sum_nonzeros(((c, ti[m]) for m, c in tj[k]), n)
+                if left != right:
+                    bad.append(("associativity", (i, j, k)))
+                    done = True
+                    break
+    return bad
+
+
+def _t2_product(self, xnz, ynz) -> Matrix:
+    """t2_mul of the two matrices with the given nonzeros() triples."""
+    n = self.dim
+    acc = [[QZERO] * n for _ in range(n)]
+    table = self._mult_nonzeros
+    for p, q, c in xnz:
+        tp = table[p]
+        tq = table[q]
+        for r, s, d in ynz:
+            first = tp[r]
+            second = tq[s]
+            if not (first and second):
+                continue
+            cd = c * d
+            for u, fu in first:
+                w = cd * fu
+                arow = acc[u]
+                for v, sv in second:
+                    arow[v] += w * sv
+    return Matrix._of_fractions(acc, n)
+
+
+def fraction_violations(self):
+    """All failed structural axioms with a witness basis tuple each."""
+    bad = fraction_algebra_axiom_violations(self)
+    n = self.dim
+    basis = [self.basis_vector(i) for i in range(n)]
+    for k in range(n):
+        dk = self.comult[k]
+        left = dk.transpose().apply(self.counit)
+        right = dk.apply(self.counit)
+        if left != basis[k]:
+            bad.append(("counit-left", (k,)))
+            break
+        if right != basis[k]:
+            bad.append(("counit-right", (k,)))
+            break
+    for k in range(n):
+        # (Delta (x) id) Delta against (id (x) Delta) Delta
+        dk = self.iterated_delta(basis[k], 1)
+        if self.delta_at(dk, 0) != self.delta_at(dk, 1):
+            bad.append(("coassociativity", (k,)))
+            break
+    done = False
+    comult = self._comult_nonzeros
+    for i in range(n):
+        if done:
+            break
+        di = comult[i]
+        for j in range(n):
+            lhs = self.delta(self.mult[i][j])
+            rhs = _t2_product(self, di, comult[j])
             if lhs != rhs:
                 bad.append(("coproduct-multiplicativity", (i, j)))
                 done = True
@@ -306,6 +424,116 @@ def test_violations_match_dense_oracle_off_the_axioms(entries):
     # the pool reaches every check that compares products
     assert {"associativity", "coassociativity", "coproduct-multiplicativity"} <= seen
     assert {"unit-left", "unit-right"} & seen
+
+
+# the structure maps that one constant can be moved in, with the length of
+# an index into each
+_TABLES = (("mult", 3), ("comult", 3), ("unit", 1), ("counit", 1))
+
+_WITNESS_KINDS = {
+    "unit-left",
+    "unit-right",
+    "associativity",
+    "counit-left",
+    "counit-right",
+    "coassociativity",
+    "coproduct-multiplicativity",
+}
+
+
+def _shifted(algebra, where, index, delta):
+    """algebra with the constant at index of one structure map moved by delta."""
+    parts = {
+        "mult": [[list(cell) for cell in row] for row in algebra.mult],
+        "comult": [[list(r) for r in m.data] for m in algebra.comult],
+        "unit": list(algebra.unit),
+        "counit": list(algebra.counit),
+    }
+    target = parts[where]
+    for h in index[:-1]:
+        target = target[h]
+    target[index[-1]] += delta
+    return WeakBialgebra(
+        algebra.dim, parts["mult"], parts["unit"], parts["comult"], parts["counit"], algebra.labels
+    )
+
+
+def _shifted_pool(entries):
+    """One-constant perturbations of the small catalog: the unit and counit
+    vectors by random scalars, and every structure map by 1/7 and -1/11,
+    denominators that no catalog instance has, so that a wrong lcm shows."""
+    rng = random.Random(60311)
+    pool = []
+    for name in SMALL:
+        base = entries[name].algebra
+        for where, arity in _TABLES:
+            deltas = [Q(1, 7), Q(-1, 11)]
+            if where in ("unit", "counit"):
+                deltas += [_random_scalar(rng) for _ in range(2)]
+            for delta in deltas:
+                index = tuple(rng.randrange(base.dim) for _ in range(arity))
+                pool.append(_shifted(base, where, index, delta))
+    return pool
+
+
+def test_catalog_has_no_sevenths_or_elevenths(entries):
+    for name in SMALL:
+        algebra = entries[name].algebra
+        tables = algebra._integer_tables
+        for d in (tables.d_mult, tables.d_unit, tables.d_comult, tables.d_counit):
+            assert d % 7 and d % 11
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_violations_match_fraction_oracle(entries, name):
+    rng = random.Random("integer-tables:" + name)
+    base = entries[name].algebra
+    for algebra in _variants(base) + [monomial_scramble(base, rng) for _ in range(2)]:
+        assert algebra.violations == fraction_violations(algebra) == ()
+
+
+def test_violations_match_fraction_oracle_off_the_axioms(entries):
+    seen = set()
+    for algebra in _perturbed_pool(entries) + _shifted_pool(entries):
+        got = algebra.violations
+        assert got == fraction_violations(algebra)
+        seen.update(name for name, _ in got)
+    assert seen == _WITNESS_KINDS
+
+
+def test_algebra_axiom_violations_match_fraction_oracle(entries):
+    """The check that Algebra.check shares, on plain algebras too."""
+    outcomes = set()
+    for bialgebra in _shifted_pool(entries):
+        plain = Algebra(bialgebra.dim, bialgebra.mult, bialgebra.unit, bialgebra.labels)
+        for algebra in (bialgebra, plain):
+            got = algebra_axiom_violations(algebra)
+            assert got == fraction_algebra_axiom_violations(algebra)
+            outcomes.update(name for name, _ in got)
+    assert outcomes == {"unit-left", "unit-right", "associativity"}
+
+
+def test_violations_match_fraction_oracle_on_random_perturbations(entries):
+    """Property: moving one constant of mult, comult, unit or counit of a
+    small catalog instance (or its dual, opposite or coopposite) by a random
+    rational gives the oracle's violations.  Skipped when Hypothesis is not
+    installed."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    deltas = st.fractions(min_value=-3, max_value=3, max_denominator=13).filter(bool)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.sampled_from(SMALL), st.integers(0, 3), st.sampled_from(_TABLES), deltas, st.data()
+    )
+    def agree(name, variant, table, delta, data):
+        base = _variants(entries[name].algebra)[variant]
+        where, arity = table
+        index = tuple(data.draw(st.integers(0, base.dim - 1)) for _ in range(arity))
+        algebra = _shifted(base, where, index, delta)
+        assert algebra.violations == fraction_violations(algebra)
+
+    agree()
 
 
 @pytest.mark.parametrize("name", SMALL)
