@@ -41,7 +41,7 @@ def convolve(algebra: WeakBialgebra, s: Matrix, t: Matrix) -> Matrix:
         vector_combination(
             ((c, algebra.mul(s_cols[u], t_cols[v])) for u, v, c in legs), n
         )
-        for legs in algebra._comult_nonzeros
+        for legs in map(nonzeros, algebra.comult)
     ]
     return Matrix._of_fractions(zip(*cols), n)
 
@@ -112,12 +112,13 @@ def is_pode(algebra, sbar: Matrix) -> bool:
     if not is_pre_pode(algebra, sbar):
         return False
     n = algebra.dim
+    cols = sbar.transpose().data
     for k in range(n):
         terms = (
-            (c, algebra.mul(algebra.mul(sbar.col(l), algebra.basis_vector(j)), sbar.col(i)))
+            (c, algebra.mul(algebra.mul(cols[l], algebra.basis_vector(j)), cols[i]))
             for (i, j, l), c in algebra.delta2(algebra.basis_vector(k)).items()
         )
-        if vector_combination(terms, n) != sbar.col(k):
+        if vector_combination(terms, n) != cols[k]:
             return False
     return True
 
@@ -163,34 +164,31 @@ def _antipode_system(algebra):
     """Linear system in the matrix entries of S expressing both quasi-inverse
     conditions against the mixed counit projections."""
     n = algebra.dim
-    p_lr = algebra.projection("L", "R")
-    p_rl = algebra.projection("R", "L")
+    lr_cols = algebra.projection("L", "R").transpose().data
+    rl_cols = algebra.projection("R", "L").transpose().data
+    # row u of L_i lists the nonzero e_u-coefficients w of e_i e_p, and row
+    # u of R_j those of e_p e_j; the unknown S[p][j] has index p * n + j
+    left = [m.sparse_rows for m in algebra.left_mult]
+    right = [m.sparse_rows for m in algebra.right_mult]
     rows = []
     rhs = []
-    mult = algebra.mult
     for k in range(n):
-        dk = algebra.comult[k]
-        nz = nonzeros(dk)
+        nz = nonzeros(algebra.comult[k])
         for u in range(n):
-            line = [QZERO] * (n * n)
+            # e_i S(e_j) over Delta(e_k), then S(e_i) e_j
+            line = {}
             for i, j, c in nz:
-                mi = mult[i]
-                for p in range(n):
-                    w = mi[p][u]
-                    if w:
-                        line[p * n + j] += c * w
+                for p, w in left[i][u]:
+                    line[p * n + j] = line.get(p * n + j, QZERO) + c * w
             rows.append(line)
-            rhs.append(p_lr[u, k])
         for u in range(n):
-            line = [QZERO] * (n * n)
+            line = {}
             for i, j, c in nz:
-                for p in range(n):
-                    w = mult[p][j][u]
-                    if w:
-                        line[p * n + i] += c * w
+                for p, w in right[j][u]:
+                    line[p * n + i] = line.get(p * n + i, QZERO) + c * w
             rows.append(line)
-            rhs.append(p_rl[u, k])
-    return Matrix._of_fractions(rows, n * n), tuple(rhs)
+        rhs += lr_cols[k] + rl_cols[k]
+    return Matrix._of_dicts(rows, n * n), tuple(rhs)
 
 
 def _matrix_from_unknowns(x, n) -> Matrix:
@@ -631,14 +629,14 @@ def invariant_functional_check(algebra, s: Matrix, lam) -> FunctionalCriterionVe
             lhs = vector_combination(
                 (
                     (c * vdot(lam, algebra.mult[b][v]), basis[u])
-                    for u, v, c in algebra._comult_nonzeros[a]
+                    for u, v, c in nonzeros(algebra.comult[a])
                 ),
                 n,
             )
             rhs = vector_combination(
                 (
                     (c * vdot(lam, algebra.mult[v][a]), s.col(u))
-                    for u, v, c in algebra._comult_nonzeros[b]
+                    for u, v, c in nonzeros(algebra.comult[b])
                 ),
                 n,
             )

@@ -373,9 +373,7 @@ class _Carrier:
                         if any(v):
                             rel.append(tuple(v))
             sub = Subspace.from_spanning(rel, self.full_dim)
-            pivots = set()
-            for row in sub.basis.data:
-                pivots.add(next(c for c, x in enumerate(row) if x))
+            pivots = {row[0][0] for row in sub.basis.sparse_rows}
             self.reducer = sub
             self.free = [c for c in range(self.full_dim) if c not in pivots]
             self.dim = len(self.free)
@@ -394,11 +392,11 @@ class _Carrier:
         """Project an ambient tensor vector onto quotient coordinates."""
         v = list(v)
         if self.reducer is not None:
-            for row in self.reducer.basis.data:
-                pc = next(c for c, x in enumerate(row) if x)
-                f = v[pc]
+            for row in self.reducer.basis.sparse_rows:
+                f = v[row[0][0]]
                 if f:
-                    v = [a - f * b for a, b in zip(v, row)]
+                    for c, x in row:
+                        v[c] -= f * x
         return tuple(v[c] for c in self.free)
 
     def embed_pair(self, x, y):
@@ -685,7 +683,7 @@ class ModuleAlgebraAction:
                                     self.act(h.basis_vector(v), t.basis_vector(b)),
                                 ),
                             )
-                            for u, v, c in h._comult_nonzeros[i]
+                            for u, v, c in nonzeros(h.comult[i])
                         ),
                         t.dim,
                     )
@@ -775,36 +773,28 @@ def two_sided_crossed_product(
         i1, k1, j1 = _unidx(t1, dg, dr)
         i2, k2, j2 = _unidx(t2, dg, dr)
         acc = [QZERO] * dim
-        dk1 = h.comult[k1]
-        dk2 = h.comult[k2]
-        for u1, row1 in enumerate(dk1.data):
-            for v1, c1 in enumerate(row1):
-                if not c1:
-                    continue
-                left = a_l.mul(
-                    a_l.basis_vector(i1),
-                    action.act(h.basis_vector(u1), a_l.basis_vector(i2)),
+        for u1, v1, c1 in nonzeros(h.comult[k1]):
+            left = a_l.mul(
+                a_l.basis_vector(i1),
+                action.act(h.basis_vector(u1), a_l.basis_vector(i2)),
+            )
+            for u2, v2, c2 in nonzeros(h.comult[k2]):
+                midg = h.mul(h.basis_vector(v1), h.basis_vector(u2))
+                rightv = a_r.mul(
+                    act_right(a_r.basis_vector(j1), h.basis_vector(v2)),
+                    a_r.basis_vector(j2),
                 )
-                for u2, row2 in enumerate(dk2.data):
-                    for v2, c2 in enumerate(row2):
-                        if not c2:
+                cc = c1 * c2
+                for lpos, lx in enumerate(left):
+                    if not lx:
+                        continue
+                    for gpos, gx in enumerate(midg):
+                        if not gx:
                             continue
-                        midg = h.mul(h.basis_vector(v1), h.basis_vector(u2))
-                        rightv = a_r.mul(
-                            act_right(a_r.basis_vector(j1), h.basis_vector(v2)),
-                            a_r.basis_vector(j2),
-                        )
-                        cc = c1 * c2
-                        for lpos, lx in enumerate(left):
-                            if not lx:
-                                continue
-                            for gpos, gx in enumerate(midg):
-                                if not gx:
-                                    continue
-                                w = cc * lx * gx
-                                for rpos, rx in enumerate(rightv):
-                                    if rx:
-                                        acc[idx(lpos, gpos, rpos)] += w * rx
+                        w = cc * lx * gx
+                        for rpos, rx in enumerate(rightv):
+                            if rx:
+                                acc[idx(lpos, gpos, rpos)] += w * rx
         return tuple(acc)
 
     mult = [[None] * dim for _ in range(dim)]
@@ -822,7 +812,7 @@ def two_sided_crossed_product(
     comult = []
     for t in range(dim):
         i, k, j = _unidx(t, dg, dr)
-        acc = [[QZERO] * dim for _ in range(dim)]
+        acc = [{} for _ in range(dim)]
         for (k1, k2, k3), ck in h.iterated_delta(h.basis_vector(k), 2).items():
             for jp in range(dr):
                 for kp in range(dl):
@@ -831,10 +821,12 @@ def two_sided_crossed_product(
                         continue
                     second_l = action.act(h.basis_vector(k2), a_l.basis_vector(kp))
                     cc = ck * c
+                    row = acc[idx(i, k1, jp)]
                     for lx, xv in enumerate(second_l):
                         if xv:
-                            acc[idx(i, k1, jp)][idx(lx, k3, j)] += cc * xv
-        comult.append(Matrix(acc))
+                            key = idx(lx, k3, j)
+                            row[key] = row.get(key, QZERO) + cc * xv
+        comult.append(Matrix._of_dicts(acc, dim))
     counit = []
     for t in range(dim):
         i, k, j = _unidx(t, dg, dr)
@@ -925,12 +917,13 @@ def ad_crossed_product(gp: GroupPresentation, subgroup):
     comult = []
     for hi in range(nh):
         for gi in range(ng):
-            acc = [[QZERO] * dim for _ in range(dim)]
+            acc = [{} for _ in range(dim)]
             for k in subgroup:
                 left_h = gp.table[subgroup[hi]][gp.inv(k)]
-                left_g = gp.table[k][gi]
-                acc[idx(hindex[left_h], left_g)][idx(hindex[k], gi)] += inv_h
-            comult.append(Matrix(acc))
+                row = acc[idx(hindex[left_h], gp.table[k][gi])]
+                col = idx(hindex[k], gi)
+                row[col] = row.get(col, QZERO) + inv_h
+            comult.append(Matrix._of_dicts(acc, dim))
     counit = [lam[hi] for hi in range(nh) for gi in range(ng)]
     labels = [
         "%s|%s" % (gp.labels[subgroup[hi]], gp.labels[gi])

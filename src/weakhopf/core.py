@@ -50,32 +50,38 @@ class AlgebraDataError(Exception):
     """
 
 
+def _shaped(x, n, what):
+    """x, which must be a list or tuple of length n."""
+    if not isinstance(x, (list, tuple)) or len(x) != n:
+        raise AlgebraDataError("%s has wrong shape" % what)
+    return x
+
+
 def _as_mult_tensor(dim, mult):
-    if len(mult) != dim or any(len(r) != dim for r in mult):
-        raise AlgebraDataError("mult tensor has wrong shape")
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            entry = vec(mult[i][j])
-            if len(entry) != dim:
-                raise AlgebraDataError("mult tensor has wrong width at (%d,%d)" % (i, j))
-            row.append(entry)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(
+            vec(_shaped(ij, dim, "mult tensor at (%d,%d)" % (i, j)))
+            for j, ij in enumerate(_shaped(row, dim, "mult tensor"))
+        )
+        for i, row in enumerate(_shaped(mult, dim, "mult tensor"))
+    )
 
 
 def _as_comult_tensor(dim, comult):
-    if len(comult) != dim:
-        raise AlgebraDataError("comult tensor has wrong shape")
     out = []
-    for k in range(dim):
-        m = comult[k]
-        rows = m.data if isinstance(m, Matrix) else m
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise AlgebraDataError("comult slice %d has wrong shape" % k)
-        out.append(m if isinstance(m, Matrix) else Matrix(m))
+    for k, m in enumerate(_shaped(comult, dim, "comult tensor")):
+        what = "comult slice %d" % k
+        if not isinstance(m, Matrix):
+            m = Matrix([_shaped(r, dim, what) for r in _shaped(m, dim, what)])
+        elif (m.rows, m.cols) != (dim, dim):
+            raise AlgebraDataError("%s has wrong shape" % what)
+        out.append(m)
     return tuple(out)
+
+
+def _combination(coeffs, mats, n):
+    """The n x n matrix sum c M over coefficients paired with matrices."""
+    return linear_combination(((c, nonzeros(m)) for c, m in zip(coeffs, mats) if c), n, n)
 
 
 class _IntegerTables(NamedTuple):
@@ -289,7 +295,7 @@ class WeakBialgebra:
         return tuple(acc)
 
     def delta(self, a):
-        return linear_combination(zip(a, self._comult_nonzeros), self.dim, self.dim)
+        return _combination(a, self.comult, self.dim)
 
     def eps(self, a):
         return vdot(a, self.counit)
@@ -300,42 +306,24 @@ class WeakBialgebra:
     @cached_property
     def left_mult(self):
         """L_i with (L_i)[k][j] = coefficient of e_k in e_i e_j."""
-        n = self.dim
+        # row j of the transpose of L_i lists the nonzeros of e_i e_j
         return tuple(
-            Matrix._of_fractions(
-                [[self.mult[i][j][k] for j in range(n)] for k in range(n)], n
-            )
-            for i in range(n)
+            Matrix._of_sparse(row, self.dim).transpose() for row in self._mult_nonzeros
         )
 
     @cached_property
     def right_mult(self):
         """R_j with (R_j)[k][i] = coefficient of e_k in e_i e_j."""
-        n = self.dim
         return tuple(
-            Matrix._of_fractions(
-                [[self.mult[i][j][k] for i in range(n)] for k in range(n)], n
-            )
-            for j in range(n)
+            Matrix._of_sparse(col, self.dim).transpose()
+            for col in zip(*self._mult_nonzeros)
         )
 
-    @cached_property
-    def _comult_nonzeros(self):
-        return tuple(nonzeros(m) for m in self.comult)
-
-    @cached_property
-    def _left_mult_nonzeros(self):
-        return tuple(nonzeros(m) for m in self.left_mult)
-
-    @cached_property
-    def _right_mult_nonzeros(self):
-        return tuple(nonzeros(m) for m in self.right_mult)
-
     def left_mult_of(self, a):
-        return linear_combination(zip(a, self._left_mult_nonzeros), self.dim, self.dim)
+        return _combination(a, self.left_mult, self.dim)
 
     def right_mult_of(self, a):
-        return linear_combination(zip(a, self._right_mult_nonzeros), self.dim, self.dim)
+        return _combination(a, self.right_mult, self.dim)
 
     # canonical actions of the algebra on its dual
     def act_left(self, a, phi):
@@ -351,11 +339,10 @@ class WeakBialgebra:
     # ------------------------------------------------------------------
 
     def t2_mul(self, X: Matrix, Y: Matrix) -> Matrix:
-        n = self.dim
-        rows = [[QZERO] * n for _ in range(n)]
+        rows = [{} for _ in range(self.dim)]
         for (u, v), x in _t2_terms(self._mult_nonzeros, nonzeros(X), nonzeros(Y)).items():
             rows[u][v] = x
-        return Matrix._of_fractions(rows, n)
+        return Matrix._of_dicts(rows, self.dim)
 
     @cached_property
     def delta1(self) -> Matrix:
@@ -375,10 +362,9 @@ class WeakBialgebra:
     def delta_at(self, tensor, leg):
         """Apply the coproduct to one leg of a sparse tensor {legs: coefficient}."""
         out = {}
-        comult = self._comult_nonzeros
         for key, c in tensor.items():
             head, tail = key[:leg], key[leg + 1 :]
-            for i, j, e in comult[key[leg]]:
+            for i, j, e in nonzeros(self.comult[key[leg]]):
                 new = head + (i, j) + tail
                 val = c * e
                 prev = out.get(new)
@@ -437,7 +423,7 @@ class WeakBialgebra:
     @cached_property
     def _integer_tables(self) -> _IntegerTables:
         """The structure constants with denominators cleared, once per instance."""
-        comult = self._comult_nonzeros
+        comult = [nonzeros(m) for m in self.comult]
         d_c = _denominator_lcm(c for nz in comult for _, _, c in nz)
         d_e = _denominator_lcm(self.counit)
         return _integer_algebra_tables(self)._replace(
@@ -510,15 +496,13 @@ class WeakBialgebra:
     def dual(self) -> "WeakBialgebra":
         """Dual weak bialgebra on the dual basis."""
         n = self.dim
-        mult = [
-            [[self.comult[k][i, j] for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
+        mult = [[[QZERO] * n for _ in range(n)] for _ in range(n)]
+        for k, m in enumerate(self.comult):
+            for i, j, c in nonzeros(m):
+                mult[i][j][k] = c
+        # row i of the k-th slice is row k of L_i: the e_k-coefficients of e_i e_j
         comult = [
-            Matrix._of_fractions(
-                [[self.mult[i][j][k] for j in range(n)] for i in range(n)], n
-            )
-            for k in range(n)
+            Matrix._of_sparse((m.sparse_rows[k] for m in self.left_mult), n) for k in range(n)
         ]
         labels = tuple(
             lb[:-1] if lb.endswith("^") else lb + "^" for lb in self.labels
@@ -601,31 +585,34 @@ class WeakBialgebra:
     def fixed_point_subalgebras(self):
         """Kernel presentations of the four fixed-point subalgebras."""
         n = self.dim
-        mult = self.mult
+        table = self._mult_nonzeros
         # Row (i, j), column k: the coefficient of e_i (x) e_j in Delta(e_k)
         # minus a product term that sums over Delta(1), so only the nonzero
         # entries of Delta(1) contribute.
-        base = [[self.comult[k][i, j] for k in range(n)] for i in range(n) for j in range(n)]
-        rows_ll, rows_lr, rows_rl, rows_rr = ([list(r) for r in base] for _ in range(4))
+        base = [{} for _ in range(n * n)]
+        for k, m in enumerate(self.comult):
+            for i, j, c in nonzeros(m):
+                base[i * n + j][k] = c
+        rows_ll, rows_lr, rows_rl, rows_rr = ([dict(r) for r in base] for _ in range(4))
+
+        def sub(row, k, x):
+            row[k] = row.get(k, QZERO) - x
+
         for u, v, c in nonzeros(self.delta1):
             for k in range(n):
-                for i, w in enumerate(mult[k][u]):
-                    if w:
-                        rows_ll[i * n + v][k] -= c * w
-                for i, w in enumerate(mult[u][k]):
-                    if w:
-                        rows_lr[i * n + v][k] -= c * w
-                for j, w in enumerate(mult[k][v]):
-                    if w:
-                        rows_rl[u * n + j][k] -= c * w
-                for j, w in enumerate(mult[v][k]):
-                    if w:
-                        rows_rr[u * n + j][k] -= c * w
+                for i, w in table[k][u]:
+                    sub(rows_ll[i * n + v], k, c * w)
+                for i, w in table[u][k]:
+                    sub(rows_lr[i * n + v], k, c * w)
+                for j, w in table[k][v]:
+                    sub(rows_rl[u * n + j], k, c * w)
+                for j, w in table[v][k]:
+                    sub(rows_rr[u * n + j], k, c * w)
         return {
-            ("L", "L"): kernel(Matrix._of_fractions(rows_ll, n)),
-            ("L", "R"): kernel(Matrix._of_fractions(rows_lr, n)),
-            ("R", "L"): kernel(Matrix._of_fractions(rows_rl, n)),
-            ("R", "R"): kernel(Matrix._of_fractions(rows_rr, n)),
+            ("L", "L"): kernel(Matrix._of_dicts(rows_ll, n)),
+            ("L", "R"): kernel(Matrix._of_dicts(rows_lr, n)),
+            ("R", "L"): kernel(Matrix._of_dicts(rows_rl, n)),
+            ("R", "R"): kernel(Matrix._of_dicts(rows_rr, n)),
         }
 
     @cached_property
@@ -634,8 +621,8 @@ class WeakBialgebra:
         rows = []
         for t in range(n):
             diff = self.left_mult[t] - self.right_mult[t]
-            rows.extend(diff.data)
-        return kernel(Matrix._of_fractions(rows, n))
+            rows.extend(diff.sparse_rows)
+        return kernel(Matrix._of_sparse(rows, n))
 
     @cached_property
     def center_l(self) -> Subspace:
@@ -792,12 +779,8 @@ def _first_monoidal_witness(algebra, right: bool):
     rhs = kept["g_dt_g"] if right else kept["g_d_g"]
     for i in range(n):
         for k in range(n):
-            a = lhs[k].row(i)
-            b = rhs[k].row(i)
-            if a != b:
-                for j in range(n):
-                    if a[j] != b[j]:
-                        return (i, k, j)
+            if lhs[k].sparse_rows[i] != rhs[k].sparse_rows[i]:
+                return (i, k, _first_difference(lhs[k], rhs[k], i))
     return None
 
 
@@ -811,11 +794,15 @@ def _first_comonoidal_witness(algebra, right: bool):
     return None
 
 
+def _first_difference(a: Matrix, b: Matrix, i):
+    """The first column where row i of a and row i of b differ."""
+    return next(j for j, (x, y) in enumerate(zip(a.row(i), b.row(i))) if x != y)
+
+
 def _first_matrix_witness(a: Matrix, b: Matrix):
     for i in range(a.rows):
-        for j in range(a.cols):
-            if a[i, j] != b[i, j]:
-                return (i, j)
+        if a.sparse_rows[i] != b.sparse_rows[i]:
+            return (i, _first_difference(a, b, i))
     return None
 
 
@@ -1052,7 +1039,7 @@ def _counit_absorption_identities(algebra) -> bool:
             sums = {key: [] for key in ("l1", "r1", "l2", "r2", "l3", "r3", "l4", "r4")}
             # u is the first coproduct leg of e_s, v the second; eps(e_i e_j)
             # is g[i, j]
-            for u, v, c in algebra._comult_nonzeros[s]:
+            for u, v, c in nonzeros(algebra.comult[s]):
                 sums["l1"].append((c, algebra.mul(basis[v], p_ll[t][u])))
                 sums["r1"].append((c * g[t, u], basis[v]))
                 sums["l2"].append((c, algebra.mul(p_rr[v][t], basis[u])))
@@ -1261,16 +1248,16 @@ def _dual_action_operator(algebra, sigma, phi) -> Matrix:
     Delta(e_i); the other leg gives the row.
     """
     n = algebra.dim
-    rows = [[QZERO] * n for _ in range(n)]
-    for i, legs in enumerate(algebra._comult_nonzeros):
-        for u, v, c in legs:
+    rows = [{} for _ in range(n)]
+    for i, m in enumerate(algebra.comult):
+        for u, v, c in nonzeros(m):
             if sigma == "L":
-                x, row = phi[u], v
+                x, row = phi[u], rows[v]
             else:
-                x, row = phi[v], u
+                x, row = phi[v], rows[u]
             if x:
-                rows[row][i] += c * x
-    return Matrix._of_fractions(rows, n)
+                row[i] = row.get(i, QZERO) + c * x
+    return Matrix._of_dicts(rows, n)
 
 
 def _multiplier_realization(algebra) -> TheoremCheck:
@@ -1585,19 +1572,13 @@ def direct_sum(a: WeakBialgebra, b: WeakBialgebra) -> WeakBialgebra:
         for j in range(m):
             for k in range(m):
                 mult[n + i][n + j][n + k] = b.mult[i][j][k]
-    comult = []
-    for k in range(n):
-        rows = [[QZERO] * dim for _ in range(dim)]
-        for i in range(n):
-            for j in range(n):
-                rows[i][j] = a.comult[k][i, j]
-        comult.append(Matrix(rows))
-    for k in range(m):
-        rows = [[QZERO] * dim for _ in range(dim)]
-        for i in range(m):
-            for j in range(m):
-                rows[n + i][n + j] = b.comult[k][i, j]
-        comult.append(Matrix(rows))
+    comult = [Matrix._of_sparse(d.sparse_rows + ((),) * m, dim) for d in a.comult]
+    comult += [
+        Matrix._of_sparse(
+            ((),) * n + tuple(tuple((n + j, x) for j, x in r) for r in d.sparse_rows), dim
+        )
+        for d in b.comult
+    ]
     unit = list(a.unit) + list(b.unit)
     counit = list(a.counit) + list(b.counit)
     labels = tuple("l." + s for s in a.labels) + tuple("r." + s for s in b.labels)

@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream computes with `fractions.Fraction`, so every equality
-test in the package is exact.  Matrices are immutable (tuples of tuples) and
-all functions are pure.  Subspaces are stored through a canonical reduced
-row-echelon basis, so two subspaces are equal as sets iff their stored bases
-compare equal.
+test in the package is exact.  Matrices are immutable and sparse: they
+store their shape and, per row, the (column, value) pairs of the nonzero
+entries in column order, so no zero is ever stored and the arithmetic costs
+follow the nonzeros.  Dense rows, columns and entries are views derived from
+that storage.  Vectors are dense tuples.  All functions are pure.  Subspaces
+are stored through a canonical reduced row-echelon basis, so two subspaces
+are equal as sets iff their stored bases compare equal.
 
 Elimination is sparse: every solver runs one Gauss-Jordan pass over rows
 held as {column: value} dicts of their nonzeros, so its cost follows the
@@ -16,6 +19,7 @@ dense elimination gives.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -77,10 +81,6 @@ def vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vscale(c, a):
     if c == 0:
         return (QZERO,) * len(a)
@@ -96,47 +96,70 @@ def vdot(a, b):
 
 
 class Matrix:
-    """Immutable dense rational matrix."""
+    """Immutable sparse rational matrix: its shape and its nonzeros.
 
-    __slots__ = ("rows", "cols", "data")
+    sparse_rows holds one tuple per row of (column, value) pairs in
+    increasing column order, and no value is ever zero, so equal matrices
+    have equal storage and equal hashes.  data, row, col and m[i, j] are
+    dense views derived from that storage on every call.
+    """
+
+    __slots__ = ("rows", "cols", "sparse_rows")
 
     def __init__(self, data):
-        # a Fraction is immutable and needs no re-wrapping
-        rows = tuple(tuple(x if type(x) is Fraction else Q(x) for x in row) for row in data)
-        self.data = rows
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
+        rows = [vec(row) for row in data]
+        self._store(rows, len(rows[0]) if rows else 0)
+
+    def _store(self, rows, cols: int):
+        sparse = []
         for row in rows:
-            if len(row) != self.cols:
+            if len(row) != cols:
                 raise ValueError("ragged matrix rows")
+            sparse.append(tuple((j, x) for j, x in enumerate(row) if x))
+        self.sparse_rows = tuple(sparse)
+        self.rows = len(sparse)
+        self.cols = cols
 
     @staticmethod
     def _of_fractions(rows, cols: int) -> "Matrix":
-        """The matrix on rows whose entries are already Fractions.
+        """The matrix on dense rows whose entries are already Fractions.
 
         Internal: for results of Fraction arithmetic, which need no
         re-wrapping.  Rows must still all have length cols.
         """
         m = Matrix.__new__(Matrix)
-        m.data = data = tuple(map(tuple, rows))
-        m.rows = len(data)
-        m.cols = cols
-        for row in data:
-            if len(row) != cols:
-                raise ValueError("ragged matrix rows")
+        m._store(rows, cols)
         return m
 
     @staticmethod
+    def _of_sparse(rows, cols: int) -> "Matrix":
+        """The matrix on rows given as storage: (column, nonzero Fraction)
+        pairs in increasing column order.  Internal and unchecked."""
+        m = Matrix.__new__(Matrix)
+        m.sparse_rows = tuple(map(tuple, rows))
+        m.rows = len(m.sparse_rows)
+        m.cols = cols
+        return m
+
+    @staticmethod
+    def _of_dicts(rows, cols: int) -> "Matrix":
+        """The matrix on rows given as {column: Fraction} dicts; zero values
+        are dropped."""
+        return Matrix._of_sparse(
+            [tuple(sorted([p for p in row.items() if p[1]])) for row in rows], cols
+        )
+
+    @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix._of_fractions([(QZERO,) * cols] * rows, cols)
+        return Matrix._of_sparse(((),) * rows, cols)
 
     @staticmethod
     def _empty(cols: int) -> "Matrix":
-        return Matrix._of_fractions((), cols)
+        return Matrix._of_sparse((), cols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix._of_fractions([unit_vec(n, i) for i in range(n)], n)
+        return Matrix._of_sparse((((i, QONE),) for i in range(n)), n)
 
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> "Matrix":
@@ -164,35 +187,56 @@ class Matrix:
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.sparse_rows))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        row = self.sparse_rows[i]
+        j = range(self.cols)[j]
+        k = bisect_left(row, (j,))
+        return row[k][1] if k < len(row) and row[k][0] == j else QZERO
+
+    def _dense(self, pairs) -> tuple:
+        out = [QZERO] * self.cols
+        for j, x in pairs:
+            out[j] = x
+        return tuple(out)
+
+    @property
+    def data(self) -> tuple:
+        """The dense rows, as a tuple of tuples."""
+        return tuple(map(self._dense, self.sparse_rows))
 
     def row(self, i) -> tuple:
-        return self.data[i]
+        return self._dense(self.sparse_rows[i])
 
     def col(self, j) -> tuple:
-        return tuple(row[j] for row in self.data)
+        return tuple(self[i, j] for i in range(self.rows))
+
+    def _plus(self, other, sign, what):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in matrix %s" % what)
+        out = []
+        for row, orow in zip(self.sparse_rows, other.sparse_rows):
+            acc = dict(row)
+            for j, y in orow:
+                acc[j] = acc.get(j, QZERO) + sign * y
+            out.append(acc)
+        return Matrix._of_dicts(out, self.cols)
 
     def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix addition")
-        return Matrix._of_fractions(map(vadd, self.data, other.data), self.cols)
+        return self._plus(other, QONE, "addition")
 
     def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix subtraction")
-        return Matrix._of_fractions(map(vsub, self.data, other.data), self.cols)
+        return self._plus(other, -QONE, "subtraction")
 
     def __neg__(self):
-        return Matrix._of_fractions(
-            [tuple(-x for x in r) for r in self.data], self.cols
+        return Matrix._of_sparse(
+            (tuple((j, -x) for j, x in row) for row in self.sparse_rows), self.cols
         )
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -201,54 +245,46 @@ class Matrix:
                 "shape mismatch: (%d x %d) * (%d x %d)"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        # the nonzeros of each row of other, found once for the rows that
-        # self's nonzeros reach
-        data = other.data
-        reached = {}
+        right = other.sparse_rows
         out = []
-        for row in self.data:
-            acc = [QZERO] * other.cols
-            for k, c in enumerate(row):
-                if c:
-                    nz = reached.get(k)
-                    if nz is None:
-                        nz = reached[k] = [(j, v) for j, v in enumerate(data[k]) if v]
-                    for j, v in nz:
-                        acc[j] += c * v
+        for row in self.sparse_rows:
+            acc = {}
+            for k, c in row:
+                for j, v in right[k]:
+                    prev = acc.get(j)
+                    acc[j] = c * v if prev is None else prev + c * v
             out.append(acc)
-        return Matrix._of_fractions(out, other.cols)
+        return Matrix._of_dicts(out, other.cols)
 
     def apply(self, v) -> tuple:
         """Matrix times coordinate column, given and returned as a tuple."""
         if self.cols != len(v):
             raise ValueError("shape mismatch in matrix application")
-        vnz = [(j, x) for j, x in enumerate(v) if x]
         out = []
-        for row in self.data:
+        for row in self.sparse_rows:
             s = QZERO
-            for j, x in vnz:
-                c = row[j]
-                if c:
+            for j, c in row:
+                x = v[j]
+                if x:
                     s += c * x
             out.append(s)
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        if not self.rows:
-            return Matrix._of_fractions([()] * self.cols, 0)
-        return Matrix._of_fractions(zip(*self.data), self.rows)
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, x in row:
+                out[j].append((i, x))
+        return Matrix._of_sparse(out, self.rows)
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.data)
+        return not any(self.sparse_rows)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def flatten(self) -> tuple:
-        out = []
-        for row in self.data:
-            out.extend(row)
-        return tuple(out)
+        return tuple(x for row in self.data for x in row)
 
     def __repr__(self):
         body = "; ".join(" ".join(qstr(x) for x in row) for row in self.data)
@@ -257,9 +293,7 @@ class Matrix:
 
 def nonzeros(m: Matrix) -> tuple:
     """(row, column, value) of every nonzero entry of m, row by row."""
-    return tuple(
-        (i, j, x) for i, row in enumerate(m.data) for j, x in enumerate(row) if x
-    )
+    return tuple([(i, j, x) for i, row in enumerate(m.sparse_rows) for j, x in row])
 
 
 def outer_nonzeros(u, v) -> list:
@@ -270,12 +304,14 @@ def outer_nonzeros(u, v) -> list:
 
 def linear_combination(terms, rows: int, cols: int) -> Matrix:
     """sum c * M over (c, M) pairs, each M given by its nonzeros() triples."""
-    acc = [[QZERO] * cols for _ in range(rows)]
+    acc = [{} for _ in range(rows)]
     for c, nz in terms:
         if c:
             for i, j, x in nz:
-                acc[i][j] += c * x
-    return Matrix._of_fractions(acc, cols)
+                row = acc[i]
+                # starting from QZERO keeps int input out of the storage
+                row[j] = row.get(j, QZERO) + c * x
+    return Matrix._of_dicts(acc, cols)
 
 
 def vector_combination(terms, n: int) -> tuple:
@@ -292,10 +328,6 @@ def vector_combination(terms, n: int) -> tuple:
 def outer(u, v) -> Matrix:
     """The outer product u v^t: u (x) v as a tensor-square coefficient matrix."""
     return linear_combination([(QONE, outer_nonzeros(u, v))], len(u), len(v))
-
-
-def _sparse_row(v) -> dict:
-    return {j: x for j, x in enumerate(v) if x}
 
 
 def _reduce(row: dict, pivots: dict) -> dict:
@@ -354,16 +386,22 @@ def _eliminate(rows, width: int):
     return sorted(done.items())
 
 
+def _row_dicts(m: Matrix) -> list:
+    return [dict(row) for row in m.sparse_rows]
+
+
+def _rref_of(rows, cols: int) -> Matrix:
+    """The canonical RREF of sparse rows (consumed) as a Matrix."""
+    return Matrix._of_dicts((row for _, row in _eliminate(rows, cols)), cols)
+
+
 def rref(m: Matrix) -> Matrix:
     """Canonical reduced row-echelon form with zero rows dropped."""
-    red = _eliminate([_sparse_row(r) for r in m.data], m.cols)
-    return Matrix._of_fractions(
-        [[row.get(j, QZERO) for j in range(m.cols)] for _, row in red], m.cols
-    )
+    return _rref_of(_row_dicts(m), m.cols)
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate([_sparse_row(r) for r in m.data], m.cols))
+    return len(_eliminate(_row_dicts(m), m.cols))
 
 
 def inverse(m: Matrix) -> Matrix | None:
@@ -373,30 +411,28 @@ def inverse(m: Matrix) -> Matrix | None:
     n = m.rows
     if n == 0:
         return Matrix._empty(0)
-    aug = [_sparse_row(r) for r in m.data]
+    aug = _row_dicts(m)
     for i, row in enumerate(aug):
         row[n + i] = QONE
     red = _eliminate(aug, 2 * n)
     if [c for c, _ in red] != list(range(n)):
         return None
-    return Matrix._of_fractions(
-        [[row.get(n + j, QZERO) for j in range(n)] for _, row in red], n
+    return Matrix._of_dicts(
+        ({j - n: x for j, x in row.items() if j >= n} for _, row in red), n
     )
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with index convention (i, j) -> i * dim_b + j."""
-    out = []
-    for arow in a.data:
-        for brow in b.data:
-            line = []
-            for x in arow:
-                if x == 0:
-                    line.extend([QZERO] * len(brow))
-                else:
-                    line.extend([x * y for y in brow])
-            out.append(line)
-    return Matrix._of_fractions(out, a.cols * b.cols)
+    bc = b.cols
+    return Matrix._of_sparse(
+        (
+            tuple((i * bc + j, x * y) for i, x in arow for j, y in brow)
+            for arow in a.sparse_rows
+            for brow in b.sparse_rows
+        ),
+        a.cols * bc,
+    )
 
 
 @dataclass(frozen=True)
@@ -428,21 +464,21 @@ class Subspace:
 
     @cached_property
     def _pivot_rows(self) -> dict:
-        """The basis as sparse rows keyed by pivot column, in basis order."""
-        return {min(row): row for row in map(_sparse_row, self.basis.data)}
+        """The basis rows as dicts keyed by pivot column, in basis order."""
+        return {row[0][0]: dict(row) for row in self.basis.sparse_rows}
 
     def contains(self, v) -> bool:
         v = list(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong ambient dimension")
-        return not _reduce(_sparse_row(v), self._pivot_rows)
+        return self.coordinates(v) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis.data)
 
     def coordinates(self, v):
         """Coefficients of v in the stored basis, or None if v is outside."""
-        row = _sparse_row(vec(v))
+        row = {j: x for j, x in enumerate(vec(v)) if x}
         coeffs = tuple(row.get(pc, QZERO) for pc in self._pivot_rows)
         if _reduce(row, self._pivot_rows):
             return None
@@ -451,8 +487,9 @@ class Subspace:
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return row_space(
-            Matrix._of_fractions(self.basis.data + other.basis.data, self.ambient_dim)
+        return Subspace(
+            self.ambient_dim,
+            _rref_of(_row_dicts(self.basis) + _row_dicts(other.basis), self.ambient_dim),
         )
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -461,18 +498,19 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
-        # Solve x*B1 = y*B2: kernel of the matrix [B1^t | -B2^t].
-        b1t = self.basis.transpose()
-        b2t = other.basis.transpose()
-        cols = self.dim + other.dim
-        stacked = Matrix._of_fractions(
-            [r1 + tuple(-x for x in r2) for r1, r2 in zip(b1t.data, b2t.data)], cols
+        # Solve x*B1 = y*B2: kernel of the matrix [B1^t | -B2^t]; the
+        # intersection is spanned by the x*B1.
+        d = self.dim
+        b1t = self.basis.transpose().sparse_rows
+        b2t = other.basis.transpose().sparse_rows
+        stacked = Matrix._of_sparse(
+            (r1 + tuple((d + j, -x) for j, x in r2) for r1, r2 in zip(b1t, b2t)),
+            d + other.dim,
         )
-        vecs = [
-            vector_combination(zip(krow[: self.dim], self.basis.data), self.ambient_dim)
-            for krow in kernel(stacked).basis.data
-        ]
-        return row_space(Matrix._of_fractions(vecs, self.ambient_dim))
+        padded = Matrix._of_sparse(
+            self.basis.sparse_rows + ((),) * other.dim, self.ambient_dim
+        )
+        return row_space(kernel(stacked).basis * padded)
 
     def __contains__(self, v):
         return self.contains(v)
@@ -485,19 +523,17 @@ def _null_space(red, n: int) -> Subspace:
     column, minus that pivot row's entry in column f.
     """
     pivots = {c for c, _ in red}
-    free = {f: [QZERO] * n for f in range(n) if f not in pivots}
-    for f, v in free.items():
-        v[f] = QONE
+    free = {f: {f: QONE} for f in range(n) if f not in pivots}
     for pc, row in red:
         for j, x in row.items():
             if j in free:
                 free[j][pc] = -x
-    return row_space(Matrix._of_fractions(free.values(), n))
+    return Subspace(n, _rref_of(list(free.values()), n))
 
 
 def kernel(m: Matrix) -> Subspace:
     """Null space of m (solutions of m x = 0) as a canonical subspace."""
-    return _null_space(_eliminate([_sparse_row(r) for r in m.data], m.cols), m.cols)
+    return _null_space(_eliminate(_row_dicts(m), m.cols), m.cols)
 
 
 def image(m: Matrix) -> Subspace:
@@ -520,7 +556,7 @@ def solve_affine(a: Matrix, b):
     if a.rows != len(b):
         raise ValueError("right-hand side has wrong dimension")
     n = a.cols
-    aug = [_sparse_row(r) for r in a.data]
+    aug = _row_dicts(a)
     for row, bv in zip(aug, b):
         if bv:
             row[n] = bv

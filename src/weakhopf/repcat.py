@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .core import TheoremCheck, WeakBialgebra, decide_axioms
+from .core import TheoremCheck, WeakBialgebra, _combination, _summed, decide_axioms
 from .exactlin import (
     Matrix,
     QZERO,
@@ -47,12 +46,8 @@ class ModuleRep:
         rep.check()
         return rep
 
-    @cached_property
-    def _action_nonzeros(self):
-        return tuple(nonzeros(m) for m in self.action)
-
     def operator(self, a) -> Matrix:
-        return linear_combination(zip(a, self._action_nonzeros), self.dim, self.dim)
+        return _combination(a, self.action, self.dim)
 
     def check(self):
         alg = self.algebra
@@ -254,9 +249,8 @@ def coherence_maps(v: ModuleRep) -> CoherenceMaps:
         lrow = []
         rrow = []
         for op_l, op_r in zip(ops_l, ops_r):
-            for k in range(dv):
-                lrow.append(op_l[out, k])
-                rrow.append(op_r[out, k])
+            lrow.extend(op_l.row(out))
+            rrow.extend(op_r.row(out))
         lbar_rows.append(lrow)
         rbar_rows.append(rrow)
     l_bar = Matrix(lbar_rows)  # acts on E (x) V coordinates, phi-major
@@ -446,8 +440,7 @@ def end_of_unit(algebra: WeakBialgebra) -> EndOfUnitReport:
 def _coact_coeff(algebra, space, basis, src, dst, amb):
     """Coefficient of (basis dst) (x) e_amb in the coproduct of basis src."""
     db = algebra.delta(basis[src])
-    col = tuple(db[i, amb] for i in range(algebra.dim))
-    coords = space.coordinates(col)
+    coords = space.coordinates(db.col(amb))
     if coords is None:
         raise ValueError("coproduct does not restrict to the wedge comodule")
     return coords[dst]
@@ -480,62 +473,32 @@ class Comodule:
             row = self.coaction[v]
             if row.rows != self.dim or row.cols != n:
                 raise ValueError("coaction slice has wrong shape")
-            got = [QZERO] * self.dim
-            for w in range(self.dim):
-                for k in range(n):
-                    c = row[w, k]
-                    if c:
-                        got[w] += c * algebra.counit[k]
-            if tuple(got) != tuple(unit_vec(self.dim, v)):
+            got = _summed((w, c * algebra.counit[k]) for w, k, c in nonzeros(row))
+            if got != {v: 1}:
                 raise ValueError("coaction fails the counit law at %d" % v)
         for v in range(self.dim):
-            lhs = {}
-            for w in range(self.dim):
-                for k in range(n):
-                    c = self.coaction[v][w, k]
-                    if not c:
-                        continue
-                    for x in range(self.dim):
-                        for m in range(n):
-                            c2 = self.coaction[w][x, m]
-                            if c2:
-                                key = (x, m, k)
-                                val = lhs.get(key, QZERO) + c * c2
-                                if val:
-                                    lhs[key] = val
-                                else:
-                                    lhs.pop(key, None)
-            rhs = {}
-            for w in range(self.dim):
-                for k in range(n):
-                    c = self.coaction[v][w, k]
-                    if not c:
-                        continue
-                    for i, drow in enumerate(algebra.comult[k].data):
-                        for j, c2 in enumerate(drow):
-                            if c2:
-                                key = (w, i, j)
-                                val = rhs.get(key, QZERO) + c * c2
-                                if val:
-                                    rhs[key] = val
-                                else:
-                                    rhs.pop(key, None)
+            terms = nonzeros(self.coaction[v])
+            lhs = _summed(
+                ((x, m, k), c * c2)
+                for w, k, c in terms
+                for x, m, c2 in nonzeros(self.coaction[w])
+            )
+            rhs = _summed(
+                ((w, i, j), c * c2)
+                for w, k, c in terms
+                for i, j, c2 in nonzeros(algebra.comult[k])
+            )
             if lhs != rhs:
                 raise ValueError("coaction fails coassociativity at %d" % v)
 
     def to_dual_module(self) -> ModuleRep:
         dual = self.algebra.dual
-        mats = []
-        for k in range(dual.dim):
-            mats.append(
-                Matrix(
-                    [
-                        [self.coaction[v][w, k] for v in range(self.dim)]
-                        for w in range(self.dim)
-                    ]
-                )
-            )
-        return ModuleRep.build(dual, mats)
+        # row w of the k-th operator lists the f_v whose coaction has f_w (x) e_k
+        rows = [[[] for _ in range(self.dim)] for _ in range(dual.dim)]
+        for v, m in enumerate(self.coaction):
+            for w, k, c in nonzeros(m):
+                rows[k][w].append((v, c))
+        return ModuleRep.build(dual, [Matrix._of_sparse(r, self.dim) for r in rows])
 
 
 def regular_comodule(algebra: WeakBialgebra) -> Comodule:
@@ -579,86 +542,46 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
         """f_idx . m = f_(0) eps(f_(1) m)."""
         return com.coaction[idx].apply(algebra.act_left(m, algebra.counit))
 
+    def coaction_of(vector, com):
+        """The coaction of the element with coordinates vector, as a dict."""
+        return _summed(
+            ((x, k), c * cc)
+            for t, c in enumerate(vector)
+            if c
+            for x, k, cc in nonzeros(com.coaction[t])
+        )
+
     # bimodule compatibility of the coactions with the wedge actions
     bi_ok = True
+    mult = algebra.mult
+    e = algebra.basis_vector
     for m in rbasis:
-        dm = algebra.delta(m)
+        dm = nonzeros(algebra.delta(m))
         for idx in range(v.dim):
-            lhs = {}
-            acted = act_left(m, v, idx)
-            for t, c in enumerate(acted):
-                if c:
-                    row = v.coaction[t]
-                    for x in range(v.dim):
-                        for k in range(algebra.dim):
-                            cc = row[x, k]
-                            if cc:
-                                key = (x, k)
-                                lhs[key] = lhs.get(key, QZERO) + c * cc
-            rhs = {}
-            row = v.coaction[idx]
-            for x in range(v.dim):
-                for k in range(algebra.dim):
-                    c = row[x, k]
-                    if not c:
-                        continue
-                    for u, drow in enumerate(dm.data):
-                        for z, c2 in enumerate(drow):
-                            if not c2:
-                                continue
-                            # (m_(1) . f_x) (x) m_(2) e_k
-                            moved = act_left(algebra.basis_vector(u), v, x)
-                            prod = algebra.mult[z][k]
-                            for xx, c3 in enumerate(moved):
-                                if c3:
-                                    for kk, c4 in enumerate(prod):
-                                        if c4:
-                                            key = (xx, kk)
-                                            val = rhs.get(key, QZERO) + c * c2 * c3 * c4
-                                            if val:
-                                                rhs[key] = val
-                                            else:
-                                                rhs.pop(key, None)
-            if lhs != {k: val for k, val in rhs.items() if val}:
+            terms = nonzeros(v.coaction[idx])
+            # (m_(1) . f_x) (x) m_(2) e_k over the coaction f_x (x) e_k of f_idx
+            rhs = _summed(
+                ((xx, kk), c * c2 * c3 * c4)
+                for x, k, c in terms
+                for u, z, c2 in dm
+                for xx, c3 in enumerate(act_left(e(u), v, x))
+                if c3
+                for kk, c4 in enumerate(mult[z][k])
+                if c4
+            )
+            if coaction_of(act_left(m, v, idx), v) != rhs:
                 bi_ok = False
             # mirror: the right action moves through the second coproduct leg
-            lhs_r = {}
-            acted_r = act_right(v, idx, m)
-            for t, c in enumerate(acted_r):
-                if c:
-                    row = v.coaction[t]
-                    for x in range(v.dim):
-                        for k in range(algebra.dim):
-                            cc = row[x, k]
-                            if cc:
-                                key = (x, k)
-                                lhs_r[key] = lhs_r.get(key, QZERO) + c * cc
-            rhs_r = {}
-            row = v.coaction[idx]
-            for x in range(v.dim):
-                for k in range(algebra.dim):
-                    c = row[x, k]
-                    if not c:
-                        continue
-                    for u, drow in enumerate(dm.data):
-                        for z, c2 in enumerate(drow):
-                            if not c2:
-                                continue
-                            moved = act_right(v, x, algebra.basis_vector(u))
-                            prod = algebra.mul(
-                                algebra.basis_vector(k), algebra.basis_vector(z)
-                            )
-                            for xx, c3 in enumerate(moved):
-                                if c3:
-                                    for kk, c4 in enumerate(prod):
-                                        if c4:
-                                            key = (xx, kk)
-                                            val = rhs_r.get(key, QZERO) + c * c2 * c3 * c4
-                                            if val:
-                                                rhs_r[key] = val
-                                            else:
-                                                rhs_r.pop(key, None)
-            if lhs_r != {k: val for k, val in rhs_r.items() if val}:
+            rhs_r = _summed(
+                ((xx, kk), c * c2 * c3 * c4)
+                for x, k, c in terms
+                for u, z, c2 in dm
+                for xx, c3 in enumerate(act_right(v, x, e(u)))
+                if c3
+                for kk, c4 in enumerate(mult[k][z])
+                if c4
+            )
+            if coaction_of(act_right(v, idx, m), v) != rhs_r:
                 bi_ok = False
     checks.append(TheoremCheck("coaction-bimodule-compatibility", True, bi_ok))
 
@@ -696,47 +619,27 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
                 if any(vecr):
                     rel.append(tuple(vecr))
     relspace = Subspace.from_spanning(rel, plain)
-    pivots = set()
-    for row in relspace.basis.data:
-        pivots.add(next(c for c, x in enumerate(row) if x))
+    pivots = {row[0][0] for row in relspace.basis.sparse_rows}
     free = [c for c in range(plain) if c not in pivots]
 
     def reduce_vec(vecr):
         vecr = list(vecr)
-        for row in relspace.basis.data:
-            pc = next(c for c, x in enumerate(row) if x)
-            f = vecr[pc]
+        for row in relspace.basis.sparse_rows:
+            f = vecr[row[0][0]]
             if f:
-                vecr = [p - f * q for p, q in zip(vecr, row)]
+                for c, x in row:
+                    vecr[c] -= f * x
         return tuple(vecr[c] for c in free)
 
     def plain_coaction(a, b):
         """Coaction of f_a (x) g_b on the plain tensor."""
-        out = {}
-        rowa = v.coaction[a]
-        rowb = w.coaction[b]
-        for x in range(v.dim):
-            for k in range(algebra.dim):
-                c1 = rowa[x, k]
-                if not c1:
-                    continue
-                for y in range(w.dim):
-                    for m in range(algebra.dim):
-                        c2 = rowb[y, m]
-                        if not c2:
-                            continue
-                        prod = algebra.mul(
-                            algebra.basis_vector(k), algebra.basis_vector(m)
-                        )
-                        for kk, c3 in enumerate(prod):
-                            if c3:
-                                key = (x * w.dim + y, kk)
-                                val = out.get(key, QZERO) + c1 * c2 * c3
-                                if val:
-                                    out[key] = val
-                                else:
-                                    out.pop(key, None)
-        return out
+        return _summed(
+            ((x * w.dim + y, kk), c1 * c2 * c3)
+            for x, k, c1 in nonzeros(v.coaction[a])
+            for y, m, c2 in nonzeros(w.coaction[b])
+            for kk, c3 in enumerate(mult[k][m])
+            if c3
+        )
 
     qdim = len(free)
     amalg_coaction = [Matrix.zero(qdim, algebra.dim) for _ in range(qdim)]
@@ -805,31 +708,15 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
     bwd = Matrix.from_columns(bwd_cols, tdim)
     iso_ok = fwd * bwd == Matrix.identity(qdim) and bwd * fwd == Matrix.identity(tdim)
     # the forward map is a comodule morphism
-    morph_ok = True
-    for t in range(tdim):
-        lhs = {}
-        for x in range(qdim):
-            for k in range(algebra.dim):
-                c = amalg_coaction_entry(amalgamated, t, x, k, fwd)
-                if c:
-                    lhs[(x, k)] = c
-        rhs = {}
-        for x in range(tdim):
-            for k in range(algebra.dim):
-                c = truncated.coaction[t][x, k]
-                if not c:
-                    continue
-                col = fwd.col(x)
-                for y, c2 in enumerate(col):
-                    if c2:
-                        key = (y, k)
-                        val = rhs.get(key, QZERO) + c * c2
-                        if val:
-                            rhs[key] = val
-                        else:
-                            rhs.pop(key, None)
-        if {k: val for k, val in lhs.items() if val} != rhs:
-            morph_ok = False
+    morph_ok = all(
+        linear_combination(
+            ((c, nonzeros(m)) for c, m in zip(fwd.col(t), amalgamated.coaction) if c),
+            qdim,
+            algebra.dim,
+        )
+        == fwd * truncated.coaction[t]
+        for t in range(tdim)
+    )
     checks.append(TheoremCheck("amalgamated-truncated-isomorphism", True, iso_ok and morph_ok))
     return ComoduleTensorReport(
         amalgamated=amalgamated,
@@ -840,24 +727,9 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
     )
 
 
-def amalg_coaction_entry(amalgamated, t, x, k, fwd):
-    """Coefficient of (quotient x) (x) e_k in the coaction of fwd column t."""
-    s = QZERO
-    col = fwd.col(t)
-    for src, c in enumerate(col):
-        if c:
-            s += c * amalgamated.coaction[src][x, k]
-    return s
-
-
 # ----------------------------------------------------------------------
 # monoidal coherence suite
 # ----------------------------------------------------------------------
-
-
-def morphism_tensor_matrix(f: Matrix, g: Matrix, src: TruncatedTensor) -> Matrix:
-    """(f (x) g) applied to the truncated carrier, valued in ambient coords."""
-    return kron(f, g) * embedding(src)
 
 
 def monoidal_coherence_suite(v: ModuleRep, w: ModuleRep):
@@ -1061,8 +933,7 @@ def unit_representation_suite(algebra: WeakBialgebra):
             cols = []
             for b in space.basis.data:
                 db = algebra.delta(b)
-                moved = tuple(db[i, phi_idx] for i in range(algebra.dim))
-                coords = space.coordinates(moved)
+                coords = space.coordinates(db.col(phi_idx))
                 if coords is None:
                     raise ValueError("dual action does not preserve the right wedge")
                 cols.append(coords)

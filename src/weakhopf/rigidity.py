@@ -168,7 +168,7 @@ def _verification(algebra, s, alpha, beta) -> RigidityVerification:
         op = linear_combination(
             (
                 (c, nonzeros(left_of_s[u] * algebra.right_mult[v]))
-                for u, v, c in algebra._comult_nonzeros[t]
+                for u, v, c in nonzeros(algebra.comult[t])
             ),
             n,
             n,
@@ -181,7 +181,7 @@ def _verification(algebra, s, alpha, beta) -> RigidityVerification:
         op = linear_combination(
             (
                 (c, nonzeros(algebra.left_mult[u] * right_of_s[v]))
-                for u, v, c in algebra._comult_nonzeros[t]
+                for u, v, c in nonzeros(algebra.comult[t])
             ),
             n,
             n,
@@ -452,7 +452,7 @@ def _absorption_identities(algebra, s, alpha, beta) -> bool:
             n,
         )
         rhs2 = linear_combination(
-            ((c, outer_nonzeros(s.col(v), s.col(u))) for u, v, c in algebra._comult_nonzeros[t]),
+            ((c, outer_nonzeros(s.col(v), s.col(u))) for u, v, c in nonzeros(algebra.comult[t])),
             n,
             n,
         )
@@ -662,7 +662,9 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
 
     The transposed map together with the induced functionals is returned; the
     second functional is the counit itself, which normalizes onto the
-    canonical representative during verification.
+    canonical representative during verification.  A cross map whose
+    structure fails that verification raises ValueError, like the other
+    unusable inputs.
     """
     b.require_valid()
     report = decide_axioms(b)
@@ -733,7 +735,7 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
     )
     check = verify_rigidity(dual, structure)
     if check.status in ("failed", "pre_rigid"):
-        raise SelfCheckError("constructed structure failed rigidity verification")
+        raise ValueError("constructed structure failed rigidity verification")
     structure.status = check.status
     return structure
 

@@ -85,8 +85,18 @@ _GOOD_COMULT = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
         ([[[1, 0], [0, 1]], [[0, 1]]], _GOOD_COMULT),
         # a ragged comult slice
         (_GOOD_MULT, [[[1, 0], [0, 0]], [[0, 0], [1]]]),
+        # a mult tensor nested one level too shallow
+        ([[1, 0], [0, 1]], _GOOD_COMULT),
+        # a comult given as one 2x2 matrix
+        (_GOOD_MULT, [[1, 0], [0, 1]]),
     ],
-    ids=["short-mult-tensor", "short-mult-row", "ragged-comult-slice"],
+    ids=[
+        "short-mult-tensor",
+        "short-mult-row",
+        "ragged-comult-slice",
+        "shallow-mult-tensor",
+        "shallow-comult-tensor",
+    ],
 )
 def test_malformed_tensors_are_structural_faults(mult, comult):
     WeakBialgebra(2, _GOOD_MULT, [1, 0], _GOOD_COMULT, [1, 1])

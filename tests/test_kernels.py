@@ -267,7 +267,7 @@ def fraction_violations(self):
             bad.append(("coassociativity", (k,)))
             break
     done = False
-    comult = self._comult_nonzeros
+    comult = tuple(nonzeros(m) for m in self.comult)
     for i in range(n):
         if done:
             break

@@ -256,6 +256,13 @@ def test_dual_rigidity_rejects_non_bijective_cross_map(entries):
         dual_rigidity_structure(base, Matrix([[1, 0, 0], [1, 0, 0], [0, 0, 1]]))
 
 
+def test_dual_rigidity_rejects_cross_map_that_fails_verification(entries):
+    # a bijection whose constructed structure is not rigid is an input fault
+    base = entries["example1"].algebra
+    with pytest.raises(ValueError, match="failed rigidity verification"):
+        dual_rigidity_structure(base, Matrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
+
+
 def test_dual_rigidity_needs_minimal_comonoidal(entries):
     with pytest.raises(ValueError):
         dual_rigidity_structure(entries["group:z2"].algebra, Matrix.identity(1))

@@ -180,7 +180,7 @@ def _counit_absorption_identities(algebra) -> bool:
         for t in range(n):
             sums = {key: [] for key in ("l1", "r1", "l2", "r2", "l3", "r3", "l4", "r4")}
             # u is the first coproduct leg of e_s, v the second
-            for u, v, c in algebra._comult_nonzeros[s]:
+            for u, v, c in nonzeros(algebra.comult[s]):
                 tu = mult[t][u]
                 ut = mult[u][t]
                 vt = mult[v][t]
@@ -471,7 +471,7 @@ def convolve(algebra: WeakBialgebra, s: Matrix, t: Matrix) -> Matrix:
         vector_combination(
             ((c, algebra.mul(s_cols[u], t_cols[v])) for u, v, c in legs), n
         )
-        for legs in algebra._comult_nonzeros
+        for legs in map(nonzeros, algebra.comult)
     ]
     return Matrix.from_columns(cols, n)
 
@@ -1001,7 +1001,7 @@ def verify_rigidity(algebra: WeakBialgebra, r: RigidityStructure) -> RigidityVer
         op = linear_combination(
             (
                 (c, nonzeros(algebra.left_mult_of(s.col(u)) * algebra.right_mult[v]))
-                for u, v, c in algebra._comult_nonzeros[t]
+                for u, v, c in nonzeros(algebra.comult[t])
             ),
             n,
             n,
@@ -1014,7 +1014,7 @@ def verify_rigidity(algebra: WeakBialgebra, r: RigidityStructure) -> RigidityVer
         op = linear_combination(
             (
                 (c, nonzeros(algebra.left_mult[u] * algebra.right_mult_of(s.col(v))))
-                for u, v, c in algebra._comult_nonzeros[t]
+                for u, v, c in nonzeros(algebra.comult[t])
             ),
             n,
             n,
