@@ -21,6 +21,7 @@ from .exactlin import (
     nonzeros,
     outer,
     outer_nonzeros,
+    particular_solution,
     rank,
     solve_affine,
     vdot,
@@ -205,10 +206,9 @@ def solve_antipode(algebra: WeakBialgebra) -> AntipodeStatus:
     algebra.require_valid()
     n = algebra.dim
     system, rhs = _antipode_system(algebra)
-    sol = solve_affine(system, rhs)
-    if sol is None:
+    particular = particular_solution(system, rhs)
+    if particular is None:
         return AntipodeStatus(kind="none", matrix=None)
-    particular, _ = sol
     s = normalize_pre_antipode(algebra, _matrix_from_unknowns(particular, n))
     if not _pre_antipode_holds(algebra, s) or not _antipode_law_holds(algebra, s):
         raise SelfCheckError("normalized pre-antipode failed the antipode laws")

@@ -25,12 +25,15 @@ from .exactlin import (
     Q,
     QZERO,
     Subspace,
+    _unwrapped_nonzeros,
+    _wrap_all,
     image,
     inverse,
     kernel,
     linear_combination,
     nonzeros,
     outer,
+    outer_nonzeros,
     qstr,
     rank,
     row_space,
@@ -38,7 +41,6 @@ from .exactlin import (
     vadd,
     vdot,
     vec,
-    vector_combination,
     vscale,
 )
 
@@ -282,17 +284,21 @@ class WeakBialgebra:
         )
 
     def mul(self, a, b):
-        acc = [QZERO] * self.dim
-        table = self._mult_nonzeros
-        bnz = [(j, y) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if x:
-                row = table[i]
-                for j, y in bnz:
-                    xy = x * y
-                    for k, c in row[j]:
-                        acc[k] += xy * c
-        return tuple(acc)
+        # over the integer table: a b = (sum x y D_m c e_k) / D_m
+        tables = self._integer_tables
+        table = tables.mult
+        acc = [0] * self.dim
+        bnz = _unwrapped_nonzeros(b)
+        for i, x in _unwrapped_nonzeros(a):
+            row = table[i]
+            for j, y in bnz:
+                xy = x * y
+                for k, c in row[j]:
+                    acc[k] += xy * c
+        if tables.d_mult == 1:
+            return _wrap_all(acc)
+        inv = Q(1, tables.d_mult)
+        return tuple([s * inv if s else QZERO for s in acc])
 
     def delta(self, a):
         return _combination(a, self.comult, self.dim)
@@ -1024,33 +1030,40 @@ def _counit_absorption_identities(algebra) -> bool:
 
     Each identity sums over the coproduct legs of a, with b running over the
     basis: a_(2) proj_LL(b a_(1)) = a_(2) eps(b a_(1)) and its three mirrors.
+    Both sides are linear in b, so each identity is compared as an operator
+    on b, per basis element e_s: the sum of c L_v P_LL R_u over the nonzeros
+    (u, v, c) of Delta(e_s) against the sum of c e_v (x) g[:, u], where
+    eps(e_t e_u) is g[t, u]; the mirrors use the other three projections.
     """
     n = algebra.dim
     basis = [algebra.basis_vector(i) for i in range(n)]
-    mult = algebra.mult
-    g = algebra.gram
-    # each projected table product P(e_i e_j), once per (i, j)
-    p_ll, p_rr, p_lr, p_rl = (
-        [[proj.apply(ij) for ij in row] for row in mult]
-        for proj in (algebra.projection(*key) for key in ("LL", "RR", "LR", "RL"))
-    )
+    g_rows = algebra.gram.data
+    g_cols = algebra.gram.transpose().data
+    lm = algebra.left_mult
+    rm = algebra.right_mult
+    p_ll, p_rr, p_lr, p_rl = (algebra.projection(*key) for key in ("LL", "RR", "LR", "RL"))
+    # P R_u and P L_u, once per u
+    ll_r = [p_ll * r for r in rm]
+    rr_l = [p_rr * m for m in lm]
+    lr_l = [p_lr * m for m in lm]
+    rl_r = [p_rl * r for r in rm]
     for s in range(n):
-        for t in range(n):
-            sums = {key: [] for key in ("l1", "r1", "l2", "r2", "l3", "r3", "l4", "r4")}
-            # u is the first coproduct leg of e_s, v the second; eps(e_i e_j)
-            # is g[i, j]
-            for u, v, c in nonzeros(algebra.comult[s]):
-                sums["l1"].append((c, algebra.mul(basis[v], p_ll[t][u])))
-                sums["r1"].append((c * g[t, u], basis[v]))
-                sums["l2"].append((c, algebra.mul(p_rr[v][t], basis[u])))
-                sums["r2"].append((c * g[v, t], basis[u]))
-                sums["l3"].append((c, algebra.mul(p_lr[u][t], basis[v])))
-                sums["r3"].append((c * g[u, t], basis[v]))
-                sums["l4"].append((c, algebra.mul(basis[u], p_rl[t][v])))
-                sums["r4"].append((c * g[t, v], basis[u]))
-            for a, b in (("l1", "r1"), ("l2", "r2"), ("l3", "r3"), ("l4", "r4")):
-                if vector_combination(sums[a], n) != vector_combination(sums[b], n):
-                    return False
+        terms = nonzeros(algebra.comult[s])
+        # per identity, as functions of the legs (u, v) of a term: its
+        # operator on the left, and its rank-one operator on the right as
+        # (result vector, counit row)
+        for lhs, rhs in (
+            (lambda u, v: lm[v] * ll_r[u], lambda u, v: (basis[v], g_cols[u])),
+            (lambda u, v: rm[u] * rr_l[v], lambda u, v: (basis[u], g_rows[v])),
+            (lambda u, v: rm[v] * lr_l[u], lambda u, v: (basis[v], g_rows[u])),
+            (lambda u, v: lm[u] * rl_r[v], lambda u, v: (basis[u], g_cols[v])),
+        ):
+            left = linear_combination([(c, nonzeros(lhs(u, v))) for u, v, c in terms], n, n)
+            right = linear_combination(
+                [(c, outer_nonzeros(*rhs(u, v))) for u, v, c in terms], n, n
+            )
+            if left != right:
+                return False
     return True
 
 

@@ -1,7 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream computes with `fractions.Fraction`, so every equality
-test in the package is exact.  Matrices are immutable and sparse: they
+Every value this module stores or returns, and so every value the package
+passes around, is a `fractions.Fraction`, so every equality test in the
+package is exact.  Inside the kernel loops (matrix products and
+applications, linear and vector combinations, dot products and the
+elimination) an integral Fraction is held as its int: a kernel unwraps its
+operands on entry (`_unwrap`), computes in Python numbers, where int with
+int stays int and int with Fraction gives an exact Fraction, and wraps each
+output entry back into a Fraction once (`_wrap`; `Matrix._of_dicts` does it
+for matrices).  No division ever has an int numerator, so no float can
+appear.  Matrices are immutable and sparse: they
 store their shape and, per row, the (column, value) pairs of the nonzero
 entries in column order, so no zero is ever stored and the arithmetic costs
 follow the nonzeros.  Dense rows, columns and entries are views derived from
@@ -31,6 +39,43 @@ QZERO = Q(0)
 QONE = Q(1)
 
 _SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+# small nonzero integral Fractions, shared: wrapping one costs a lookup, and
+# equal entries are then one object, which tuple comparisons test first.
+# Zero always wraps to QZERO, which the zero tests below recognise by identity.
+_WRAPPED = {i: Q(i) for i in range(-256, 257) if i}
+_WRAPPED[1] = QONE
+
+
+def _unwrap(x):
+    """x as a kernel loop holds it: an integral Fraction becomes its int.
+
+    Anything else, a Fraction subclass included, passes through untouched.
+    """
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _wrap(x):
+    """A kernel's loop-local number back as the Fraction it stands for."""
+    if type(x) is not int:
+        return x
+    return _WRAPPED.get(x) or Q(x) if x else QZERO
+
+
+def _wrap_all(values) -> tuple:
+    # _wrap, inlined
+    return tuple(
+        [(_WRAPPED.get(x) or Q(x) if x else QZERO) if type(x) is int else x for x in values]
+    )
+
+
+def _unwrapped_nonzeros(v) -> list:
+    """(index, unwrapped value) of each nonzero entry of the vector v."""
+    return [
+        (j, x.numerator if type(x) is Fraction and x.denominator == 1 else x)
+        for j, x in enumerate(v)
+        if x is not QZERO and x
+    ]
 
 
 def qstr(x: Fraction) -> str:
@@ -88,11 +133,11 @@ def vscale(c, a):
 
 
 def vdot(a, b):
-    s = QZERO
+    s = 0
     for x, y in zip(a, b):
-        if x and y:
-            s += x * y
-    return s
+        if x is not QZERO and y is not QZERO and x and y:
+            s += _unwrap(x) * _unwrap(y)
+    return _wrap(s)
 
 
 class Matrix:
@@ -143,11 +188,16 @@ class Matrix:
 
     @staticmethod
     def _of_dicts(rows, cols: int) -> "Matrix":
-        """The matrix on rows given as {column: Fraction} dicts; zero values
-        are dropped."""
-        return Matrix._of_sparse(
-            [tuple(sorted([p for p in row.items() if p[1]])) for row in rows], cols
-        )
+        """The matrix on rows given as {column: value} dicts of kernel
+        numbers (ints or Fractions); zero values are dropped and the others
+        wrapped into Fractions."""
+        out = []
+        for row in rows:
+            # _wrap, inlined: x is nonzero
+            pairs = [(j, _WRAPPED.get(x) or Q(x) if type(x) is int else x) for j, x in row.items() if x]
+            pairs.sort()
+            out.append(pairs)
+        return Matrix._of_sparse(out, cols)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
@@ -246,11 +296,21 @@ class Matrix:
                 % (self.rows, self.cols, other.rows, other.cols)
             )
         right = other.sparse_rows
+        # the rows of other that some nonzero of self reaches, unwrapped once
+        reached = {}
         out = []
         for row in self.sparse_rows:
             acc = {}
             for k, c in row:
-                for j, v in right[k]:
+                rk = reached.get(k)
+                if rk is None:
+                    rk = reached[k] = [
+                        (j, v.numerator if type(v) is Fraction and v.denominator == 1 else v)
+                        for j, v in right[k]
+                    ]
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
+                for j, v in rk:
                     prev = acc.get(j)
                     acc[j] = c * v if prev is None else prev + c * v
             out.append(acc)
@@ -260,15 +320,18 @@ class Matrix:
         """Matrix times coordinate column, given and returned as a tuple."""
         if self.cols != len(v):
             raise ValueError("shape mismatch in matrix application")
+        vals = [0] * len(v)
+        for j, x in _unwrapped_nonzeros(v):
+            vals[j] = x
         out = []
         for row in self.sparse_rows:
-            s = QZERO
+            s = 0
             for j, c in row:
-                x = v[j]
+                x = vals[j]
                 if x:
-                    s += c * x
+                    s += (c.numerator if type(c) is Fraction and c.denominator == 1 else c) * x
             out.append(s)
-        return tuple(out)
+        return _wrap_all(out)
 
     def transpose(self) -> "Matrix":
         out = [[] for _ in range(self.cols)]
@@ -307,22 +370,22 @@ def linear_combination(terms, rows: int, cols: int) -> Matrix:
     acc = [{} for _ in range(rows)]
     for c, nz in terms:
         if c:
+            c = _unwrap(c)
             for i, j, x in nz:
                 row = acc[i]
-                # starting from QZERO keeps int input out of the storage
-                row[j] = row.get(j, QZERO) + c * x
+                row[j] = row.get(j, 0) + c * _unwrap(x)
     return Matrix._of_dicts(acc, cols)
 
 
 def vector_combination(terms, n: int) -> tuple:
     """sum c * v over (c, v) pairs of a scalar and a length-n vector."""
-    acc = [QZERO] * n
+    acc = [0] * n
     for c, v in terms:
         if c:
-            for i, x in enumerate(v):
-                if x:
-                    acc[i] += c * x
-    return tuple(acc)
+            c = _unwrap(c)
+            for i, x in _unwrapped_nonzeros(v):
+                acc[i] += c * x
+    return _wrap_all(acc)
 
 
 def outer(u, v) -> Matrix:
@@ -376,7 +439,7 @@ def _eliminate(rows, width: int):
         pv = row[c]
         if pv != 1:
             inv = QONE / pv
-            row = {j: x * inv for j, x in row.items()}
+            row = {j: _unwrap(x * inv) for j, x in row.items()}
         pivots[c] = row
         if len(pivots) == width:
             break
@@ -387,7 +450,8 @@ def _eliminate(rows, width: int):
 
 
 def _row_dicts(m: Matrix) -> list:
-    return [dict(row) for row in m.sparse_rows]
+    """The rows of m as {column: value} dicts of unwrapped kernel numbers."""
+    return [{j: _unwrap(x) for j, x in row} for row in m.sparse_rows]
 
 
 def _rref_of(rows, cols: int) -> Matrix:
@@ -413,7 +477,7 @@ def inverse(m: Matrix) -> Matrix | None:
         return Matrix._empty(0)
     aug = _row_dicts(m)
     for i, row in enumerate(aug):
-        row[n + i] = QONE
+        row[n + i] = 1
     red = _eliminate(aug, 2 * n)
     if [c for c, _ in red] != list(range(n)):
         return None
@@ -464,8 +528,9 @@ class Subspace:
 
     @cached_property
     def _pivot_rows(self) -> dict:
-        """The basis rows as dicts keyed by pivot column, in basis order."""
-        return {row[0][0]: dict(row) for row in self.basis.sparse_rows}
+        """The basis rows as dicts of unwrapped kernel numbers, keyed by
+        pivot column, in basis order."""
+        return {row[0][0]: {j: _unwrap(x) for j, x in row} for row in self.basis.sparse_rows}
 
     def contains(self, v) -> bool:
         v = list(v)
@@ -478,8 +543,8 @@ class Subspace:
 
     def coordinates(self, v):
         """Coefficients of v in the stored basis, or None if v is outside."""
-        row = {j: x for j, x in enumerate(vec(v)) if x}
-        coeffs = tuple(row.get(pc, QZERO) for pc in self._pivot_rows)
+        row = {j: _unwrap(x) for j, x in enumerate(vec(v)) if x}
+        coeffs = _wrap_all([row.get(pc, 0) for pc in self._pivot_rows])
         if _reduce(row, self._pivot_rows):
             return None
         return coeffs
@@ -523,7 +588,7 @@ def _null_space(red, n: int) -> Subspace:
     column, minus that pivot row's entry in column f.
     """
     pivots = {c for c, _ in red}
-    free = {f: {f: QONE} for f in range(n) if f not in pivots}
+    free = {f: {f: 1} for f in range(n) if f not in pivots}
     for pc, row in red:
         for j, x in row.items():
             if j in free:
@@ -545,12 +610,11 @@ def row_space(m: Matrix) -> Subspace:
     return Subspace(m.cols, rref(m))
 
 
-def solve_affine(a: Matrix, b):
-    """Solve a x = b exactly.
+def _solve(a: Matrix, b):
+    """Eliminate [a | b] once.
 
-    Returns (particular, kernel_subspace) or None when b is outside the
-    column space.  The particular solution sets every free variable to zero,
-    so it is deterministic.
+    Returns the RREF pairs and the particular solution that sets every free
+    variable to zero, or None when b is outside the column space.
     """
     b = vec(b)
     if a.rows != len(b):
@@ -559,16 +623,37 @@ def solve_affine(a: Matrix, b):
     aug = _row_dicts(a)
     for row, bv in zip(aug, b):
         if bv:
-            row[n] = bv
+            row[n] = _unwrap(bv)
     red = _eliminate(aug, n + 1)
     if red and red[-1][0] == n:
         return None
-    particular = [QZERO] * n
+    particular = [0] * n
     for pc, row in red:
-        particular[pc] = row.get(n, QZERO)
+        particular[pc] = row.get(n, 0)
+    return red, _wrap_all(particular)
+
+
+def particular_solution(a: Matrix, b):
+    """The particular solution of solve_affine(a, b), or None when b is
+    outside the column space; the kernel is never built."""
+    solved = _solve(a, b)
+    return None if solved is None else solved[1]
+
+
+def solve_affine(a: Matrix, b):
+    """Solve a x = b exactly.
+
+    Returns (particular, kernel_subspace) or None when b is outside the
+    column space.  The particular solution sets every free variable to zero,
+    so it is deterministic.
+    """
+    solved = _solve(a, b)
+    if solved is None:
+        return None
+    red, particular = solved
     # With column n not a pivot, the rows restricted to the first n columns
     # are the RREF of a.
-    return tuple(particular), _null_space(red, n)
+    return particular, _null_space(red, a.cols)
 
 
 def form_inverse(q: Matrix) -> Matrix | None:

@@ -29,8 +29,8 @@ from .exactlin import (
     nonzeros,
     outer,
     outer_nonzeros,
+    particular_solution,
     rank,
-    solve_affine,
     vdot,
     vector_combination,
 )
@@ -702,10 +702,10 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
     pmat = Matrix.from_columns([b.mul(x, y) for x in lbasis for y in rbasis], n)
     decomp = []
     for t in range(n):
-        res = solve_affine(pmat, b.basis_vector(t))
+        res = particular_solution(pmat, b.basis_vector(t))
         if res is None:
             raise ValueError("instance is not spanned by wedge products")
-        decomp.append(res[0])
+        decomp.append(res)
 
     # s_l and s_r images of the wedge bases, and the flip of each wedge product
     s_l_elems = [vector_combination(zip(s_l.col(i), rbasis), n) for i in range(a_l.dim)]

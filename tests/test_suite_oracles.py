@@ -199,6 +199,37 @@ def _counit_absorption_identities(algebra) -> bool:
     return True
 
 
+def _counit_absorption_loop(algebra) -> bool:
+    """The loop over (s, t) that the operator form of the check replaced."""
+    n = algebra.dim
+    basis = [algebra.basis_vector(i) for i in range(n)]
+    mult = algebra.mult
+    g = algebra.gram
+    # each projected table product P(e_i e_j), once per (i, j)
+    p_ll, p_rr, p_lr, p_rl = (
+        [[proj.apply(ij) for ij in row] for row in mult]
+        for proj in (algebra.projection(*key) for key in ("LL", "RR", "LR", "RL"))
+    )
+    for s in range(n):
+        for t in range(n):
+            sums = {key: [] for key in ("l1", "r1", "l2", "r2", "l3", "r3", "l4", "r4")}
+            # u is the first coproduct leg of e_s, v the second; eps(e_i e_j)
+            # is g[i, j]
+            for u, v, c in nonzeros(algebra.comult[s]):
+                sums["l1"].append((c, algebra.mul(basis[v], p_ll[t][u])))
+                sums["r1"].append((c * g[t, u], basis[v]))
+                sums["l2"].append((c, algebra.mul(p_rr[v][t], basis[u])))
+                sums["r2"].append((c * g[v, t], basis[u]))
+                sums["l3"].append((c, algebra.mul(p_lr[u][t], basis[v])))
+                sums["r3"].append((c * g[u, t], basis[v]))
+                sums["l4"].append((c, algebra.mul(basis[u], p_rl[t][v])))
+                sums["r4"].append((c * g[t, v], basis[u]))
+            for a, b in (("l1", "r1"), ("l2", "r2"), ("l3", "r3"), ("l4", "r4")):
+                if vector_combination(sums[a], n) != vector_combination(sums[b], n):
+                    return False
+    return True
+
+
 def _projector_coproduct_forms(algebra, report) -> TheoremCheck:
     """Monoidal projections are idempotent with subalgebra images."""
     checks = []
@@ -1175,6 +1206,17 @@ def test_structural_checks_match_oracles_off_the_axioms(entries):
         assert check == _fixed_point_mapping(algebra)
         verdicts.append(check.conclusion_holds)
     # the perturbed constants reach both verdicts, so the oracles can differ
+    assert True in verdicts and False in verdicts
+
+
+def test_counit_absorption_operator_form_matches_the_loop(entries):
+    records = [algebra for name in NAMES for algebra in _records(entries, name)]
+    verdicts = []
+    for algebra in records + _perturbed_pool(entries):
+        absorbed = core._counit_absorption_identities(algebra)
+        assert absorbed == _counit_absorption_loop(algebra)
+        verdicts.append(absorbed)
+    # the one-constant perturbations reach both verdicts
     assert True in verdicts and False in verdicts
 
 
