@@ -100,28 +100,26 @@ def _antipode_law_holds(algebra, s: Matrix) -> bool:
 def is_pre_pode(algebra, sbar: Matrix) -> bool:
     """Reversed-side quasi-inverse conditions on a candidate pode map: its
     convolutions over the opposite coproduct are the equal-index projections.
-    Kept per (instance, map)."""
+    Kept per (instance, map); is_pode reuses the kept sbar *cop id."""
     cop = algebra.coopposite
     ident = Matrix.identity(algebra.dim)
     return (
         convolve(cop, ident, sbar) == algebra.projection("R", "R")
-        and convolve(cop, sbar, ident) == algebra.projection("L", "L")
+        and _kept_convolution(cop, sbar, ident) == algebra.projection("L", "L")
     )
 
 
 def is_pode(algebra, sbar: Matrix) -> bool:
+    """A pre-pode with sbar(a_(3)) a_(2) sbar(a_(1)) = sbar(a).
+
+    Summed per outer coproduct leg of a, the left side is the coopposite
+    convolution (sbar *cop id) *cop sbar, so the identity is compared as
+    whole operators."""
     if not is_pre_pode(algebra, sbar):
         return False
-    n = algebra.dim
-    cols = sbar.transpose().data
-    for k in range(n):
-        terms = (
-            (c, algebra.mul(algebra.mul(cols[l], algebra.basis_vector(j)), cols[i]))
-            for (i, j, l), c in algebra.delta2(algebra.basis_vector(k)).items()
-        )
-        if vector_combination(terms, n) != cols[k]:
-            return False
-    return True
+    cop = algebra.coopposite
+    ident = Matrix.identity(algebra.dim)
+    return convolve(cop, _kept_convolution(cop, sbar, ident), sbar) == sbar
 
 
 def sqcap_maps(algebra, s: Matrix):
@@ -681,6 +679,47 @@ def _unique_or_fail(m, rhs, what):
 # ----------------------------------------------------------------------
 
 
+def _wedge_counit_exchange(algebra, smaps: SigmaMaps) -> bool:
+    """eps(a b) = eps(F(a) b) = eps(a F'(b)) for a, b in a wedge: on A_L
+    with F = to_right and F' = back_right, on A_R with F = back_left and
+    F' = to_left.
+
+    Over the wedge basis B (rows), with G the Gram matrix of the counit
+    pairing, the three sides are B G B^t, (B F^t) G B^t and B G (B F'^t)^t."""
+    g = algebra.gram
+    ok = True
+    for space, first, second in (
+        (algebra.subspaces["A_L"], smaps.to_right, smaps.back_right),
+        (algebra.subspaces["A_R"], smaps.back_left, smaps.to_left),
+    ):
+        basis = space.basis
+        g_bt = g * basis.transpose()
+        e0 = basis * g_bt
+        if e0 != basis * first.transpose() * g_bt:
+            ok = False
+        if e0 != basis * g * (basis * second.transpose()).transpose():
+            ok = False
+    return ok
+
+
+def _one_sided_coproduct_absorption(algebra, s: Matrix) -> bool:
+    """S(a_(1)) a_(2) (x) a_(3) = 1_(1) (x) a 1_(2) and
+    a_(1) (x) a_(2) S(a_(3)) = 1_(1) a (x) 1_(2) on every basis element.
+
+    By coassociativity, which validation checks, the first left side is
+    ((S * id) (x) id) Delta(a) and the second (id (x) (id * S)) Delta(a), so
+    per e_k the comparisons are (S * id) D_k against Delta(1) L_k^t and
+    D_k (id * S)^t against R_k Delta(1), with D_k the coproduct of e_k."""
+    ident = Matrix.identity(algebra.dim)
+    s_id = _kept_convolution(algebra, s, ident)
+    id_s_t = _kept_convolution(algebra, ident, s).transpose()
+    d1 = algebra.delta1
+    for dk, lk, rk in zip(algebra.comult, algebra.left_mult, algebra.right_mult):
+        if s_id * dk != d1 * lk.transpose() or dk * id_s_t != rk * d1:
+            return False
+    return True
+
+
 def antipode_theorem_suite(algebra: WeakBialgebra):
     """Implication lattice and corollaries for instances with an antipode,
     plus the wedge-flip and separability facts that need no antipode."""
@@ -691,22 +730,7 @@ def antipode_theorem_suite(algebra: WeakBialgebra):
 
     # counit exchange on wedge elements (monoidal or comonoidal)
     if report.monoidal or report.comonoidal:
-        smaps = sigma_maps(algebra)
-        ok = True
-        # each flip of a wedge basis vector, once
-        for basis, first, second in (
-            (sub["A_L"].basis.data, smaps.to_right, smaps.back_right),
-            (sub["A_R"].basis.data, smaps.back_left, smaps.to_left),
-        ):
-            firsts = [first.apply(a) for a in basis]
-            seconds = [second.apply(b) for b in basis]
-            for a, fa in zip(basis, firsts):
-                for b, sb in zip(basis, seconds):
-                    e0 = algebra.eps(algebra.mul(a, b))
-                    if e0 != algebra.eps(algebra.mul(fa, b)):
-                        ok = False
-                    if e0 != algebra.eps(algebra.mul(a, sb)):
-                        ok = False
+        ok = _wedge_counit_exchange(algebra, sigma_maps(algebra))
         checks.append(TheoremCheck("wedge-counit-exchange", True, ok))
 
     if report.comonoidal:
@@ -802,28 +826,7 @@ def antipode_theorem_suite(algebra: WeakBialgebra):
             checks.append(TheoremCheck("pre-pode-flip-dual", True, is_pre_pode(algebra, sinv)))
 
     # one-sided coproduct absorption equivalent to right-comonoidality
-    n = algebra.dim
-    d1m = algebra.delta1
-    absorb = True
-    basis = [algebra.basis_vector(i) for i in range(n)]
-    for k in range(n):
-        d2 = algebra.delta2(basis[k]).items()
-        # S(a_(1)) a_(2) (x) a_(3) and a_(1) (x) a_(2) S(a_(3))
-        lhs1 = linear_combination(
-            ((c, outer_nonzeros(algebra.mul(s.col(i), basis[j]), basis[l])) for (i, j, l), c in d2),
-            n,
-            n,
-        )
-        lhs2 = linear_combination(
-            ((c, outer_nonzeros(basis[i], algebra.mul(basis[j], s.col(l)))) for (i, j, l), c in d2),
-            n,
-            n,
-        )
-        rhs1 = algebra.t2_mul(outer(algebra.unit, basis[k]), d1m)
-        rhs2 = algebra.t2_mul(d1m, outer(basis[k], algebra.unit))
-        if lhs1 != rhs1 or lhs2 != rhs2:
-            absorb = False
-            break
+    absorb = _one_sided_coproduct_absorption(algebra, s)
     checks.append(
         TheoremCheck("one-sided-coproduct-absorption", True, absorb == report.right_comonoidal)
     )

@@ -474,7 +474,9 @@ def build_parser():
         "--witness-limit",
         type=int,
         default=1,
-        help="maximum number of counterexample witnesses per axiom",
+        help="validate and report list at most this many violated axioms, "
+        "and report --witness-limit 0 hides the axiom-class witnesses "
+        "(default 1; must be at least 0)",
     )
     common.add_argument("--format", choices=["json", "text"], default="json")
 
@@ -529,6 +531,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.witness_limit < 0:
+            raise ParseError("--witness-limit must be at least 0, got %d" % args.witness_limit)
         return args.func(args)
     except (ParseError, AlgebraDataError, CatalogNameError) as exc:
         sys.stderr.write("input error: %s\n" % exc)

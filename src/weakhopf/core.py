@@ -26,13 +26,13 @@ from .exactlin import (
     QZERO,
     Subspace,
     _unwrapped_nonzeros,
+    _wrap,
     _wrap_all,
     image,
     inverse,
     kernel,
     linear_combination,
     nonzeros,
-    outer,
     outer_nonzeros,
     qstr,
     rank,
@@ -401,10 +401,15 @@ class WeakBialgebra:
     def _comonoidal_product(self, left_first: bool):
         """(Delta(1) (x) 1)(1 (x) Delta(1)) or the reversed order, as a dict.
 
-        Kept per instance and order; callers only read it."""
-        table = self._mult_nonzeros
-        out = {}
+        Kept per instance and order; callers only read it.  The sums run
+        over ints: Delta(1) cleared by the lcm d of its denominators and the
+        integer multiplication table, so each entry is one sum divided by
+        d^2 D_m."""
+        table = self._integer_tables.mult
         nz = nonzeros(self.delta1)
+        d = _denominator_lcm(c for _, _, c in nz)
+        nz = [(u, v, _cleared(c, d)) for u, v, c in nz]
+        acc = {}
         for u, v, c in nz:
             for up, vp, cp in nz:
                 # left_first: legs (u, v up, vp); else legs (up, u vp, v)
@@ -415,12 +420,9 @@ class WeakBialgebra:
                 cc = c * cp
                 for w, mw in mid:
                     key = (head, w, tail)
-                    val = out.get(key, QZERO) + cc * mw
-                    if val:
-                        out[key] = val
-                    else:
-                        out.pop(key, None)
-        return out
+                    acc[key] = acc.get(key, 0) + cc * mw
+        scale = d * d * self._integer_tables.d_mult
+        return {key: _wrap(x) if scale == 1 else Q(x, scale) for key, x in acc.items() if x}
 
     # ------------------------------------------------------------------
     # validation
@@ -833,6 +835,36 @@ def _counit_triples(algebra):
 
 
 @computed_once
+def _projection_products(algebra, key: str):
+    """(M_k P, P M_k) over the basis indices k, for the counit projection P
+    named by key, with M_k right multiplication by e_k for "LL" and "RL"
+    and left multiplication for "RR" and "LR".  The shape cross-check, the
+    counit absorption identities and the projection forms share them."""
+    p = algebra.projection(*key)
+    mults = algebra.right_mult if key in ("LL", "RL") else algebra.left_mult
+    return [m * p for m in mults], [p * m for m in mults]
+
+
+def _stacked(mats, n: int) -> Matrix:
+    """The matrix whose row k is the k-th n x n matrix of mats, flattened
+    row by row (entry (i, j) in column i * n + j)."""
+    return Matrix._of_sparse(
+        ([(i * n + j, x) for i, row in enumerate(m.sparse_rows) for j, x in row] for m in mats),
+        n * n,
+    )
+
+
+def _agree_on_image(p: Matrix, lhs, rhs, n: int) -> bool:
+    """Whether two families of n x n operators, each linear in a basis
+    index k, agree at every projected basis element P e_t.
+
+    The operator at P e_t is the sum of P[k, t] times the k-th operator, so
+    row t of P^t times the stacked family is that operator flattened."""
+    pt = p.transpose()
+    return pt * _stacked(lhs, n) == pt * _stacked(rhs, n)
+
+
+@computed_once
 def decide_axioms(algebra: WeakBialgebra) -> AxiomReport:
     """Decide every axiom class and collect dimensions and witnesses."""
     algebra.require_valid()
@@ -913,10 +945,6 @@ def _axiom_tensor_shapes(algebra, left: bool):
     # eps_l is g^t and eps_r is g, so eps_l^t = g and eps_r^t = g^t
     eps_l = algebra.eps_maps["eps_l"]
     eps_r = algebra.eps_maps["eps_r"]
-    p_ll = algebra.projection("L", "L")
-    p_rr = algebra.projection("R", "R")
-    p_lr = algebra.projection("L", "R")
-    p_rl = algebra.projection("R", "L")
     dual = algebra.dual
     dp_ll = dual.projection("L", "L")
     dp_rr = dual.projection("R", "R")
@@ -937,9 +965,8 @@ def _axiom_tensor_shapes(algebra, left: bool):
         out["left-coproduct-drop"] = all(
             kept["d_g"][t] == algebra.left_mult[t] * d1 * g for t in range(n)
         )
-        out["rr-projection-product"] = all(
-            algebra.left_mult[s] * p_rr == kept["d_g"][s] for s in range(n)
-        )
+        l_rr = _projection_products(algebra, "RR")[0]
+        out["rr-projection-product"] = all(l_rr[s] == kept["d_g"][s] for s in range(n))
         out["dual-rr-absorb"] = all(
             dp_rr * dual.comult[t]
             == dual.delta1 * dual.right_mult[t].transpose()
@@ -950,9 +977,9 @@ def _axiom_tensor_shapes(algebra, left: bool):
             eps_r * algebra.comult[s] == eps_r_d1 * kept["rt"][s]
             for s in range(n)
         )
+        r_ll = _projection_products(algebra, "LL")[0]
         out["ll-projection-product"] = all(
-            algebra.right_mult[s] * p_ll == algebra.comult[s].transpose() * gt
-            for s in range(n)
+            r_ll[s] == algebra.comult[s].transpose() * gt for s in range(n)
         )
     else:
         out["counit-triple"] = all(
@@ -970,9 +997,8 @@ def _axiom_tensor_shapes(algebra, left: bool):
             == eps_l_d1 * algebra.left_mult[s].transpose()
             for s in range(n)
         )
-        out["lr-projection-product"] = all(
-            algebra.left_mult[s] * p_lr == kept["dt_g"][s] for s in range(n)
-        )
+        l_lr = _projection_products(algebra, "LR")[0]
+        out["lr-projection-product"] = all(l_lr[s] == kept["dt_g"][s] for s in range(n))
         out["dual-rl-absorb"] = all(
             dp_rl * dual.comult[t]
             == dual.delta1 * dual.left_mult[t].transpose()
@@ -982,9 +1008,8 @@ def _axiom_tensor_shapes(algebra, left: bool):
         out["right-coproduct-drop"] = all(
             d_gt[t] == algebra.right_mult[t] * d1 * gt for t in range(n)
         )
-        out["rl-projection-product"] = all(
-            algebra.right_mult[s] * p_rl == d_gt[s] for s in range(n)
-        )
+        r_rl = _projection_products(algebra, "RL")[0]
+        out["rl-projection-product"] = all(r_rl[s] == d_gt[s] for s in range(n))
     return out
 
 
@@ -1041,12 +1066,10 @@ def _counit_absorption_identities(algebra) -> bool:
     g_cols = algebra.gram.transpose().data
     lm = algebra.left_mult
     rm = algebra.right_mult
-    p_ll, p_rr, p_lr, p_rl = (algebra.projection(*key) for key in ("LL", "RR", "LR", "RL"))
     # P R_u and P L_u, once per u
-    ll_r = [p_ll * r for r in rm]
-    rr_l = [p_rr * m for m in lm]
-    lr_l = [p_lr * m for m in lm]
-    rl_r = [p_rl * r for r in rm]
+    ll_r, rr_l, lr_l, rl_r = (
+        _projection_products(algebra, key)[1] for key in ("LL", "RR", "LR", "RL")
+    )
     for s in range(n):
         terms = nonzeros(algebra.comult[s])
         # per identity, as functions of the legs (u, v) of a term: its
@@ -1068,39 +1091,30 @@ def _counit_absorption_identities(algebra) -> bool:
 
 
 def _projector_coproduct_forms(algebra, report) -> TheoremCheck:
-    """Monoidal projections are idempotent with subalgebra images."""
+    """Monoidal projections are idempotent with subalgebra images.
+
+    The coproduct and product identities are linear in the projected
+    element P e_t, so each is compared as whole operators over every t at
+    once (_agree_on_image): Delta(P e_t) against P(e_t) 1_(1) (x) 1_(2)
+    (L_k Delta(1)) under P_LL and its mirrors, and P(e_t) a against
+    P(e_t a) for a in the image (R_k P against P R_k) and mirrors.
+    """
     checks = []
     n = algebra.dim
-    basis = [algebra.basis_vector(i) for i in range(n)]
     d1 = algebra.delta1
     sub = algebra.subspaces
+    lm = algebra.left_mult
+    rm = algebra.right_mult
     if report.left_monoidal:
         p_ll = algebra.projection("L", "L")
         p_rr = algebra.projection("R", "R")
-        # column t of a projection is its image of e_t
-        ll = p_ll.transpose().data
-        rr = p_rr.transpose().data
-        for t in range(n):
-            # coproducts of projected elements collapse onto Delta(1)
-            v = ll[t]
-            checks.append(
-                algebra.delta(v) == algebra.t2_mul(outer(v, algebra.unit), d1)
-            )
-            w = rr[t]
-            checks.append(
-                algebra.delta(w)
-                == algebra.t2_mul(d1, outer(algebra.unit, w))
-            )
-        for s in range(n):
-            a = ll[s]
-            ar = rr[s]
-            for t in range(n):
-                checks.append(
-                    algebra.mul(ll[t], a) == p_ll.apply(algebra.mul(basis[t], a))
-                )
-                checks.append(
-                    algebra.mul(ar, rr[t]) == p_rr.apply(algebra.mul(ar, basis[t]))
-                )
+        # coproducts of projected elements collapse onto Delta(1)
+        checks.append(_agree_on_image(p_ll, algebra.comult, [m * d1 for m in lm], n))
+        checks.append(
+            _agree_on_image(p_rr, algebra.comult, [d1 * m.transpose() for m in rm], n)
+        )
+        checks.append(_agree_on_image(p_ll, *_projection_products(algebra, "LL"), n))
+        checks.append(_agree_on_image(p_rr, *_projection_products(algebra, "RR"), n))
         checks.append(p_ll * p_ll == p_ll)
         checks.append(p_rr * p_rr == p_rr)
         checks.append(algebra.is_unital_subalgebra(sub["A_LL"]))
@@ -1108,24 +1122,12 @@ def _projector_coproduct_forms(algebra, report) -> TheoremCheck:
     if report.right_monoidal:
         p_rl = algebra.projection("R", "L")
         p_lr = algebra.projection("L", "R")
-        rl = p_rl.transpose().data
-        lr = p_lr.transpose().data
-        for t in range(n):
-            v = rl[t]
-            checks.append(
-                algebra.delta(v)
-                == algebra.t2_mul(outer(algebra.unit, v), d1)
-            )
-            w = lr[t]
-            checks.append(
-                algebra.delta(w) == algebra.t2_mul(d1, outer(w, algebra.unit))
-            )
-        for s in range(n):
-            a = rl[s]
-            al = lr[s]
-            for t in range(n):
-                checks.append(algebra.mul(rl[t], a) == p_rl.apply(algebra.mul(basis[t], a)))
-                checks.append(algebra.mul(al, lr[t]) == p_lr.apply(algebra.mul(al, basis[t])))
+        checks.append(
+            _agree_on_image(p_rl, algebra.comult, [d1 * m.transpose() for m in lm], n)
+        )
+        checks.append(_agree_on_image(p_lr, algebra.comult, [m * d1 for m in rm], n))
+        checks.append(_agree_on_image(p_rl, *_projection_products(algebra, "RL"), n))
+        checks.append(_agree_on_image(p_lr, *_projection_products(algebra, "LR"), n))
         checks.append(p_rl * p_rl == p_rl)
         checks.append(p_lr * p_lr == p_lr)
         checks.append(algebra.is_unital_subalgebra(sub["A_RL"]))
@@ -1144,7 +1146,12 @@ def _projector_coproduct_forms(algebra, report) -> TheoremCheck:
 
 def _nondegenerate_pairings(algebra, report) -> TheoremCheck:
     """Weak counit factorization forces the four canonical pairings onto
-    full rank and makes the two unit-module candidates dual to each other."""
+    full rank and makes the two unit-module candidates dual to each other.
+
+    Each pairing of two spaces is the product B_a G B_b^t of their stored
+    bases (rows) with the Gram matrix G of the pairing, and the module
+    duality is one operator comparison per functional of the second space.
+    """
     hyp = report.counit_factor_left and report.counit_factor_right
     if not hyp:
         return TheoremCheck("counit-pairings", False, True)
@@ -1152,55 +1159,46 @@ def _nondegenerate_pairings(algebra, report) -> TheoremCheck:
     checks = []
     e_space = sub["Ahat_R"]
     ehat_space = sub["Ahat_L"]
+    e_basis = e_space.basis
+    e_basis_t = e_basis.transpose()
+    ehat_basis = ehat_space.basis
     dims = {sub["A_%s%s" % (s, sp)].dim for s in "LR" for sp in "LR"}
     checks.append(dims == {e_space.dim} and ehat_space.dim == e_space.dim)
+    g = algebra.gram
     for s in "LR":
         for sp in "LR":
             a_sl = sub["A_%sL" % s]
             a_sr = sub["A_%sR" % sp]
-            gram = Matrix(
-                [
-                    [algebra.eps(algebra.mul(a, b)) for b in a_sr.basis.data]
-                    for a in a_sl.basis.data
-                ]
-            ) if a_sl.dim and a_sr.dim else Matrix._empty(0)
+            # eps(a b) over the two bases
+            gram = a_sl.basis * g * a_sr.basis.transpose()
             ok = a_sl.dim == a_sr.dim and (
                 a_sl.dim == 0 or rank(gram) == a_sl.dim
             )
             checks.append(ok)
     for s in "LR":
         a_sl = sub["A_%sL" % s]
-        pair = Matrix(
-            [[vdot(psi, a) for psi in e_space.basis.data] for a in a_sl.basis.data]
-        ) if a_sl.dim else Matrix._empty(0)
+        pair = a_sl.basis * e_basis_t
         checks.append(a_sl.dim == e_space.dim and (a_sl.dim == 0 or rank(pair) == a_sl.dim))
         a_sr = sub["A_%sR" % s]
-        pair2 = Matrix(
-            [[vdot(phi, b) for b in a_sr.basis.data] for phi in ehat_space.basis.data]
-        ) if a_sr.dim else Matrix._empty(0)
+        pair2 = ehat_basis * a_sr.basis.transpose()
         checks.append(a_sr.dim == ehat_space.dim and (a_sr.dim == 0 or rank(pair2) == a_sr.dim))
     dual = algebra.dual
-    pair3 = Matrix(
-        [
-            [dual.eps(dual.mul(phi, psi)) for psi in e_space.basis.data]
-            for phi in ehat_space.basis.data
-        ]
-    ) if ehat_space.dim else Matrix._empty(0)
+    # phi^t G_d psi is the dual counit of phi psi
+    dg = dual.gram
+    dg_psi = dg * e_basis_t
+    pair3 = ehat_basis * dg_psi
     checks.append(ehat_space.dim == 0 or rank(pair3) == ehat_space.dim)
-    # right-module duality of the two candidates
-    # e_t acting on functionals from the left and from the right, once each
-    on_left = [m.transpose() for m in algebra.right_mult]
+    # right-module duality of the two candidates: per phi, row t and column
+    # psi pair phi with e_t acting on psi from the left, and phi acted on by
+    # e_t from the right with psi.  The first is (G_d^t phi) e_t paired with
+    # psi: row t of the transpose of left multiplication by G_d^t phi.
     on_right = [m.transpose() for m in algebra.left_mult]
-    psi_acted = [[m.apply(psi) for m in on_left] for psi in e_space.basis.data]
-    for phi in ehat_space.basis.data:
-        phi_acted = [m.apply(phi) for m in on_right]
-        for psi, acted in zip(e_space.basis.data, psi_acted):
-            for t in range(algebra.dim):
-                lhs = dual.eps(dual.mul(phi, acted[t]))
-                rhs = dual.eps(dual.mul(phi_acted[t], psi))
-                if lhs != rhs:
-                    checks.append(False)
-                    break
+    dg_t = dg.transpose()
+    for phi in ehat_basis.data:
+        lhs = algebra.left_mult_of(dg_t.apply(phi)).transpose() * e_basis_t
+        rhs = Matrix._of_fractions([m.apply(phi) for m in on_right], algebra.dim) * dg_psi
+        if lhs != rhs:
+            checks.append(False)
     return TheoremCheck("counit-pairings", True, all(checks))
 
 
@@ -1275,42 +1273,31 @@ def _dual_action_operator(algebra, sigma, phi) -> Matrix:
 
 def _multiplier_realization(algebra) -> TheoremCheck:
     """Fixed-point subalgebras realized inside the endomorphisms of the
-    algebra: left/right multipliers against the dual-action operators."""
+    algebra: left/right multipliers against the dual-action operators.
+
+    Both operators are linear in their element, so each span is a row space
+    of flattened operators: B Q_s for a basis B (rows) of a fixed-point
+    subalgebra, with Q_s stacking L_t (or R_t), and B P_sigma for one of
+    the dual, with P_sigma stacking the dual-action operators of e_t.
+    """
     n = algebra.dim
     dual = algebra.dual
     nfix = algebra.fixed_point_subalgebras
     dfix = dual.fixed_point_subalgebras
-
-    def q_op(sigma, v):
-        return algebra.left_mult_of(v) if sigma == "L" else algebra.right_mult_of(v)
-
-    ok = True
-    span_q = {
-        s: Subspace.from_spanning([m.flatten() for m in mults], n * n)
-        for s, mults in (("L", algebra.left_mult), ("R", algebra.right_mult))
-    }
-    span_p = {
-        s: Subspace.from_spanning(
-            [
-                _dual_action_operator(algebra, s, algebra.basis_vector(t)).flatten()
-                for t in range(n)
-            ],
-            n * n,
+    stack_q = {"L": _stacked(algebra.left_mult, n), "R": _stacked(algebra.right_mult, n)}
+    stack_p = {
+        s: _stacked(
+            (_dual_action_operator(algebra, s, algebra.basis_vector(t)) for t in range(n)), n
         )
         for s in "LR"
     }
+    span_q = {s: row_space(m) for s, m in stack_q.items()}
+    span_p = {s: row_space(m) for s, m in stack_p.items()}
+    ok = True
     for s in "LR":
         for sp in "LR":
-            lhs = Subspace.from_spanning(
-                [q_op(s, v).flatten() for v in nfix[(sp, s)].basis.data], n * n
-            )
-            rhs = Subspace.from_spanning(
-                [
-                    _dual_action_operator(algebra, sp, ph).flatten()
-                    for ph in dfix[(s, sp)].basis.data
-                ],
-                n * n,
-            )
+            lhs = row_space(nfix[(sp, s)].basis * stack_q[s])
+            rhs = row_space(dfix[(s, sp)].basis * stack_p[sp])
             both = span_q[s].intersect(span_p[sp])
             if lhs != rhs or lhs != both:
                 ok = False
@@ -1452,31 +1439,22 @@ def _counit_factorization_shapes(algebra, report) -> TheoremCheck:
     eps_r = algebra.eps_maps["eps_r"]
     ehat_l = algebra.eps_maps["epshat_l"]
     ehat_r = algebra.eps_maps["epshat_r"]
-    # column t of a projection is its image of e_t
+    # row t of P^t S is eps_l L_(P e_t) (or eps_r R_(P e_t)) flattened, for
+    # S stacking eps_l L_t (eps_r R_t), shared by both sides
     ll, rr, rl, lr = (
-        algebra.projection(*key).transpose().data
-        for key in (("L", "L"), ("R", "R"), ("R", "L"), ("L", "R"))
+        algebra.projection(*key).transpose() for key in ("LL", "RR", "RL", "LR")
     )
-    # eps_l L_t and eps_r R_t, each shared by both sides
-    eps_l_left = [eps_l * m for m in algebra.left_mult]
-    eps_r_right = [eps_r * m for m in algebra.right_mult]
+    eps_l_left = _stacked([eps_l * m for m in algebra.left_mult], n)
+    eps_r_right = _stacked([eps_r * m for m in algebra.right_mult], n)
     left_forms = {
-        "project-first": all(
-            eps_l_left[t] == eps_l * algebra.left_mult_of(ll[t]) for t in range(n)
-        ),
-        "project-second": all(
-            eps_r_right[t] == eps_r * algebra.right_mult_of(rr[t]) for t in range(n)
-        ),
+        "project-first": ll * eps_l_left == eps_l_left,
+        "project-second": rr * eps_r_right == eps_r_right,
         "triple-compose-l": eps_l * ehat_l * eps_l == eps_l,
         "triple-compose-r": eps_r * ehat_r * eps_r == eps_r,
     }
     right_forms = {
-        "project-first": all(
-            eps_l_left[t] == eps_l * algebra.left_mult_of(rl[t]) for t in range(n)
-        ),
-        "project-second": all(
-            eps_r_right[t] == eps_r * algebra.right_mult_of(lr[t]) for t in range(n)
-        ),
+        "project-first": rl * eps_l_left == eps_l_left,
+        "project-second": lr * eps_r_right == eps_r_right,
         "triple-compose-l": eps_l * ehat_r * eps_l == eps_l,
         "triple-compose-r": eps_r * ehat_l * eps_r == eps_r,
     }

@@ -359,6 +359,8 @@ MALFORMED = [
     ),
     ("report-out-in-missing-directory", "report --out /nonexistent_dir/x.json", _document([1, 1, 1, "1"])),
     ("dual-out-is-a-directory", "dual --out .", _document([1, 1, 1, "1"])),
+    ("validate-negative-witness-limit", "validate --witness-limit -1", _document([1, 1, 1, "1"])),
+    ("report-negative-witness-limit", "report --witness-limit -3", _document([1, 1, 1, "1"])),
 ]
 
 

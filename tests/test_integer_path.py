@@ -3,7 +3,8 @@
 Matrix products and applications, linear and vector combinations, dot
 products, WeakBialgebra.mul and the sparse elimination hold an integral
 Fraction as its int inside their loops and wrap each output entry back into
-a Fraction once.  The Fraction-only bodies they had before are kept here
+a Fraction once, and so does WeakBialgebra._comonoidal_product over the
+integer tables.  The Fraction-only bodies they had before are kept here
 verbatim as oracles (only the names they call are the oracles' own), and
 the shipped kernels are compared with them on integral inputs (the catalog
 instances of dimension at most 9, their duals, opposites and coopposites),
@@ -19,7 +20,7 @@ from heapq import heapify, heappop, heappush
 import pytest
 
 from conftest import monomial_scramble
-from test_kernels import SMALL, _catalog_matrices
+from test_kernels import SMALL, _catalog_matrices, _perturbed_pool
 from weakhopf.exactlin import (
     Matrix,
     Q,
@@ -213,6 +214,31 @@ def oracle_solve_affine(a: Matrix, b):
     return tuple(particular), _null_space(red, n)
 
 
+def comonoidal_product(self, left_first: bool):
+    """(Delta(1) (x) 1)(1 (x) Delta(1)) or the reversed order, as a dict.
+
+    Kept per instance and order; callers only read it."""
+    table = self._mult_nonzeros
+    out = {}
+    nz = nonzeros(self.delta1)
+    for u, v, c in nz:
+        for up, vp, cp in nz:
+            # left_first: legs (u, v up, vp); else legs (up, u vp, v)
+            if left_first:
+                head, mid, tail = u, table[v][up], vp
+            else:
+                head, mid, tail = up, table[u][vp], v
+            cc = c * cp
+            for w, mw in mid:
+                key = (head, w, tail)
+                val = out.get(key, QZERO) + cc * mw
+                if val:
+                    out[key] = val
+                else:
+                    out.pop(key, None)
+    return out
+
+
 def coordinates(self, v):
     pivot_rows = {row[0][0]: dict(row) for row in self.basis.sparse_rows}
     row = {j: x for j, x in enumerate(v) if x}
@@ -333,6 +359,19 @@ def test_catalog_kernels_match_fraction_oracles(entries, name):
             _check_elimination(a, vectors[-1], vectors[-2])
             for b in matrices:
                 _check_products(a, b, vectors[-2], vectors[-1])
+
+
+def test_comonoidal_product_matches_fraction_oracle(entries):
+    pool = [a for name in SMALL for a in _records(entries[name].algebra, name)]
+    scaled = False
+    for algebra in pool + _perturbed_pool(entries):
+        for left_first in (True, False):
+            got = algebra._comonoidal_product(left_first)
+            assert got == comonoidal_product(algebra, left_first)
+            assert _fractions(got.values()) and all(got.values())
+            scaled = scaled or any(x.denominator > 1 for x in got.values())
+    # some entry is a sum divided by d^2 D_m > 1
+    assert scaled
 
 
 @pytest.mark.parametrize("kind", KINDS)

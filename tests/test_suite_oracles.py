@@ -10,8 +10,13 @@ it was, verbatim, and compared with the shipped one on the catalog instances
 of dimension at most 9, their duals, opposites and coopposites, on seeded
 monomial scrambles, on perturbed structure constants where a check needs no
 valid instance, and on maps and structures around the solved antipode.
+
+The checks whose identities are linear in a basis element are now compared
+as whole operators; the basis-by-basis loops they replaced are kept too, and
+each is compared with its operator form on inputs that reach both verdicts.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -36,7 +41,7 @@ from weakhopf.antipode import (
     solve_antipode,
 )
 from weakhopf.constructions import build_example1, example2_cross_map
-from weakhopf.core import TheoremCheck, WeakBialgebra, decide_axioms
+from weakhopf.core import TheoremCheck, WeakBialgebra, _dual_action_operator, decide_axioms
 from weakhopf.exactlin import (
     Matrix,
     Q,
@@ -486,6 +491,299 @@ def _counit_factorization_shapes(algebra, report) -> TheoremCheck:
         right_forms.values()
     ) == {report.counit_factor_right}
     return TheoremCheck("counit-factorization-shapes", True, ok)
+
+
+# ----------------------------------------------------------------------
+# oracles: the basis-by-basis loops that the operator forms replaced
+# ----------------------------------------------------------------------
+
+
+def _projector_coproduct_loop(algebra, report) -> TheoremCheck:
+    """Monoidal projections are idempotent with subalgebra images."""
+    checks = []
+    n = algebra.dim
+    basis = [algebra.basis_vector(i) for i in range(n)]
+    d1 = algebra.delta1
+    sub = algebra.subspaces
+    if report.left_monoidal:
+        p_ll = algebra.projection("L", "L")
+        p_rr = algebra.projection("R", "R")
+        # column t of a projection is its image of e_t
+        ll = p_ll.transpose().data
+        rr = p_rr.transpose().data
+        for t in range(n):
+            # coproducts of projected elements collapse onto Delta(1)
+            v = ll[t]
+            checks.append(
+                algebra.delta(v) == algebra.t2_mul(outer(v, algebra.unit), d1)
+            )
+            w = rr[t]
+            checks.append(
+                algebra.delta(w)
+                == algebra.t2_mul(d1, outer(algebra.unit, w))
+            )
+        for s in range(n):
+            a = ll[s]
+            ar = rr[s]
+            for t in range(n):
+                checks.append(
+                    algebra.mul(ll[t], a) == p_ll.apply(algebra.mul(basis[t], a))
+                )
+                checks.append(
+                    algebra.mul(ar, rr[t]) == p_rr.apply(algebra.mul(ar, basis[t]))
+                )
+        checks.append(p_ll * p_ll == p_ll)
+        checks.append(p_rr * p_rr == p_rr)
+        checks.append(algebra.is_unital_subalgebra(sub["A_LL"]))
+        checks.append(algebra.is_unital_subalgebra(sub["A_RR"]))
+    if report.right_monoidal:
+        p_rl = algebra.projection("R", "L")
+        p_lr = algebra.projection("L", "R")
+        rl = p_rl.transpose().data
+        lr = p_lr.transpose().data
+        for t in range(n):
+            v = rl[t]
+            checks.append(
+                algebra.delta(v)
+                == algebra.t2_mul(outer(algebra.unit, v), d1)
+            )
+            w = lr[t]
+            checks.append(
+                algebra.delta(w) == algebra.t2_mul(d1, outer(w, algebra.unit))
+            )
+        for s in range(n):
+            a = rl[s]
+            al = lr[s]
+            for t in range(n):
+                checks.append(algebra.mul(rl[t], a) == p_rl.apply(algebra.mul(basis[t], a)))
+                checks.append(algebra.mul(al, lr[t]) == p_lr.apply(algebra.mul(al, basis[t])))
+        checks.append(p_rl * p_rl == p_rl)
+        checks.append(p_lr * p_lr == p_lr)
+        checks.append(algebra.is_unital_subalgebra(sub["A_RL"]))
+        checks.append(algebra.is_unital_subalgebra(sub["A_LR"]))
+    if report.monoidal:
+        for sp in "LR":
+            checks.append(
+                algebra.commutator_vanishes(sub["A_L%s" % sp], sub["A_R%s" % sp])
+            )
+    return TheoremCheck(
+        "monoidal-projection-forms",
+        report.left_monoidal or report.right_monoidal,
+        all(checks),
+    )
+
+
+def _nondegenerate_pairings_loop(algebra, report) -> TheoremCheck:
+    """Weak counit factorization forces the four canonical pairings onto
+    full rank and makes the two unit-module candidates dual to each other."""
+    hyp = report.counit_factor_left and report.counit_factor_right
+    if not hyp:
+        return TheoremCheck("counit-pairings", False, True)
+    sub = algebra.subspaces
+    checks = []
+    e_space = sub["Ahat_R"]
+    ehat_space = sub["Ahat_L"]
+    dims = {sub["A_%s%s" % (s, sp)].dim for s in "LR" for sp in "LR"}
+    checks.append(dims == {e_space.dim} and ehat_space.dim == e_space.dim)
+    for s in "LR":
+        for sp in "LR":
+            a_sl = sub["A_%sL" % s]
+            a_sr = sub["A_%sR" % sp]
+            gram = Matrix(
+                [
+                    [algebra.eps(algebra.mul(a, b)) for b in a_sr.basis.data]
+                    for a in a_sl.basis.data
+                ]
+            ) if a_sl.dim and a_sr.dim else Matrix._empty(0)
+            ok = a_sl.dim == a_sr.dim and (
+                a_sl.dim == 0 or rank(gram) == a_sl.dim
+            )
+            checks.append(ok)
+    for s in "LR":
+        a_sl = sub["A_%sL" % s]
+        pair = Matrix(
+            [[vdot(psi, a) for psi in e_space.basis.data] for a in a_sl.basis.data]
+        ) if a_sl.dim else Matrix._empty(0)
+        checks.append(a_sl.dim == e_space.dim and (a_sl.dim == 0 or rank(pair) == a_sl.dim))
+        a_sr = sub["A_%sR" % s]
+        pair2 = Matrix(
+            [[vdot(phi, b) for b in a_sr.basis.data] for phi in ehat_space.basis.data]
+        ) if a_sr.dim else Matrix._empty(0)
+        checks.append(a_sr.dim == ehat_space.dim and (a_sr.dim == 0 or rank(pair2) == a_sr.dim))
+    dual = algebra.dual
+    pair3 = Matrix(
+        [
+            [dual.eps(dual.mul(phi, psi)) for psi in e_space.basis.data]
+            for phi in ehat_space.basis.data
+        ]
+    ) if ehat_space.dim else Matrix._empty(0)
+    checks.append(ehat_space.dim == 0 or rank(pair3) == ehat_space.dim)
+    # right-module duality of the two candidates
+    # e_t acting on functionals from the left and from the right, once each
+    on_left = [m.transpose() for m in algebra.right_mult]
+    on_right = [m.transpose() for m in algebra.left_mult]
+    psi_acted = [[m.apply(psi) for m in on_left] for psi in e_space.basis.data]
+    for phi in ehat_space.basis.data:
+        phi_acted = [m.apply(phi) for m in on_right]
+        for psi, acted in zip(e_space.basis.data, psi_acted):
+            for t in range(algebra.dim):
+                lhs = dual.eps(dual.mul(phi, acted[t]))
+                rhs = dual.eps(dual.mul(phi_acted[t], psi))
+                if lhs != rhs:
+                    checks.append(False)
+                    break
+    return TheoremCheck("counit-pairings", True, all(checks))
+
+
+def _multiplier_realization_loop(algebra) -> TheoremCheck:
+    """Fixed-point subalgebras realized inside the endomorphisms of the
+    algebra: left/right multipliers against the dual-action operators."""
+    n = algebra.dim
+    dual = algebra.dual
+    nfix = algebra.fixed_point_subalgebras
+    dfix = dual.fixed_point_subalgebras
+
+    def q_op(sigma, v):
+        return algebra.left_mult_of(v) if sigma == "L" else algebra.right_mult_of(v)
+
+    ok = True
+    span_q = {
+        s: Subspace.from_spanning([m.flatten() for m in mults], n * n)
+        for s, mults in (("L", algebra.left_mult), ("R", algebra.right_mult))
+    }
+    span_p = {
+        s: Subspace.from_spanning(
+            [
+                _dual_action_operator(algebra, s, algebra.basis_vector(t)).flatten()
+                for t in range(n)
+            ],
+            n * n,
+        )
+        for s in "LR"
+    }
+    for s in "LR":
+        for sp in "LR":
+            lhs = Subspace.from_spanning(
+                [q_op(s, v).flatten() for v in nfix[(sp, s)].basis.data], n * n
+            )
+            rhs = Subspace.from_spanning(
+                [
+                    _dual_action_operator(algebra, sp, ph).flatten()
+                    for ph in dfix[(s, sp)].basis.data
+                ],
+                n * n,
+            )
+            both = span_q[s].intersect(span_p[sp])
+            if lhs != rhs or lhs != both:
+                ok = False
+    return TheoremCheck("multiplier-realization", True, ok)
+
+
+def _counit_factorization_loop(algebra, report) -> TheoremCheck:
+    """All equivalent presentations of each weak counit factorization axiom
+    agree with the Gram-matrix decider."""
+    n = algebra.dim
+    eps_l = algebra.eps_maps["eps_l"]
+    eps_r = algebra.eps_maps["eps_r"]
+    ehat_l = algebra.eps_maps["epshat_l"]
+    ehat_r = algebra.eps_maps["epshat_r"]
+    # column t of a projection is its image of e_t
+    ll, rr, rl, lr = (
+        algebra.projection(*key).transpose().data
+        for key in (("L", "L"), ("R", "R"), ("R", "L"), ("L", "R"))
+    )
+    # eps_l L_t and eps_r R_t, each shared by both sides
+    eps_l_left = [eps_l * m for m in algebra.left_mult]
+    eps_r_right = [eps_r * m for m in algebra.right_mult]
+    left_forms = {
+        "project-first": all(
+            eps_l_left[t] == eps_l * algebra.left_mult_of(ll[t]) for t in range(n)
+        ),
+        "project-second": all(
+            eps_r_right[t] == eps_r * algebra.right_mult_of(rr[t]) for t in range(n)
+        ),
+        "triple-compose-l": eps_l * ehat_l * eps_l == eps_l,
+        "triple-compose-r": eps_r * ehat_r * eps_r == eps_r,
+    }
+    right_forms = {
+        "project-first": all(
+            eps_l_left[t] == eps_l * algebra.left_mult_of(rl[t]) for t in range(n)
+        ),
+        "project-second": all(
+            eps_r_right[t] == eps_r * algebra.right_mult_of(lr[t]) for t in range(n)
+        ),
+        "triple-compose-l": eps_l * ehat_r * eps_l == eps_l,
+        "triple-compose-r": eps_r * ehat_l * eps_r == eps_r,
+    }
+    ok = set(left_forms.values()) == {report.counit_factor_left} and set(
+        right_forms.values()
+    ) == {report.counit_factor_right}
+    return TheoremCheck("counit-factorization-shapes", True, ok)
+
+
+def _is_pode_loop(algebra, sbar: Matrix) -> bool:
+    if not is_pre_pode(algebra, sbar):
+        return False
+    n = algebra.dim
+    cols = sbar.transpose().data
+    for k in range(n):
+        terms = (
+            (c, algebra.mul(algebra.mul(cols[l], algebra.basis_vector(j)), cols[i]))
+            for (i, j, l), c in algebra.delta2(algebra.basis_vector(k)).items()
+        )
+        if vector_combination(terms, n) != cols[k]:
+            return False
+    return True
+
+
+def _wedge_counit_exchange_loop(algebra, smaps) -> bool:
+    """The wedge-counit-exchange block of antipode_theorem_suite as it was,
+    on the wedge flips smaps."""
+    sub = algebra.subspaces
+    ok = True
+    # each flip of a wedge basis vector, once
+    for basis, first, second in (
+        (sub["A_L"].basis.data, smaps.to_right, smaps.back_right),
+        (sub["A_R"].basis.data, smaps.back_left, smaps.to_left),
+    ):
+        firsts = [first.apply(a) for a in basis]
+        seconds = [second.apply(b) for b in basis]
+        for a, fa in zip(basis, firsts):
+            for b, sb in zip(basis, seconds):
+                e0 = algebra.eps(algebra.mul(a, b))
+                if e0 != algebra.eps(algebra.mul(fa, b)):
+                    ok = False
+                if e0 != algebra.eps(algebra.mul(a, sb)):
+                    ok = False
+    return ok
+
+
+def _one_sided_absorption_loop(algebra, s) -> bool:
+    """The one-sided-coproduct-absorption block of antipode_theorem_suite
+    as it was, on the map s."""
+    n = algebra.dim
+    d1m = algebra.delta1
+    absorb = True
+    basis = [algebra.basis_vector(i) for i in range(n)]
+    for k in range(n):
+        d2 = algebra.delta2(basis[k]).items()
+        # S(a_(1)) a_(2) (x) a_(3) and a_(1) (x) a_(2) S(a_(3))
+        lhs1 = linear_combination(
+            ((c, outer_nonzeros(algebra.mul(s.col(i), basis[j]), basis[l])) for (i, j, l), c in d2),
+            n,
+            n,
+        )
+        lhs2 = linear_combination(
+            ((c, outer_nonzeros(basis[i], algebra.mul(basis[j], s.col(l)))) for (i, j, l), c in d2),
+            n,
+            n,
+        )
+        rhs1 = algebra.t2_mul(outer(algebra.unit, basis[k]), d1m)
+        rhs2 = algebra.t2_mul(d1m, outer(basis[k], algebra.unit))
+        if lhs1 != rhs1 or lhs2 != rhs2:
+            absorb = False
+            break
+    return absorb
 
 
 # ----------------------------------------------------------------------
@@ -1218,6 +1516,91 @@ def test_counit_absorption_operator_form_matches_the_loop(entries):
         verdicts.append(absorbed)
     # the one-constant perturbations reach both verdicts
     assert True in verdicts and False in verdicts
+
+
+def test_structural_operator_forms_match_the_loops(entries):
+    """Each structural check now compared as whole operators against its
+    basis-by-basis loop: on the catalog records with their own axiom
+    reports, and on the one-constant perturbations with every flag set and
+    with the counit-factorization flags the Gram-matrix decider gives (no
+    catalog record has them differ, which one-sided shapes need)."""
+    records = [algebra for name in NAMES for algebra in _records(entries, name)]
+    flags = _all_flags(entries)
+    cases = [(algebra, decide_axioms(algebra)) for algebra in records]
+    for algebra in _perturbed_pool(entries):
+        g, d1 = algebra.gram, algebra.delta1
+        gram_flags = dataclasses.replace(
+            flags,
+            counit_factor_left=g == g * d1 * g,
+            counit_factor_right=g == g * d1.transpose() * g,
+        )
+        cases += [(algebra, flags), (algebra, gram_flags)]
+    verdicts = {}
+    for algebra, report in cases:
+        for new, old in (
+            (core._projector_coproduct_forms, _projector_coproduct_loop),
+            (core._nondegenerate_pairings, _nondegenerate_pairings_loop),
+            (core._counit_factorization_shapes, _counit_factorization_loop),
+            (lambda a, _: core._multiplier_realization(a), lambda a, _: _multiplier_realization_loop(a)),
+        ):
+            check = new(algebra, report)
+            assert check == old(algebra, report)
+            verdicts.setdefault(check.name, set()).add(check.conclusion_holds)
+    # every site reaches both verdicts, so the two forms can differ
+    assert verdicts == dict.fromkeys(verdicts, {True, False})
+
+
+def test_agree_on_image_compares_only_projected_elements():
+    """A hand-built idempotent P with P e_0 = e_0, P e_1 = e_1 and
+    P e_2 = e_0 + e_1, and operator families that differ at e_2 only
+    (outside the image, so they agree at every P e_t) or also at e_1 (one
+    projected basis element).  Comparing the stacked families without P^t,
+    or through P in place of P^t, gets the first verdict wrong."""
+    p = Matrix([[1, 0, 1], [0, 1, 1], [0, 0, 0]])
+    assert p * p == p
+    ops = [Matrix([[1, 2], [0, 1]]), Matrix([[0, 1], [1, 0]]), Matrix([[3, 0], [0, 0]])]
+    off_image = ops[:2] + [Matrix([[3, 0], [0, 5]])]
+    on_image = [ops[0], Matrix([[0, 1], [1, 1]]), off_image[2]]
+    assert core._agree_on_image(p, ops, ops, 2)
+    assert core._agree_on_image(p, ops, off_image, 2)
+    assert not core._agree_on_image(p, ops, on_image, 2)
+
+
+def test_antipode_operator_forms_match_the_loops(entries, monkeypatch):
+    """The antipode-suite sites against their loops on the catalog records,
+    with maps around the solved antipode, doubled wedge flips, and (for the
+    pode identity) the pre-pode gate switched off so that both verdicts of
+    the summed identity are reached.  The absorption identity is compared
+    on valid instances only: its operator form relies on coassociativity."""
+    verdicts = {"absorption": set(), "exchange": set(), "pode": set(), "pode-law": set()}
+    pode_maps = []
+    for name in NAMES:
+        for algebra in _records(entries, name):
+            for s in _maps_near_the_antipode(algebra):
+                absorbed = antipode._one_sided_coproduct_absorption(algebra, s)
+                assert absorbed == _one_sided_absorption_loop(algebra, s)
+                verdicts["absorption"].add(absorbed)
+                maps = [s] + ([inverse(s)] if rank(s) == algebra.dim else [])
+                for sbar in maps:
+                    pode = antipode.is_pode(algebra, sbar)
+                    assert pode == _is_pode_loop(algebra, sbar)
+                    verdicts["pode"].add(pode)
+                    pode_maps.append((algebra, sbar))
+            smaps = antipode.sigma_maps(algebra)
+            doubled = SigmaMaps(*(m + m for m in (smaps.to_right, smaps.to_left, smaps.back_right, smaps.back_left)))
+            for flips in (smaps, doubled):
+                exchanged = antipode._wedge_counit_exchange(algebra, flips)
+                assert exchanged == _wedge_counit_exchange_loop(algebra, flips)
+                verdicts["exchange"].add(exchanged)
+    with monkeypatch.context() as patch:
+        ungated = lambda algebra, sbar: True  # noqa: E731
+        patch.setattr(antipode, "is_pre_pode", ungated)
+        patch.setitem(globals(), "is_pre_pode", ungated)
+        for algebra, sbar in pode_maps:
+            law = antipode.is_pode(algebra, sbar)
+            assert law == _is_pode_loop(algebra, sbar)
+            verdicts["pode-law"].add(law)
+    assert verdicts == dict.fromkeys(verdicts, {True, False})
 
 
 @pytest.mark.parametrize("name", NAMES)
