@@ -23,6 +23,7 @@ from .exactlin import (
     outer_nonzeros,
     particular_solution,
     rank,
+    row_space,
     solve_affine,
     vdot,
     vector_combination,
@@ -54,13 +55,13 @@ def convolution_unit(algebra: WeakBialgebra) -> Matrix:
 
 @computed_once
 def is_anti_multiplicative(algebra, s: Matrix) -> bool:
-    """S(e_i e_j) = S(e_j) S(e_i) on basis pairs; kept per (instance, S)."""
-    cols = s.transpose().data
-    for i, row in enumerate(algebra.mult):
-        for j, ij in enumerate(row):
-            if s.apply(ij) != algebra.mul(cols[j], cols[i]):
-                return False
-    return True
+    """S(e_i e_j) = S(e_j) S(e_i) on basis pairs; kept per (instance, S).
+
+    The rows of S^t are the images S(e_i), so both sides are compared over
+    every pair at once: the table times S^t against the reversed products
+    of the rows of S^t."""
+    st = s.transpose()
+    return algebra._table * st == algebra.reversed_products(st, st)
 
 
 def is_anti_comultiplicative(algebra, s: Matrix) -> bool:
@@ -287,15 +288,16 @@ def sigma_maps(algebra: WeakBialgebra) -> SigmaMaps:
         # the flip of each wedge basis vector, once, and the span of them
         flipped = []
         for space, fwd, other in ((a_l, s_l, a_r), (a_r, s_r, a_l)):
-            images = [fwd.apply(v) for v in space.basis.data]
-            img = Subspace.from_spanning(images, algebra.dim)
+            basis = space.basis
+            fwd_t = fwd.transpose()
+            images = basis * fwd_t
+            img = row_space(images)
             flipped.append(img)
             if not other.contains_subspace(img):
                 morph = False
-            for a, fa in zip(space.basis.data, images):
-                for b, fb in zip(space.basis.data, images):
-                    if fwd.apply(algebra.mul(a, b)) != algebra.mul(fb, fa):
-                        morph = False
+            # fwd(a b) against fwd(b) fwd(a) over every basis pair at once
+            if algebra.products(basis, basis) * fwd_t != algebra.reversed_products(images, images):
+                morph = False
         iso = morph
         for img, space, other in zip(flipped, (a_l, a_r), (a_r, a_l)):
             if img != other or space.dim != other.dim:
@@ -346,13 +348,15 @@ def quasi_basis(algebra: WeakBialgebra, omega, space: Subspace):
     if not algebra.is_unital_subalgebra(space):
         raise ValueError("quasi-basis support must be a unital subalgebra")
     omega = tuple(omega)
-    basis = space.basis.data
+    basis_m = space.basis
+    basis = basis_m.data
     k = len(basis)
-    # products of basis pairs, once each; omega of one is a Gram entry
-    prods = [[algebra.mul(a, b) for b in basis] for a in basis]
-    gram = Matrix(
-        [[vdot(omega, ab) for ab in row] for row in prods]
-    ) if k else Matrix._empty(0)
+    # products of basis pairs, once each (row j * k + l is b_j b_l, shared
+    # with the subalgebra test); omega of one is a Gram entry
+    prod_m = algebra.basis_products(space)
+    prods = prod_m.data
+    omegas = prod_m.apply(omega)
+    gram = Matrix._of_fractions([omegas[i * k : (i + 1) * k] for i in range(k)], k)
     ginv = inverse(gram)
     if ginv is None:
         return None
@@ -362,7 +366,7 @@ def quasi_basis(algebra: WeakBialgebra, omega, space: Subspace):
     quasi = linear_combination(
         ((c, outer_nonzeros(basis[j], basis[l])) for c, j, l in pairs), n, n
     )
-    index = vector_combination(((c, prods[j][l]) for c, j, l in pairs), n)
+    index = vector_combination(((c, prods[j * k + l]) for c, j, l in pairs), n)
     # the defining reproduction identities, then centrality of the tensor
     for i, m in enumerate(basis):
         got = vector_combination(((c * gram[i, j], basis[l]) for c, j, l in pairs), n)
@@ -373,23 +377,23 @@ def quasi_basis(algebra: WeakBialgebra, omega, space: Subspace):
         right = algebra.t2_mul(quasi, outer(algebra.unit, m))
         if left != right:
             raise SelfCheckError("quasi-basis centrality identity failed")
-    for m in basis:
-        if algebra.mul(index, m) != algebra.mul(m, index):
-            raise SelfCheckError("index is not central in its subalgebra")
+    index_m = Matrix._of_fractions([index], n)
+    if algebra.products(index_m, basis_m) != algebra.products(basis_m, index_m):
+        raise SelfCheckError("index is not central in its subalgebra")
     modular = ginv * gram.transpose()
     auto = True
-    theta = [vector_combination(zip(modular.col(i), basis), n) for i in range(k)]
+    # theta_i = sum_j modular[j, i] basis[j], as the rows of modular^t B
+    theta_m = modular.transpose() * basis_m
+    theta_prods = algebra.products(theta_m, theta_m)
     for i in range(k):
         for j in range(k):
-            lhs = modular.apply(space.coordinates(prods[i][j]))
-            rhs = space.coordinates(algebra.mul(theta[i], theta[j]))
+            lhs = modular.apply(space.coordinates(prods[i * k + j]))
+            rhs = space.coordinates(theta_prods.row(i * k + j))
             if lhs != rhs:
                 auto = False
     # omega(x y) = omega(y theta(x)) on basis pairs
-    for i in range(k):
-        for j in range(k):
-            if gram[i, j] != vdot(omega, algebra.mul(basis[j], theta[i])):
-                raise SelfCheckError("modular automorphism identity failed")
+    if algebra.reversed_products(theta_m, basis_m).apply(omega) != omegas:
+        raise SelfCheckError("modular automorphism identity failed")
     return NondegenerateFunctional(
         space=space,
         omega=omega,
@@ -469,10 +473,11 @@ def separability_suite(algebra: WeakBialgebra) -> SeparabilityReport:
         k = len(basis)
         ginv = inverse(qb.gram)
         pairs = [(ginv[j, l], j, l) for j in range(k) for l in range(k) if ginv[j, l]]
-        prods = [[algebra.mul(a, b) for b in basis] for a in basis]
+        # the basis-pair products quasi_basis formed, row j * k + l
+        prods = algebra.basis_products(space).data
         ee = linear_combination(
             (
-                (c * cp, outer_nonzeros(prods[j][jp], prods[lp][l]))
+                (c * cp, outer_nonzeros(prods[j * k + jp], prods[lp * k + l]))
                 for c, j, l in pairs
                 for cp, jp, lp in pairs
             ),

@@ -25,8 +25,10 @@ from .exactlin import (
     Q,
     QZERO,
     Subspace,
+    _quotient,
+    _storage_row,
+    _unwrap,
     _unwrapped_nonzeros,
-    _wrap,
     _wrap_all,
     image,
     inverse,
@@ -167,6 +169,22 @@ def _t2_terms(table, xnz, ynz):
     return acc
 
 
+def _unwrapped_triples(m: Matrix) -> list:
+    """nonzeros(m) with each value as a kernel loop holds it."""
+    return [(i, j, _unwrap(x)) for i, row in enumerate(m.sparse_rows) for j, x in row]
+
+
+def _pairs_swapped(m: Matrix, outer: int) -> Matrix:
+    """m with its rows, indexed i * inner + j for i < outer, reindexed
+    j * outer + i: the products of pairs (x_i, y_j) reordered as the
+    pairs (y_j, x_i).  Rows are shared, not copied."""
+    if not outer:
+        return m
+    inner = m.rows // outer
+    rows = m.sparse_rows
+    return Matrix._of_rows(tuple(r for j in range(inner) for r in rows[j::inner]), m.cols)
+
+
 def algebra_axiom_violations(algebra):
     """The failed unit and associativity axioms, with a witness basis tuple each.
 
@@ -300,6 +318,55 @@ class WeakBialgebra:
         inv = Q(1, tables.d_mult)
         return tuple([s * inv if s else QZERO for s in acc])
 
+    def _product_rows(self, xrows, yrows):
+        """The storage rows of the products x y, lazily, for x over xrows
+        and y over yrows (storage rows), x outermost.
+
+        Each product is one sum over the integer table, wrapped once; x e_q
+        is summed once per x for every q some y reaches."""
+        tables = self._integer_tables
+        table = tables.mult
+        d = tables.d_mult
+        ys = [[(q, _unwrap(b)) for q, b in row] for row in yrows]
+        for xrow in xrows:
+            xs = [(p, _unwrap(a)) for p, a in xrow]
+            reached = {}
+            for y in ys:
+                acc = {}
+                for q, b in y:
+                    xq = reached.get(q)
+                    if xq is None:
+                        xq = reached[q] = {}
+                        for p, a in xs:
+                            for k, c in table[p][q]:
+                                xq[k] = xq.get(k, 0) + a * c
+                    for k, v in xq.items():
+                        acc[k] = acc.get(k, 0) + b * v
+                yield _storage_row(acc, d)
+
+    def products(self, x: Matrix, y: Matrix) -> Matrix:
+        """The products of the rows of x with the rows of y: row
+        i * y.rows + j is x_i y_j."""
+        return Matrix._of_rows(
+            tuple(self._product_rows(x.sparse_rows, y.sparse_rows)), self.dim
+        )
+
+    def reversed_products(self, x: Matrix, y: Matrix) -> Matrix:
+        """The reversed products in the same order: row i * y.rows + j is
+        y_j x_i."""
+        return _pairs_swapped(self.products(y, x), y.rows)
+
+    @cached_property
+    def _table(self) -> Matrix:
+        """The multiplication table as products(I, I): row i * dim + j is e_i e_j."""
+        return Matrix._of_sparse((ij for row in self._mult_nonzeros for ij in row), self.dim)
+
+    @computed_once
+    def basis_products(self, s: Subspace) -> Matrix:
+        """products(B, B) for the stored basis B of s, kept per instance and
+        subspace: the subalgebra test and the quasi-basis share it."""
+        return self.products(s.basis, s.basis)
+
     def delta(self, a):
         return _combination(a, self.comult, self.dim)
 
@@ -345,10 +412,14 @@ class WeakBialgebra:
     # ------------------------------------------------------------------
 
     def t2_mul(self, X: Matrix, Y: Matrix) -> Matrix:
+        # over the integer table, whose two factors per term give D_m^2
+        tables = self._integer_tables
         rows = [{} for _ in range(self.dim)]
-        for (u, v), x in _t2_terms(self._mult_nonzeros, nonzeros(X), nonzeros(Y)).items():
+        terms = _t2_terms(tables.mult, _unwrapped_triples(X), _unwrapped_triples(Y))
+        for (u, v), x in terms.items():
             rows[u][v] = x
-        return Matrix._of_dicts(rows, self.dim)
+        d = tables.d_mult**2
+        return Matrix._of_rows(tuple(_storage_row(row, d) for row in rows), self.dim)
 
     @cached_property
     def delta1(self) -> Matrix:
@@ -367,20 +438,18 @@ class WeakBialgebra:
 
     def delta_at(self, tensor, leg):
         """Apply the coproduct to one leg of a sparse tensor {legs: coefficient}."""
-        out = {}
+        # over the integer coproduct: each entry is one sum divided by D_c
+        tables = self._integer_tables
+        comult = tables.comult
+        acc = {}
         for key, c in tensor.items():
             head, tail = key[:leg], key[leg + 1 :]
-            for i, j, e in nonzeros(self.comult[key[leg]]):
+            c = _unwrap(c)
+            for i, j, e in comult[key[leg]]:
                 new = head + (i, j) + tail
-                val = c * e
-                prev = out.get(new)
-                if prev is not None:
-                    val += prev
-                if val:
-                    out[new] = val
-                elif prev is not None:
-                    del out[new]
-        return out
+                acc[new] = acc.get(new, 0) + c * e
+        d = tables.d_comult
+        return {key: _quotient(x, d) for key, x in acc.items() if x}
 
     def iterated_delta(self, a, k):
         """The k-fold iterated coproduct of a on (k+1)-tuples of legs.
@@ -422,7 +491,7 @@ class WeakBialgebra:
                     key = (head, w, tail)
                     acc[key] = acc.get(key, 0) + cc * mw
         scale = d * d * self._integer_tables.d_mult
-        return {key: _wrap(x) if scale == 1 else Q(x, scale) for key, x in acc.items() if x}
+        return {key: _quotient(x, scale) for key, x in acc.items() if x}
 
     # ------------------------------------------------------------------
     # validation
@@ -593,20 +662,27 @@ class WeakBialgebra:
     def fixed_point_subalgebras(self):
         """Kernel presentations of the four fixed-point subalgebras."""
         n = self.dim
-        table = self._mult_nonzeros
+        tables = self._integer_tables
+        table = tables.mult
         # Row (i, j), column k: the coefficient of e_i (x) e_j in Delta(e_k)
         # minus a product term that sums over Delta(1), so only the nonzero
-        # entries of Delta(1) contribute.
+        # entries of Delta(1) contribute.  Every row is scaled by d D_c D_m,
+        # with d the lcm of the denominators of Delta(1), so that every
+        # entry is an int; a row scale leaves each kernel as it is.
+        nz = nonzeros(self.delta1)
+        d = _denominator_lcm(c for _, _, c in nz)
+        scale = d * tables.d_mult
         base = [{} for _ in range(n * n)]
-        for k, m in enumerate(self.comult):
-            for i, j, c in nonzeros(m):
-                base[i * n + j][k] = c
+        for k, dk in enumerate(tables.comult):
+            for i, j, c in dk:
+                base[i * n + j][k] = c * scale
         rows_ll, rows_lr, rows_rl, rows_rr = ([dict(r) for r in base] for _ in range(4))
 
         def sub(row, k, x):
-            row[k] = row.get(k, QZERO) - x
+            row[k] = row.get(k, 0) - x
 
-        for u, v, c in nonzeros(self.delta1):
+        for u, v, c in nz:
+            c = _cleared(c, d) * tables.d_comult
             for k in range(n):
                 for i, w in table[k][u]:
                     sub(rows_ll[i * n + v], k, c * w)
@@ -642,28 +718,23 @@ class WeakBialgebra:
 
     @computed_once
     def subspace_product(self, u: Subspace, v: Subspace) -> Subspace:
-        prods = []
-        for a in u.basis.data:
-            for b in v.basis.data:
-                prods.append(self.mul(a, b))
-        return Subspace.from_spanning(prods, self.dim)
+        return row_space(self.products(u.basis, v.basis))
 
     @computed_once
     def is_unital_subalgebra(self, s: Subspace) -> bool:
         if not s.contains(self.unit):
             return False
-        for a in s.basis.data:
-            for b in s.basis.data:
-                if not s.contains(self.mul(a, b)):
-                    return False
-        return True
+        prods = self.basis_products(s)
+        return all(s.contains(prods.row(i)) for i in range(prods.rows))
 
     @computed_once
     def commutator_vanishes(self, u: Subspace, v: Subspace) -> bool:
-        for a in u.basis.data:
-            for b in v.basis.data:
-                if self.mul(a, b) != self.mul(b, a):
-                    return False
+        # a b against b a, pair by pair, so the first failure ends the test
+        vrows = v.basis.sparse_rows
+        for a in u.basis.sparse_rows:
+            pairs = zip(self._product_rows((a,), vrows), self._product_rows(vrows, (a,)))
+            if any(ab != ba for ab, ba in pairs):
+                return False
         return True
 
 
@@ -1212,26 +1283,22 @@ def _fixed_point_mapping(algebra) -> TheoremCheck:
     ehat = {"L": algebra.eps_maps["epshat_l"], "R": algebra.eps_maps["epshat_r"]}
     ok = True
     for s in "LR":
+        eps_t = eps[s].transpose()
         for sp in "LR":
-            src = nfix[(sp, s)]
+            src = nfix[(sp, s)].basis
             dst = dfix[(s, sp)]
-            # the image of each basis vector, once
-            images = [eps[s].apply(v) for v in src.basis.data]
-            img = Subspace.from_spanning(images, algebra.dim)
-            if img != dst:
+            # the images of the basis rows, as rows
+            images = src * eps_t
+            if row_space(images) != dst:
                 ok = False
                 continue
-            for v, fv in zip(src.basis.data, images):
-                back = ehat[sp].apply(fv)
-                if back != v:
-                    ok = False
-            for a, fa in zip(src.basis.data, images):
-                for b, fb in zip(src.basis.data, images):
-                    prod = (
-                        dual.mul(fa, fb) if s != sp else dual.mul(fb, fa)
-                    )
-                    if prod != eps[s].apply(algebra.mul(a, b)):
-                        ok = False
+            if images * ehat[sp].transpose() != src:
+                ok = False
+            # eps(a b) against eps(a) eps(b), or eps(b) eps(a) for s == sp,
+            # over every basis pair at once
+            prods = dual.reversed_products if s == sp else dual.products
+            if prods(images, images) != algebra.products(src, src) * eps_t:
+                ok = False
     # centers: the mixed intersections land in the dual's relative centers
     for s in "LR":
         both = nfix[("L", s)].intersect(nfix[("R", s)])
@@ -1398,21 +1465,19 @@ def _wedge_anti_isomorphisms(algebra, report) -> TheoremCheck:
     for s in "LR":
         src = sub["A_R%s" % s]
         dst = sub["A_L%s" % s]
-        fwd = algebra.projection("L", s)
+        fwd_t = algebra.projection("L", s).transpose()
         bwd = algebra.projection("R", s)
-        # the image of each basis vector, once
-        images = [fwd.apply(v) for v in src.basis.data]
-        img = Subspace.from_spanning(images, algebra.dim)
-        if img != dst:
+        basis = src.basis
+        # the images of the basis rows, as rows
+        images = basis * fwd_t
+        if row_space(images) != dst:
             ok = False
             continue
-        for v, fv in zip(src.basis.data, images):
-            if bwd.apply(fv) != v:
-                ok = False
-        for a, fa in zip(src.basis.data, images):
-            for b, fb in zip(src.basis.data, images):
-                if fwd.apply(algebra.mul(a, b)) != algebra.mul(fb, fa):
-                    ok = False
+        if images * bwd.transpose() != basis:
+            ok = False
+        # P(a b) against P(b) P(a) over every basis pair at once
+        if algebra.products(basis, basis) * fwd_t != algebra.reversed_products(images, images):
+            ok = False
     return TheoremCheck("wedge-anti-isomorphisms", True, ok)
 
 
@@ -1541,10 +1606,10 @@ def transport(algebra: WeakBialgebra, t: Matrix) -> WeakBialgebra:
     if tinv is None:
         raise AlgebraDataError("basis-change matrix is singular")
     cols = [t.col(i) for i in range(n)]
-    mult = [
-        [list(tinv.apply(algebra.mul(cols[i], cols[j]))) for j in range(n)]
-        for i in range(n)
-    ]
+    # row i * n + j: T^-1 of the product of columns i and j of T
+    tt = t.transpose()
+    prods = (algebra.products(tt, tt) * tinv.transpose()).data
+    mult = [prods[i * n : (i + 1) * n] for i in range(n)]
     comult = [tinv * algebra.delta(cols[k]) * tinv.transpose() for k in range(n)]
     unit = tinv.apply(algebra.unit)
     counit = [algebra.eps(cols[k]) for k in range(n)]

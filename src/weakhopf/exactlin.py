@@ -62,6 +62,13 @@ def _wrap(x):
     return _WRAPPED.get(x) or Q(x) if x else QZERO
 
 
+def _quotient(x, d: int):
+    """The kernel number x divided by the positive int d, as a Fraction."""
+    if d == 1:
+        return _wrap(x)
+    return Q(x, d) if type(x) is int else x / d
+
+
 def _wrap_all(values) -> tuple:
     # _wrap, inlined
     return tuple(
@@ -76,6 +83,26 @@ def _unwrapped_nonzeros(v) -> list:
         for j, x in enumerate(v)
         if x is not QZERO and x
     ]
+
+
+def _storage_row(acc: dict, d: int = 1) -> tuple:
+    """A {column: kernel number} dict as a storage row: its nonzero values
+    divided by d and wrapped into Fractions, in column order."""
+    if d == 1:
+        # _wrap, inlined: x is nonzero
+        pairs = [(j, _WRAPPED.get(x) or Q(x) if type(x) is int else x) for j, x in acc.items() if x]
+    else:
+        pairs = [(j, _quotient(x, d)) for j, x in acc.items() if x]
+    pairs.sort()
+    return tuple(pairs)
+
+
+def _unwrapped_row(reached: dict, rows, k) -> list:
+    """Storage row k of rows with its values unwrapped, kept in reached."""
+    rk = reached[k] = [
+        (j, v.numerator if type(v) is Fraction and v.denominator == 1 else v) for j, v in rows[k]
+    ]
+    return rk
 
 
 def qstr(x: Fraction) -> str:
@@ -180,9 +207,16 @@ class Matrix:
     def _of_sparse(rows, cols: int) -> "Matrix":
         """The matrix on rows given as storage: (column, nonzero Fraction)
         pairs in increasing column order.  Internal and unchecked."""
+        return Matrix._of_rows(tuple(map(tuple, rows)), cols)
+
+    @staticmethod
+    def _of_rows(rows: tuple, cols: int) -> "Matrix":
+        """The matrix whose storage is the given tuple of storage rows, kept
+        as it is (rows may be shared with other matrices).  Internal and
+        unchecked."""
         m = Matrix.__new__(Matrix)
-        m.sparse_rows = tuple(map(tuple, rows))
-        m.rows = len(m.sparse_rows)
+        m.sparse_rows = rows
+        m.rows = len(rows)
         m.cols = cols
         return m
 
@@ -191,13 +225,7 @@ class Matrix:
         """The matrix on rows given as {column: value} dicts of kernel
         numbers (ints or Fractions); zero values are dropped and the others
         wrapped into Fractions."""
-        out = []
-        for row in rows:
-            # _wrap, inlined: x is nonzero
-            pairs = [(j, _WRAPPED.get(x) or Q(x) if type(x) is int else x) for j, x in row.items() if x]
-            pairs.sort()
-            out.append(pairs)
-        return Matrix._of_sparse(out, cols)
+        return Matrix._of_rows(tuple(map(_storage_row, rows)), cols)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
@@ -300,21 +328,35 @@ class Matrix:
         reached = {}
         out = []
         for row in self.sparse_rows:
-            acc = {}
-            for k, c in row:
-                rk = reached.get(k)
-                if rk is None:
-                    rk = reached[k] = [
-                        (j, v.numerator if type(v) is Fraction and v.denominator == 1 else v)
-                        for j, v in right[k]
-                    ]
+            if len(row) == 1:
+                # c times row k of other: that row itself when c is 1, else
+                # each value times c, wrapped (one term each, so no sort)
+                ((k, c),) = row
+                if c == 1:
+                    out.append(right[k])
+                    continue
                 if type(c) is Fraction and c.denominator == 1:
                     c = c.numerator
-                for j, v in rk:
-                    prev = acc.get(j)
-                    acc[j] = c * v if prev is None else prev + c * v
-            out.append(acc)
-        return Matrix._of_dicts(out, other.cols)
+                out.append(
+                    tuple(
+                        [
+                            (j, _WRAPPED.get(x) or Q(x)) if type(x := c * v) is int else (j, x)
+                            for j, v in reached.get(k) or _unwrapped_row(reached, right, k)
+                        ]
+                    )
+                )
+            elif row:
+                acc = {}
+                for k, c in row:
+                    if type(c) is Fraction and c.denominator == 1:
+                        c = c.numerator
+                    for j, v in reached.get(k) or _unwrapped_row(reached, right, k):
+                        prev = acc.get(j)
+                        acc[j] = c * v if prev is None else prev + c * v
+                out.append(_storage_row(acc))
+            else:
+                out.append(())
+        return Matrix._of_rows(tuple(out), other.cols)
 
     def apply(self, v) -> tuple:
         """Matrix times coordinate column, given and returned as a tuple."""
@@ -361,8 +403,8 @@ def nonzeros(m: Matrix) -> tuple:
 
 def outer_nonzeros(u, v) -> list:
     """nonzeros() of the outer product u v^t, whose (i, j) entry is u[i] v[j]."""
-    vnz = [(j, y) for j, y in enumerate(v) if y]
-    return [(i, j, x * y) for i, x in enumerate(u) if x for j, y in vnz]
+    vnz = _unwrapped_nonzeros(v)
+    return [(i, j, _wrap(x * y)) for i, x in _unwrapped_nonzeros(u) for j, y in vnz]
 
 
 def linear_combination(terms, rows: int, cols: int) -> Matrix:
@@ -558,24 +600,29 @@ class Subspace:
         )
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus-style intersection via the kernel of [B1; B2] stacking."""
+        """Zassenhaus intersection: one elimination of [B1 | B1; B2 | 0].
+
+        The rows span the pairs (u + v | u) for u in self and v in other,
+        and those with a zero left half are the (0 | w) for w in the
+        intersection.  In the RREF they are spanned by the rows whose pivot
+        lies in the right half, and those rows, shifted left by the ambient
+        dimension, already form the canonical RREF of the intersection.
+        """
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
+        n = self.ambient_dim
         if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        # Solve x*B1 = y*B2: kernel of the matrix [B1^t | -B2^t]; the
-        # intersection is spanned by the x*B1.
-        d = self.dim
-        b1t = self.basis.transpose().sparse_rows
-        b2t = other.basis.transpose().sparse_rows
-        stacked = Matrix._of_sparse(
-            (r1 + tuple((d + j, -x) for j, x in r2) for r1, r2 in zip(b1t, b2t)),
-            d + other.dim,
+            return Subspace.zero(n)
+        rows = []
+        for row in self.basis.sparse_rows:
+            doubled = {}
+            for j, x in row:
+                doubled[j] = doubled[n + j] = _unwrap(x)
+            rows.append(doubled)
+        red = _eliminate(rows + _row_dicts(other.basis), 2 * n)
+        return Subspace(
+            n, Matrix._of_dicts(({j - n: x for j, x in row.items()} for c, row in red if c >= n), n)
         )
-        padded = Matrix._of_sparse(
-            self.basis.sparse_rows + ((),) * other.dim, self.ambient_dim
-        )
-        return row_space(kernel(stacked).basis * padded)
 
     def __contains__(self, v):
         return self.contains(v)

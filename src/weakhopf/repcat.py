@@ -883,30 +883,27 @@ def unit_representation_suite(algebra: WeakBialgebra):
         prod_dim = dual.subspace_product(
             dual.subspaces["A_L"], dual.subspaces["A_R"]
         ).dim
+        # the relation of (x z, y) and (x, z y) for basis vectors x of A_L,
+        # y of A_R and z of the intersection, in the coordinates of
+        # A_L (x) A_R; x and y are basis vectors, so their coordinates are
+        # unit vectors
         rel = []
-        lb = dual.subspaces["A_L"].basis.data
-        rb = dual.subspaces["A_R"].basis.data
-        for zv in z.basis.data:
-            for x in lb:
-                xz = dual.mul(x, zv)
-                for y in rb:
-                    zy = dual.mul(zv, y)
-                    vecr = [QZERO] * (len(lb) * len(rb))
-                    cx = dual.subspaces["A_L"].coordinates(xz)
-                    cy = dual.subspaces["A_R"].coordinates(zy)
+        a_l, a_r = dual.subspaces["A_L"], dual.subspaces["A_R"]
+        nl, nr = a_l.dim, a_r.dim
+        for zv in z.basis.sparse_rows:
+            z_row = Matrix._of_rows((zv,), dual.dim)
+            cxs = [a_l.coordinates(xz) for xz in dual.products(a_l.basis, z_row).data]
+            cys = [a_r.coordinates(zy) for zy in dual.products(z_row, a_r.basis).data]
+            for ix, cx in enumerate(cxs):
+                for iy, cy in enumerate(cys):
+                    vecr = [QZERO] * (nl * nr)
                     for i, c in enumerate(cx):
-                        for j, yv in enumerate(dual.subspaces["A_R"].coordinates(y)):
-                            if c and yv:
-                                vecr[i * len(rb) + j] += c * yv
-                    for i, xv in enumerate(dual.subspaces["A_L"].coordinates(x)):
-                        for j, c in enumerate(cy):
-                            if xv and c:
-                                vecr[i * len(rb) + j] -= xv * c
+                        vecr[i * nr + iy] += c
+                    for j, c in enumerate(cy):
+                        vecr[ix * nr + j] -= c
                     if any(vecr):
                         rel.append(tuple(vecr))
-        amalg_dim = len(lb) * len(rb) - Subspace.from_spanning(
-            rel, len(lb) * len(rb)
-        ).dim
+        amalg_dim = nl * nr - Subspace.from_spanning(rel, nl * nr).dim
         checks.append(
             TheoremCheck(
                 "free-amalgamation-equivalence",

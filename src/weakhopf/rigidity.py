@@ -32,6 +32,7 @@ from .exactlin import (
     particular_solution,
     rank,
     vdot,
+    vec,
     vector_combination,
 )
 
@@ -261,10 +262,11 @@ def uniqueness_intertwiners(r1: RigidityStructure, r2: RigidityStructure) -> Twi
         and (S', a', b'), as S(1_(1)) a B'(1_(2)) with B' the adjoint map
         y -> y_(1) b' S'(y_(2)) of the second."""
         (s_f, a_f, _), (s_s, a_s, b_s) = first, second
-        f_cols = s_f.transpose().data
+        # S(e_p) a for every p at once
+        f_a = algebra.products(s_f.transpose(), Matrix._of_fractions([vec(a_f)], algebra.dim)).data
         b_cols = _adjoint_maps(algebra, s_s, a_s, b_s)[1].transpose().data
         return vector_combination(
-            ((c, mul(mul(f_cols[p], a_f), b_cols[y])) for p, y, c in legs), algebra.dim
+            ((c, mul(f_a[p], b_cols[y])) for p, y, c in legs), algebra.dim
         )
 
     one, two = (r1.s, a1, b1), (r2.s, a2, b2)
@@ -272,14 +274,15 @@ def uniqueness_intertwiners(r1: RigidityStructure, r2: RigidityStructure) -> Twi
     # swapped, which is u itself when they are one structure
     u = word(two, one)
     ubar = u if r2 is r1 else word(one, two)
-    table = []
-    for t in range(algebra.dim):
-        table.append(
-            algebra.mul(u, r1.s.col(t)) == algebra.mul(r2.s.col(t), u)
-        )
-        table.append(
-            algebra.mul(ubar, r2.s.col(t)) == algebra.mul(r1.s.col(t), ubar)
-        )
+    # u S1(e_t) = S2(e_t) u and ubar S2(e_t) = S1(e_t) ubar over every t
+    n = algebra.dim
+    u_row = Matrix._of_fractions([u], n)
+    ubar_row = Matrix._of_fractions([ubar], n)
+    s1_t, s2_t = r1.s.transpose(), r2.s.transpose()
+    table = [
+        algebra.products(u_row, s1_t) == algebra.products(s2_t, u_row),
+        algebra.products(ubar_row, s2_t) == algebra.products(s1_t, ubar_row),
+    ]
     table.append(a2 == algebra.mul(u, a1))
     table.append(a1 == algebra.mul(ubar, a2))
     table.append(b2 == algebra.mul(b1, ubar))
@@ -679,27 +682,32 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
         raise ValueError("cross map is not bijective")
     n = b.dim
     lbasis = a_l.basis.data
-    rbasis = a_r.basis.data
-    gram = Matrix(
-        [[b.eps(b.mul(x, y)) for y in rbasis] for x in lbasis]
-    )
+    r = a_r.dim
+    # the wedge products x y, row i * r + j for the i-th basis vector of A_L
+    # and the j-th of A_R, and their counits
+    wedge_products = b.products(a_l.basis, a_r.basis)
+    counits = wedge_products.apply(b.counit)
+    gram = Matrix._of_fractions([counits[i * r : (i + 1) * r] for i in range(a_l.dim)], r)
     # pairing transpose of the inverse cross map
     gram_inv = inverse(gram)
     if gram_inv is None:
         raise ValueError("wedge pairing is degenerate")
     s_l = gram_inv * (gram * s_r_inv).transpose()
+    # s_l and s_r images of the wedge bases, as rows
+    s_l_rows = s_l.transpose() * a_r.basis
+    s_r_rows = s_r.transpose() * a_l.basis
     z = a_l.intersect(a_r)
-    for zv in z.basis.data:
-        for j, rv in enumerate(rbasis):
-            zx = a_r.coordinates(b.mul(zv, rv))
-            if zx is None:
-                raise ValueError("shared wedge does not act on the right wedge")
-            mapped = vector_combination(zip(s_r.apply(zx), lbasis), n)
-            direct = b.mul(zv, vector_combination(zip(s_r.col(j), lbasis), n))
-            if mapped != direct:
-                raise ValueError("cross map is not linear over the shared wedge")
+    acted = b.products(z.basis, a_r.basis).data
+    direct = b.products(z.basis, s_r_rows).data
+    for i in range(z.dim * r):
+        zx = a_r.coordinates(acted[i])
+        if zx is None:
+            raise ValueError("shared wedge does not act on the right wedge")
+        mapped = vector_combination(zip(s_r.apply(zx), lbasis), n)
+        if mapped != direct[i]:
+            raise ValueError("cross map is not linear over the shared wedge")
     # decompose the ambient basis into wedge products
-    pmat = Matrix.from_columns([b.mul(x, y) for x in lbasis for y in rbasis], n)
+    pmat = wedge_products.transpose()
     decomp = []
     for t in range(n):
         res = particular_solution(pmat, b.basis_vector(t))
@@ -707,16 +715,12 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
             raise ValueError("instance is not spanned by wedge products")
         decomp.append(res)
 
-    # s_l and s_r images of the wedge bases, and the flip of each wedge product
-    s_l_elems = [vector_combination(zip(s_l.col(i), rbasis), n) for i in range(a_l.dim)]
-    s_r_elems = [vector_combination(zip(s_r.col(j), lbasis), n) for j in range(a_r.dim)]
-    flips = [b.mul(right, left) for left in s_l_elems for right in s_r_elems]
+    # the flip of each wedge product x_i y_j is s_r(y_j) s_l(x_i)
+    flips = b.reversed_products(s_l_rows, s_r_rows).data
     for kv in kernel(pmat).basis.data:
         if any(vector_combination(zip(kv, flips), n)):
             raise ValueError("cross map does not descend to the instance")
-    pairings = [
-        b.eps(b.mul(left, rbasis[j])) for left in s_l_elems for j in range(a_r.dim)
-    ]
+    pairings = b.products(s_l_rows, a_r.basis).apply(b.counit)
     s_b = Matrix.from_columns(
         [vector_combination(zip(coeffs, flips), n) for coeffs in decomp], n
     )

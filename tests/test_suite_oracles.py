@@ -14,6 +14,11 @@ valid instance, and on maps and structures around the solved antipode.
 The checks whose identities are linear in a basis element are now compared
 as whole operators; the basis-by-basis loops they replaced are kept too, and
 each is compared with its operator form on inputs that reach both verdicts.
+
+The basis-pair loops of the subalgebra, product, commutator and
+anti-multiplicativity tests, of dual_rigidity_structure and of
+unit_representation_suite, which now read one pair-product kernel
+(WeakBialgebra.products), are kept as well and compared with them.
 """
 
 import dataclasses
@@ -26,7 +31,7 @@ from test_kernels import SMALL, _perturbed_pool
 
 # example2-rigidity is the dual of example1, which the records already have
 NAMES = [name for name in SMALL if name != "example2-rigidity"]
-from weakhopf import antipode, core, rigidity
+from weakhopf import antipode, core, repcat, rigidity
 from weakhopf.antipode import (
     AntipodeStatus,
     SelfCheckError,
@@ -45,16 +50,20 @@ from weakhopf.core import TheoremCheck, WeakBialgebra, _dual_action_operator, de
 from weakhopf.exactlin import (
     Matrix,
     Q,
+    QZERO,
     Subspace,
     inverse,
+    kernel,
     linear_combination,
     nonzeros,
     outer,
     outer_nonzeros,
+    particular_solution,
     rank,
     vdot,
     vector_combination,
 )
+from weakhopf.repcat import unit_module
 from weakhopf.rigidity import (
     RigidityStructure,
     RigidityVerification,
@@ -1421,6 +1430,250 @@ def uniqueness_intertwiners(r1: RigidityStructure, r2: RigidityStructure) -> Twi
     return TwistPair(u=u, ubar=ubar)
 
 
+def _subspace_product_loop(self, u: Subspace, v: Subspace) -> Subspace:
+    prods = []
+    for a in u.basis.data:
+        for b in v.basis.data:
+            prods.append(self.mul(a, b))
+    return Subspace.from_spanning(prods, self.dim)
+
+
+def _is_unital_subalgebra_loop(self, s: Subspace) -> bool:
+    if not s.contains(self.unit):
+        return False
+    for a in s.basis.data:
+        for b in s.basis.data:
+            if not s.contains(self.mul(a, b)):
+                return False
+    return True
+
+
+def _commutator_vanishes_loop(self, u: Subspace, v: Subspace) -> bool:
+    for a in u.basis.data:
+        for b in v.basis.data:
+            if self.mul(a, b) != self.mul(b, a):
+                return False
+    return True
+
+
+def _is_anti_multiplicative_loop(algebra, s: Matrix) -> bool:
+    """S(e_i e_j) = S(e_j) S(e_i) on basis pairs; kept per (instance, S)."""
+    cols = s.transpose().data
+    for i, row in enumerate(algebra.mult):
+        for j, ij in enumerate(row):
+            if s.apply(ij) != algebra.mul(cols[j], cols[i]):
+                return False
+    return True
+
+
+def _dual_rigidity_structure_loop(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
+    """Build a rigidity structure on the dual of a minimal comonoidal
+    instance from a linear bijection of its right wedge onto its left wedge,
+    given in the canonical wedge bases.
+
+    The transposed map together with the induced functionals is returned; the
+    second functional is the counit itself, which normalizes onto the
+    canonical representative during verification.  A cross map whose
+    structure fails that verification raises ValueError, like the other
+    unusable inputs.
+    """
+    b.require_valid()
+    report = decide_axioms(b)
+    if not report.comonoidal or not report.minimal:
+        raise ValueError("construction needs a minimal comonoidal instance")
+    sub = b.subspaces
+    a_l, a_r = sub["A_L"], sub["A_R"]
+    if s_r.rows != a_l.dim or s_r.cols != a_r.dim:
+        raise ValueError("cross map has wrong shape for the wedge bases")
+    s_r_inv = inverse(s_r)
+    if s_r_inv is None:
+        raise ValueError("cross map is not bijective")
+    n = b.dim
+    lbasis = a_l.basis.data
+    rbasis = a_r.basis.data
+    gram = Matrix(
+        [[b.eps(b.mul(x, y)) for y in rbasis] for x in lbasis]
+    )
+    # pairing transpose of the inverse cross map
+    gram_inv = inverse(gram)
+    if gram_inv is None:
+        raise ValueError("wedge pairing is degenerate")
+    s_l = gram_inv * (gram * s_r_inv).transpose()
+    z = a_l.intersect(a_r)
+    for zv in z.basis.data:
+        for j, rv in enumerate(rbasis):
+            zx = a_r.coordinates(b.mul(zv, rv))
+            if zx is None:
+                raise ValueError("shared wedge does not act on the right wedge")
+            mapped = vector_combination(zip(s_r.apply(zx), lbasis), n)
+            direct = b.mul(zv, vector_combination(zip(s_r.col(j), lbasis), n))
+            if mapped != direct:
+                raise ValueError("cross map is not linear over the shared wedge")
+    # decompose the ambient basis into wedge products
+    pmat = Matrix.from_columns([b.mul(x, y) for x in lbasis for y in rbasis], n)
+    decomp = []
+    for t in range(n):
+        res = particular_solution(pmat, b.basis_vector(t))
+        if res is None:
+            raise ValueError("instance is not spanned by wedge products")
+        decomp.append(res)
+
+    # s_l and s_r images of the wedge bases, and the flip of each wedge product
+    s_l_elems = [vector_combination(zip(s_l.col(i), rbasis), n) for i in range(a_l.dim)]
+    s_r_elems = [vector_combination(zip(s_r.col(j), lbasis), n) for j in range(a_r.dim)]
+    flips = [b.mul(right, left) for left in s_l_elems for right in s_r_elems]
+    for kv in kernel(pmat).basis.data:
+        if any(vector_combination(zip(kv, flips), n)):
+            raise ValueError("cross map does not descend to the instance")
+    pairings = [
+        b.eps(b.mul(left, rbasis[j])) for left in s_l_elems for j in range(a_r.dim)
+    ]
+    s_b = Matrix.from_columns(
+        [vector_combination(zip(coeffs, flips), n) for coeffs in decomp], n
+    )
+    alphas = [vdot(coeffs, pairings) for coeffs in decomp]
+    # the flip must be anti-comultiplicative so its transpose is an algebra
+    # anti-morphism on the dual
+    for t in range(n):
+        if b.delta(s_b.col(t)) != s_b * b.comult[t].transpose() * s_b.transpose():
+            raise SelfCheckError("constructed flip is not anti-comultiplicative")
+    dual = b.dual
+    structure = RigidityStructure(
+        algebra=dual,
+        s=s_b.transpose(),
+        alpha=tuple(alphas),
+        beta=b.counit,
+    )
+    check = verify_rigidity(dual, structure)
+    if check.status in ("failed", "pre_rigid"):
+        raise ValueError("constructed structure failed rigidity verification")
+    structure.status = check.status
+    return structure
+
+
+def _unit_representation_suite_loop(algebra: WeakBialgebra):
+    """Image and kernel facts of the action on the unit module: the image
+    sits inside the endomorphisms over the dual wedge intersection with
+    equality exactly when the dual wedge product amalgamates freely, and
+    faithfulness picks out instances whose dual is generated by its wedges."""
+    algebra.require_valid()
+    report = decide_axioms(algebra)
+    checks = []
+    if report.monoidal:
+        rep, carrier = unit_module(algebra)
+        de = rep.dim
+        dual = algebra.dual
+        z = dual.subspaces["A_L"].intersect(dual.subspaces["A_R"])
+        # endomorphisms commuting with right multiplication by z
+        rows = []
+        for zv in z.basis.data:
+            op_cols = []
+            good = True
+            for b in carrier.basis.data:
+                coords = carrier.coordinates(dual.right_mult_of(zv).apply(b))
+                if coords is None:
+                    good = False
+                    break
+                op_cols.append(coords)
+            if not good:
+                continue
+            zmat = Matrix.from_columns(op_cols, de)
+            for i in range(de):
+                for j in range(de):
+                    line = [QZERO] * (de * de)
+                    for k in range(de):
+                        c = zmat[k, j]
+                        if c:
+                            line[i * de + k] += c
+                        c2 = zmat[i, k]
+                        if c2:
+                            line[k * de + j] -= c2
+                    rows.append(line)
+        commutant = (
+            kernel(Matrix.from_rows(rows, de * de))
+            if rows
+            else Subspace.full(de * de)
+        )
+        img = Subspace.from_spanning(
+            [rep.action[t].flatten() for t in range(algebra.dim)], de * de
+        )
+        checks.append(
+            TheoremCheck("unit-action-in-commutant", True, commutant.contains_subspace(img))
+        )
+        prod_dim = dual.subspace_product(
+            dual.subspaces["A_L"], dual.subspaces["A_R"]
+        ).dim
+        rel = []
+        lb = dual.subspaces["A_L"].basis.data
+        rb = dual.subspaces["A_R"].basis.data
+        for zv in z.basis.data:
+            for x in lb:
+                xz = dual.mul(x, zv)
+                for y in rb:
+                    zy = dual.mul(zv, y)
+                    vecr = [QZERO] * (len(lb) * len(rb))
+                    cx = dual.subspaces["A_L"].coordinates(xz)
+                    cy = dual.subspaces["A_R"].coordinates(zy)
+                    for i, c in enumerate(cx):
+                        for j, yv in enumerate(dual.subspaces["A_R"].coordinates(y)):
+                            if c and yv:
+                                vecr[i * len(rb) + j] += c * yv
+                    for i, xv in enumerate(dual.subspaces["A_L"].coordinates(x)):
+                        for j, c in enumerate(cy):
+                            if xv and c:
+                                vecr[i * len(rb) + j] -= xv * c
+                    if any(vecr):
+                        rel.append(tuple(vecr))
+        amalg_dim = len(lb) * len(rb) - Subspace.from_spanning(
+            rel, len(lb) * len(rb)
+        ).dim
+        checks.append(
+            TheoremCheck(
+                "free-amalgamation-equivalence",
+                True,
+                (img == commutant) == (prod_dim == amalg_dim),
+            )
+        )
+        ker_rows = []
+        for i in range(de):
+            for j in range(de):
+                ker_rows.append(
+                    [rep.action[t][i, j] for t in range(algebra.dim)]
+                )
+        faithful = kernel(Matrix.from_rows(ker_rows, algebra.dim)).dim == 0
+        checks.append(
+            TheoremCheck("faithfulness-cominimality", True, faithful == report.cominimal)
+        )
+    if report.comonoidal:
+        # the dual statement: kernel of the dual acting on the right wedge
+        space = algebra.subspaces["A_R"]
+        k = space.dim
+        mats = []
+        for phi_idx in range(algebra.dim):
+            cols = []
+            for b in space.basis.data:
+                db = algebra.delta(b)
+                coords = space.coordinates(db.col(phi_idx))
+                if coords is None:
+                    raise ValueError("dual action does not preserve the right wedge")
+                cols.append(coords)
+            mats.append(Matrix.from_columns(cols, k))
+        ker_rows = []
+        for i in range(k):
+            for j in range(k):
+                ker_rows.append([mats[t][i, j] for t in range(algebra.dim)])
+        ker = kernel(Matrix.from_rows(ker_rows, algebra.dim))
+        prod = algebra.subspace_product(
+            algebra.subspaces["A_L"], algebra.subspaces["A_R"]
+        )
+        ann_rows = [list(b) for b in prod.basis.data]
+        annihilator = kernel(Matrix.from_rows(ann_rows, algebra.dim))
+        checks.append(
+            TheoremCheck("dual-unit-action-kernel", True, ker == annihilator)
+        )
+    return checks
+
+
 # ----------------------------------------------------------------------
 # instances
 # ----------------------------------------------------------------------
@@ -1672,3 +1925,96 @@ def test_rigidity_layer_matches_oracles_on_distinct_structures(entries):
         for a, b in ((r1, r2), (r2, r1), (r1, r1), (r2, r2)):
             assert rigidity.verify_rigidity(a.algebra, a) == verify_rigidity(a.algebra, a)
             assert rigidity.uniqueness_intertwiners(a, b) == uniqueness_intertwiners(a, b)
+
+
+def _subspaces(algebra, rng):
+    """The distinguished subspaces, fixed-point subalgebras and center of an
+    instance, and two random ones: a line and a plane."""
+    n = algebra.dim
+    spaces = list(algebra.subspaces.values()) + list(algebra.fixed_point_subalgebras.values())
+    spaces.append(algebra.center)
+    for k in (1, 2):
+        vectors = [tuple(Q(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)) for _ in range(k)]
+        spaces.append(Subspace.from_spanning(vectors, n))
+    return spaces
+
+
+def test_pair_product_sites_match_the_loops(entries):
+    """products against mul pair by pair, and the subalgebra, product,
+    commutator and anti-multiplicativity tests against their basis-pair
+    loops, on the catalog records with their subspaces, random subspaces
+    and maps around the solved antipode."""
+    rng = random.Random("oracles:pair-products")
+    verdicts = {"unital": set(), "commute": set(), "anti": set()}
+    for name in NAMES:
+        for algebra in _records(entries, name):
+            n = algebra.dim
+            spaces = _subspaces(algebra, rng)
+            for u in spaces:
+                x = u.basis
+                for v in spaces[::3]:
+                    y = v.basis
+                    prods = algebra.products(x, y)
+                    swapped = algebra.reversed_products(x, y)
+                    assert (prods.rows, prods.cols) == (x.rows * y.rows, n)
+                    for i, a in enumerate(x.data):
+                        for j, b in enumerate(y.data):
+                            assert prods.row(i * y.rows + j) == algebra.mul(a, b)
+                            assert swapped.row(i * y.rows + j) == algebra.mul(b, a)
+                    assert algebra.subspace_product(u, v) == _subspace_product_loop(algebra, u, v)
+                    commute = algebra.commutator_vanishes(u, v)
+                    assert commute == _commutator_vanishes_loop(algebra, u, v)
+                    verdicts["commute"].add(commute)
+                unital = algebra.is_unital_subalgebra(u)
+                assert unital == _is_unital_subalgebra_loop(algebra, u)
+                verdicts["unital"].add(unital)
+            for s in _maps_near_the_antipode(algebra):
+                anti = is_anti_multiplicative(algebra, s)
+                assert anti == _is_anti_multiplicative_loop(algebra, s)
+                verdicts["anti"].add(anti)
+    assert verdicts == dict.fromkeys(verdicts, {True, False})
+
+
+def _outcome(build, *args):
+    """What build returns, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except (ValueError, SelfCheckError) as err:
+        return type(err), str(err)
+
+
+def test_dual_rigidity_structure_matches_the_loop(entries):
+    """Example 2 and the identity cross map on example 1, the unusable maps
+    of the rigidity tests, and, on every minimal comonoidal catalog record
+    of dimension at most 6, the identity and a random map of the wedges."""
+    rng = random.Random("oracles:dual-rigidity")
+    base = build_example1()
+    cases = [(base, example2_cross_map()), (base, Matrix.identity(3)), (base, Matrix.identity(2))]
+    cases += [(base, Matrix([[1, 0, 0], [1, 0, 0], [0, 0, 1]])), (base, Matrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))]
+    cases.append((entries["group:z2"].algebra, Matrix.identity(1)))
+    for name in NAMES:
+        for algebra in _records(entries, name):
+            report = decide_axioms(algebra)
+            if algebra.dim > 6 or not (report.comonoidal and report.minimal):
+                continue
+            k, r = algebra.subspaces["A_L"].dim, algebra.subspaces["A_R"].dim
+            cases.append((algebra, Matrix.identity(k)))
+            cases.append((algebra, Matrix([[Q(rng.randint(-2, 2)) for _ in range(r)] for _ in range(k)])))
+    built = set()
+    for algebra, cross in cases:
+        got = _outcome(rigidity.dual_rigidity_structure, algebra, cross)
+        assert got == _outcome(_dual_rigidity_structure_loop, algebra, cross)
+        built.add(isinstance(got, RigidityStructure))
+    assert built == {True, False}
+
+
+def test_unit_representation_suite_matches_the_loop(entries):
+    checks = set()
+    for name in NAMES:
+        for algebra in _records(entries, name):
+            if algebra.dim > 6:
+                continue
+            got = repcat.unit_representation_suite(algebra)
+            assert got == _unit_representation_suite_loop(algebra)
+            checks.update(c.name for c in got)
+    assert "free-amalgamation-equivalence" in checks
