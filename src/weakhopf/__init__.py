@@ -5,7 +5,6 @@ from .core import (
     AxiomReport,
     Element,
     Functional,
-    Tensor2,
     WeakBialgebra,
     decide_axioms,
     structural_theorem_suite,
@@ -20,7 +19,6 @@ __all__ = [
     "Matrix",
     "Q",
     "Subspace",
-    "Tensor2",
     "WeakBialgebra",
     "decide_axioms",
     "structural_theorem_suite",

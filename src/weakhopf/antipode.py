@@ -25,7 +25,6 @@ from .exactlin import (
     rank,
     row_space,
     solve_affine,
-    vdot,
     vector_combination,
 )
 
@@ -35,17 +34,13 @@ class SelfCheckError(Exception):
 
 
 def convolve(algebra: WeakBialgebra, s: Matrix, t: Matrix) -> Matrix:
-    """Convolution product of two endomorphisms given by their matrices."""
-    n = algebra.dim
-    s_cols = s.transpose().data
-    t_cols = t.transpose().data
-    cols = [
-        vector_combination(
-            ((c, algebra.mul(s_cols[u], t_cols[v])) for u, v, c in legs), n
-        )
-        for legs in map(nonzeros, algebra.comult)
-    ]
-    return Matrix._of_fractions(zip(*cols), n)
+    """Convolution product of two endomorphisms given by their matrices.
+
+    Row u * n + v of the pair products of the rows of S^t and T^t is
+    S(e_u) T(e_v), so the stacked coproduct times them has row k equal to
+    (S * T)(e_k), which is column k of S * T."""
+    pairs = algebra.products(s.transpose(), t.transpose())
+    return (algebra._stacked_coproduct * pairs).transpose()
 
 
 def convolution_unit(algebra: WeakBialgebra) -> Matrix:
@@ -373,9 +368,8 @@ def quasi_basis(algebra: WeakBialgebra, omega, space: Subspace):
         got2 = vector_combination(((c * gram[l, i], basis[j]) for c, j, l in pairs), n)
         if got != m or got2 != m:
             raise SelfCheckError("quasi-basis reproduction identities failed")
-        left = algebra.t2_mul(outer(m, algebra.unit), quasi)
-        right = algebra.t2_mul(quasi, outer(algebra.unit, m))
-        if left != right:
+        # (m (x) 1) Q is L_m Q and Q (1 (x) m) is Q R_m^t
+        if algebra.left_mult_of(m) * quasi != quasi * algebra.right_mult_of(m).transpose():
             raise SelfCheckError("quasi-basis centrality identity failed")
     index_m = Matrix._of_fractions([index], n)
     if algebra.products(index_m, basis_m) != algebra.products(basis_m, index_m):
@@ -616,7 +610,7 @@ def invariant_functional_check(algebra, s: Matrix, lam) -> FunctionalCriterionVe
         and s.apply(algebra.unit) == algebra.unit
         and s.transpose().apply(algebra.counit) == algebra.counit
     )
-    gram_lam = Matrix([[vdot(lam, ij) for ij in row] for row in algebra.mult])
+    gram_lam = algebra.pairing(lam)
     nondeg = rank(gram_lam) == n
     if not pre or not nondeg:
         return FunctionalCriterionVerdict(
@@ -631,14 +625,14 @@ def invariant_functional_check(algebra, s: Matrix, lam) -> FunctionalCriterionVe
         for b in range(n):
             lhs = vector_combination(
                 (
-                    (c * vdot(lam, algebra.mult[b][v]), basis[u])
+                    (c * gram_lam[b, v], basis[u])
                     for u, v, c in nonzeros(algebra.comult[a])
                 ),
                 n,
             )
             rhs = vector_combination(
                 (
-                    (c * vdot(lam, algebra.mult[v][a]), s.col(u))
+                    (c * gram_lam[v, a], s.col(u))
                     for u, v, c in nonzeros(algebra.comult[b])
                 ),
                 n,

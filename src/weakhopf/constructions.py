@@ -103,7 +103,10 @@ class Algebra:
 
     _mult_nonzeros = WeakBialgebra._mult_nonzeros
     _integer_tables = cached_property(_integer_algebra_tables)
+    _table = WeakBialgebra._table
+    _product_rows = WeakBialgebra._product_rows
     mul = WeakBialgebra.mul
+    pairing = WeakBialgebra.pairing
 
     def basis_vector(self, i):
         return unit_vec(self.dim, i)
@@ -342,19 +345,16 @@ class Amalgamation:
 
 class _Carrier:
     """Tensor carrier of two commuting factors, optionally amalgamated over a
-    shared central subalgebra; quotient coordinates come from RREF pivots."""
+    shared central subalgebra: the quotient by the amalgamation relations,
+    with coordinates at the free columns of their RREF."""
 
     def __init__(self, a1: Algebra, a2: Algebra, amalg=None):
         self.a1 = a1
         self.a2 = a2
         self.full_dim = a1.dim * a2.dim
         self.amalg = amalg
-        if amalg is None:
-            self.dim = self.full_dim
-            self.free = list(range(self.full_dim))
-            self.reducer = None
-        else:
-            rel = []
+        rel = []
+        if amalg is not None:
             for z in range(amalg.dim):
                 z1 = amalg.into_first[z]
                 z2 = amalg.into_second[z]
@@ -372,11 +372,9 @@ class _Carrier:
                                 v[i * a2.dim + w] -= y
                         if any(v):
                             rel.append(tuple(v))
-            sub = Subspace.from_spanning(rel, self.full_dim)
-            pivots = {row[0][0] for row in sub.basis.sparse_rows}
-            self.reducer = sub
-            self.free = [c for c in range(self.full_dim) if c not in pivots]
-            self.dim = len(self.free)
+        self.reducer = Subspace.from_spanning(rel, self.full_dim)
+        self.free = self.reducer.free_columns
+        self.dim = len(self.free)
 
     def _check_central(self, z1, z2):
         for i in range(self.a1.dim):
@@ -390,14 +388,7 @@ class _Carrier:
 
     def reduce(self, v):
         """Project an ambient tensor vector onto quotient coordinates."""
-        v = list(v)
-        if self.reducer is not None:
-            for row in self.reducer.basis.sparse_rows:
-                f = v[row[0][0]]
-                if f:
-                    for c, x in row:
-                        v[c] -= f * x
-        return tuple(v[c] for c in self.free)
+        return self.reducer.quotient_coordinates(v)
 
     def embed_pair(self, x, y):
         """Class of x (x) y for x in the first factor, y in the second."""
@@ -447,19 +438,9 @@ class _Carrier:
 # ----------------------------------------------------------------------
 
 
-def algebra_gram(alg: Algebra, omega):
-    n = alg.dim
-    return Matrix(
-        [
-            [vdot(omega, alg.mul(alg.basis_vector(i), alg.basis_vector(j))) for j in range(n)]
-            for i in range(n)
-        ]
-    )
-
-
 def algebra_quasi_basis(alg: Algebra, omega):
     """(gram inverse, index, modular automorphism) of a functional, or None."""
-    g = algebra_gram(alg, omega)
+    g = alg.pairing(omega)
     ginv = inverse(g)
     if ginv is None:
         return None

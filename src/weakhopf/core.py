@@ -29,7 +29,6 @@ from .exactlin import (
     _storage_row,
     _unwrap,
     _unwrapped_nonzeros,
-    _wrap_all,
     image,
     inverse,
     kernel,
@@ -302,25 +301,14 @@ class WeakBialgebra:
         )
 
     def mul(self, a, b):
-        # over the integer table: a b = (sum x y D_m c e_k) / D_m
-        tables = self._integer_tables
-        table = tables.mult
-        acc = [0] * self.dim
-        bnz = _unwrapped_nonzeros(b)
-        for i, x in _unwrapped_nonzeros(a):
-            row = table[i]
-            for j, y in bnz:
-                xy = x * y
-                for k, c in row[j]:
-                    acc[k] += xy * c
-        if tables.d_mult == 1:
-            return _wrap_all(acc)
-        inv = Q(1, tables.d_mult)
-        return tuple([s * inv if s else QZERO for s in acc])
+        """The product a b of two coefficient vectors, as one pair of _product_rows."""
+        rows = tuple(self._product_rows((_unwrapped_nonzeros(a),), (_unwrapped_nonzeros(b),)))
+        return Matrix._of_rows(rows, self.dim).row(0)
 
     def _product_rows(self, xrows, yrows):
         """The storage rows of the products x y, lazily, for x over xrows
-        and y over yrows (storage rows), x outermost.
+        and y over yrows (rows of (column, nonzero value) pairs), x
+        outermost.
 
         Each product is one sum over the integer table, wrapped once; x e_q
         is summed once per x for every q some y reaches."""
@@ -360,6 +348,19 @@ class WeakBialgebra:
     def _table(self) -> Matrix:
         """The multiplication table as products(I, I): row i * dim + j is e_i e_j."""
         return Matrix._of_sparse((ij for row in self._mult_nonzeros for ij in row), self.dim)
+
+    @cached_property
+    def _stacked_coproduct(self) -> Matrix:
+        """The coproduct as one dim x dim^2 matrix: row k is Delta(e_k), the
+        coefficient of e_u (x) e_v in column u * dim + v."""
+        return _stacked(self.comult, self.dim)
+
+    def pairing(self, phi) -> Matrix:
+        """The matrix of the pairing (a, b) -> phi(a b): entry (i, j) is
+        phi(e_i e_j)."""
+        n = self.dim
+        values = self._table.apply(phi)
+        return Matrix._of_fractions([values[i * n : (i + 1) * n] for i in range(n)], n)
 
     @computed_once
     def basis_products(self, s: Subspace) -> Matrix:
@@ -428,9 +429,7 @@ class WeakBialgebra:
     @cached_property
     def gram(self) -> Matrix:
         """Gram matrix of the counit pairing: entry (i, j) is eps(e_i e_j)."""
-        return Matrix._of_fractions(
-            [[self.eps(ij) for ij in row] for row in self.mult], self.dim
-        )
+        return self.pairing(self.counit)
 
     # ------------------------------------------------------------------
     # iterated coproducts, sparse dicts keyed by tuples of basis legs
@@ -767,9 +766,6 @@ class Element:
     def counit(self):
         return self.algebra.eps(self.coeffs)
 
-    def coproduct(self) -> "Tensor2":
-        return Tensor2(self.algebra, self.algebra.delta(self.coeffs))
-
     def __str__(self):
         terms = [
             "%s*%s" % (qstr(c), lb)
@@ -794,23 +790,6 @@ class Functional:
 
     def acted_left(self, a: "Element") -> "Functional":
         return Functional(self.algebra, self.algebra.act_left(a.coeffs, self.coeffs))
-
-    def acted_right(self, a: "Element") -> "Functional":
-        return Functional(self.algebra, self.algebra.act_right(self.coeffs, a.coeffs))
-
-
-@dataclass(frozen=True)
-class Tensor2:
-    algebra: WeakBialgebra
-    coeffs: Matrix
-
-    def __post_init__(self):
-        n = self.algebra.dim
-        if self.coeffs.rows != n or self.coeffs.cols != n:
-            raise AlgebraDataError("tensor has wrong shape")
-
-    def __mul__(self, other: "Tensor2") -> "Tensor2":
-        return Tensor2(self.algebra, self.algebra.t2_mul(self.coeffs, other.coeffs))
 
 
 # ----------------------------------------------------------------------

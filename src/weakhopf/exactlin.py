@@ -591,6 +591,17 @@ class Subspace:
             return None
         return coeffs
 
+    @cached_property
+    def free_columns(self) -> tuple:
+        """The columns that hold no pivot of the stored basis, in order."""
+        return tuple(c for c in range(self.ambient_dim) if c not in self._pivot_rows)
+
+    def quotient_coordinates(self, v) -> tuple:
+        """Coordinates of the class of v in the quotient by this subspace:
+        v reduced against the stored basis, read at the free columns."""
+        row = _reduce({j: _unwrap(x) for j, x in enumerate(v) if x}, self._pivot_rows)
+        return _wrap_all([row.get(c, 0) for c in self.free_columns])
+
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")

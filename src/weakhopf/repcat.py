@@ -619,17 +619,7 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
                 if any(vecr):
                     rel.append(tuple(vecr))
     relspace = Subspace.from_spanning(rel, plain)
-    pivots = {row[0][0] for row in relspace.basis.sparse_rows}
-    free = [c for c in range(plain) if c not in pivots]
-
-    def reduce_vec(vecr):
-        vecr = list(vecr)
-        for row in relspace.basis.sparse_rows:
-            f = vecr[row[0][0]]
-            if f:
-                for c, x in row:
-                    vecr[c] -= f * x
-        return tuple(vecr[c] for c in free)
+    free = relspace.free_columns
 
     def plain_coaction(a, b):
         """Coaction of f_a (x) g_b on the plain tensor."""
@@ -648,7 +638,7 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
         a, b = divmod(free[t], w.dim)
         rows = [[QZERO] * algebra.dim for _ in range(qdim)]
         for (pos, k), c in plain_coaction(a, b).items():
-            red = reduce_vec(unit_vec(plain, pos))
+            red = relspace.quotient_coordinates(unit_vec(plain, pos))
             for x, c2 in enumerate(red):
                 if c2:
                     rows[x][k] += c * c2
@@ -691,7 +681,7 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
     # mutually inverse comodule maps between the two realizations
     fwd_cols = []
     for bvec in tbasis:
-        fwd_cols.append(reduce_vec(bvec))
+        fwd_cols.append(relspace.quotient_coordinates(bvec))
     fwd = Matrix.from_columns(fwd_cols, qdim)
     bwd_cols = []
     for t in range(qdim):

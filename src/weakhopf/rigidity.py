@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from .antipode import (
     SelfCheckError,
     _kept_convolution,
+    convolve,
     is_anti_multiplicative,
     is_normal_prerigidity_map,
 )
@@ -32,7 +33,6 @@ from .exactlin import (
     particular_solution,
     rank,
     vdot,
-    vec,
     vector_combination,
 )
 
@@ -79,28 +79,26 @@ def normalize_pair(algebra, s, alpha, beta):
     return adj_a.apply(algebra.unit), adj_b.apply(algebra.unit)
 
 
-def _unit_words(algebra, s, alpha, beta, x):
-    """x_(1) beta S(x_(2)) alpha x_(3) and S(x_(1)) alpha x_(2) beta S(x_(3)).
+def _unit_word_maps(algebra, s, alpha, beta):
+    """The maps x -> x_(1) beta S(x_(2)) alpha x_(3) and
+    x -> S(x_(1)) alpha x_(2) beta S(x_(3)).
 
     Over (id (x) Delta) Delta(x) the last two legs of each word make a
     column of an adjoint map, so the words are x_(1) beta A(x_(2)) and
     S(x_(1)) alpha B(x_(2)), with A and B the adjoint maps of (S, alpha,
-    beta): one pair of products per coproduct term of x.
+    beta): the convolutions R_beta * A and R_alpha S * B.
     """
-    mul = algebra.mul
-    n = algebra.dim
     adj_a, adj_b = _adjoint_maps(algebra, s, alpha, beta)
-    a_cols = adj_a.transpose().data
-    b_cols = adj_b.transpose().data
-    s_cols = s.transpose().data
-    legs = nonzeros(algebra.delta(x))
-    first = vector_combination(
-        ((c, mul(mul(algebra.basis_vector(p), beta), a_cols[y])) for p, y, c in legs), n
+    return (
+        convolve(algebra, algebra.right_mult_of(beta), adj_a),
+        convolve(algebra, algebra.right_mult_of(alpha) * s, adj_b),
     )
-    second = vector_combination(
-        ((c, mul(mul(s_cols[p], alpha), b_cols[y])) for p, y, c in legs), n
-    )
-    return first, second
+
+
+def _unit_words(algebra, s, alpha, beta, x):
+    """The two unit words of _unit_word_maps at x."""
+    first, second = _unit_word_maps(algebra, s, alpha, beta)
+    return first.apply(x), second.apply(x)
 
 
 def verify_rigidity(algebra: WeakBialgebra, r: RigidityStructure) -> RigidityVerification:
@@ -254,20 +252,14 @@ def uniqueness_intertwiners(r1: RigidityStructure, r2: RigidityStructure) -> Twi
             raise ValueError("intertwiners need verified rigid structures")
         normalized.append((check.normalized_alpha, check.normalized_beta))
     (a1, b1), (a2, b2) = normalized[0], normalized[-1]
-    mul = algebra.mul
-    legs = nonzeros(algebra.delta1)
 
     def word(first, second):
         """S(1_(1)) a 1_(2) b' S'(1_(3)) for normalized structures (S, a, b)
         and (S', a', b'), as S(1_(1)) a B'(1_(2)) with B' the adjoint map
-        y -> y_(1) b' S'(y_(2)) of the second."""
+        y -> y_(1) b' S'(y_(2)) of the second: (R_a S * B')(1)."""
         (s_f, a_f, _), (s_s, a_s, b_s) = first, second
-        # S(e_p) a for every p at once
-        f_a = algebra.products(s_f.transpose(), Matrix._of_fractions([vec(a_f)], algebra.dim)).data
-        b_cols = _adjoint_maps(algebra, s_s, a_s, b_s)[1].transpose().data
-        return vector_combination(
-            ((c, mul(f_a[p], b_cols[y])) for p, y, c in legs), algebra.dim
-        )
+        b_adj = _adjoint_maps(algebra, s_s, a_s, b_s)[1]
+        return convolve(algebra, algebra.right_mult_of(a_f) * s_f, b_adj).apply(algebra.unit)
 
     one, two = (r1.s, a1, b1), (r2.s, a2, b2)
     # u = S2(1_(1)) a2 1_(2) b1 S1(1_(3)) and ubar with the structures
@@ -418,10 +410,9 @@ def _absorption_identities(algebra, s, alpha, beta) -> bool:
     n = algebra.dim
     mul = algebra.mul
     basis = [algebra.basis_vector(i) for i in range(n)]
-    for t in range(n):
-        first, second = _unit_words(algebra, s, alpha, beta, basis[t])
-        if first != basis[t] or second != s.col(t):
-            return False
+    first, second = _unit_word_maps(algebra, s, alpha, beta)
+    if first != Matrix.identity(n) or second != s:
+        return False
     for t in range(n):
         d5 = algebra.iterated_delta(basis[t], 5).items()
         lhs = linear_combination(
