@@ -19,14 +19,15 @@ from .exactlin import (
     Q,
     QONE,
     QZERO,
-    Subspace,
     inverse,
     linear_combination,
     nonzeros,
     outer,
     outer_nonzeros,
     rank,
+    row_space,
     solve_affine,
+    sylvester,
     unit_vec,
     vdot,
     vector_combination,
@@ -353,26 +354,17 @@ class _Carrier:
         self.a2 = a2
         self.full_dim = a1.dim * a2.dim
         self.amalg = amalg
-        rel = []
+        pairs = []
         if amalg is not None:
             for z in range(amalg.dim):
                 z1 = amalg.into_first[z]
                 z2 = amalg.into_second[z]
                 self._check_central(z1, z2)
-                for i in range(a1.dim):
-                    az = a1.mul(a1.basis_vector(i), z1)
-                    for j in range(a2.dim):
-                        zb = a2.mul(z2, a2.basis_vector(j))
-                        v = [QZERO] * self.full_dim
-                        for u, x in enumerate(az):
-                            if x:
-                                v[u * a2.dim + j] += x
-                        for w, y in enumerate(zb):
-                            if y:
-                                v[i * a2.dim + w] -= y
-                        if any(v):
-                            rel.append(tuple(v))
-        self.reducer = Subspace.from_spanning(rel, self.full_dim)
+                # the relations e_i z (x) e_j - e_i (x) z e_j
+                right = Matrix.from_rows([a1.mul(a1.basis_vector(i), z1) for i in range(a1.dim)])
+                left = Matrix.from_columns([a2.mul(z2, a2.basis_vector(j)) for j in range(a2.dim)], a2.dim)
+                pairs.append((left, right))
+        self.reducer = row_space(sylvester(pairs, a1.dim, a2.dim))
         self.free = self.reducer.free_columns
         self.dim = len(self.free)
 
@@ -979,7 +971,13 @@ def catalog_names():
 
 
 def catalog(name: str) -> CatalogEntry:
-    """Pre-validated instances by name; unknown names raise."""
+    """Pre-validated instances by name; unknown names raise.
+
+    bsz-dual:n is Hayashi's face algebra of the pair groupoid on n objects:
+    commutative, with a basis of n^2 orthogonal idempotents.  Its dual is
+    the pair-groupoid algebra, with a grouplike basis of the n^2 arrows and
+    one nonzero product per composable pair, n^3 in all.
+    """
     if name == "trivial":
         alg = WeakBialgebra(1, [[[1]]], [1], [Matrix([[1]])], [1], labels=["1"])
         return CatalogEntry(name, alg, antipode=Matrix.identity(1))

@@ -541,6 +541,23 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+def sylvester(pairs, rows: int, cols: int) -> Matrix:
+    """The stacked matrix of kron(B, I_cols) - kron(I_rows, A^t) over the
+    (A, B) pairs, A of size cols and B of size rows.
+
+    With a rows x cols matrix T flattened row by row, its kernel is
+    {T : B T = T A for every pair}, a commutant.  Its row (i, j) of a pair
+    is B^t e_i (x) e_j - e_i (x) A e_j, so its row space is the span of the
+    balanced-tensor relations x.m (x) y - x (x) m.y of a right action B^t
+    and a left action A, in kron's index convention (i, j) -> i * cols + j.
+    """
+    i_rows, i_cols = Matrix.identity(rows), Matrix.identity(cols)
+    stacked = []
+    for a, b in pairs:
+        stacked.extend((kron(b, i_cols) - kron(i_rows, a.transpose())).sparse_rows)
+    return Matrix._of_rows(tuple(stacked), rows * cols)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of K^n given by its canonical RREF basis (rows)."""
@@ -590,6 +607,27 @@ class Subspace:
         if _reduce(row, self._pivot_rows):
             return None
         return coeffs
+
+    def row_coordinates(self, m: Matrix) -> Matrix | None:
+        """The coordinates of each row of m in the stored basis, as the rows
+        of a matrix, or None when some row lies outside.
+
+        The basis is in RREF, so a vector's coordinates are its entries at
+        the pivot columns, and it lies inside iff it equals their
+        combination of the basis rows."""
+        index = {c: t for t, c in enumerate(self._pivot_rows)}
+        coords = Matrix._of_rows(
+            tuple(tuple((index[j], x) for j, x in row if j in index) for row in m.sparse_rows),
+            self.dim,
+        )
+        return coords if coords * self.basis == m else None
+
+    def restrict(self, op: Matrix) -> Matrix | None:
+        """The matrix of op on the stored basis: column t holds the
+        coordinates of op b_t.  None when op moves a basis vector out of
+        this subspace."""
+        coords = self.row_coordinates(self.basis * op.transpose())
+        return None if coords is None else coords.transpose()
 
     @cached_property
     def free_columns(self) -> tuple:

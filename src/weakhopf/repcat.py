@@ -17,7 +17,14 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .core import TheoremCheck, WeakBialgebra, _combination, _summed, decide_axioms
+from .core import (
+    TheoremCheck,
+    WeakBialgebra,
+    _combination,
+    _summed,
+    computed_once,
+    decide_axioms,
+)
 from .exactlin import (
     Matrix,
     QZERO,
@@ -28,6 +35,8 @@ from .exactlin import (
     linear_combination,
     nonzeros,
     rank,
+    row_space,
+    sylvester,
     unit_vec,
     vector_combination,
 )
@@ -76,12 +85,16 @@ class TruncatedTensor:
     projector: Matrix
 
 
+def _kron_sum(terms, rows: int, cols: int) -> Matrix:
+    """sum c * kron(x, y) over (c, x, y) triples."""
+    return linear_combination(((c, nonzeros(kron(x, y))) for c, x, y in terms), rows, cols)
+
+
 def _diagonal_operator(algebra, v: ModuleRep, w: ModuleRep, a) -> Matrix:
+    """The action of a on v (x) w through its coproduct."""
     dim = v.dim * w.dim
-    return linear_combination(
-        ((c, nonzeros(kron(v.action[i], w.action[j]))) for i, j, c in nonzeros(algebra.delta(a))),
-        dim,
-        dim,
+    return _kron_sum(
+        ((c, v.action[i], w.action[j]) for i, j, c in nonzeros(algebra.delta(a))), dim, dim
     )
 
 
@@ -94,19 +107,13 @@ def tensor_module(v: ModuleRep, w: ModuleRep) -> TruncatedTensor:
     if projector * projector != projector:
         raise ValueError("unit operator failed to be idempotent")
     carrier = image(projector)
-    basis = carrier.basis.data
     mats = []
     for t in range(algebra.dim):
-        big = _diagonal_operator(algebra, v, w, algebra.basis_vector(t))
-        cols = []
-        for b in basis:
-            moved = big.apply(b)
-            coords = carrier.coordinates(moved)
-            if coords is None:
-                raise ValueError("diagonal action does not preserve the carrier")
-            cols.append(coords)
-        mats.append(Matrix.from_columns(cols, len(basis)))
-    rep = ModuleRep.build(algebra, mats) if basis else ModuleRep(algebra, 0, tuple(mats))
+        mat = carrier.restrict(_diagonal_operator(algebra, v, w, algebra.basis_vector(t)))
+        if mat is None:
+            raise ValueError("diagonal action does not preserve the carrier")
+        mats.append(mat)
+    rep = ModuleRep.build(algebra, mats) if carrier.dim else ModuleRep(algebra, 0, tuple(mats))
     return TruncatedTensor(rep, v, w, carrier, projector)
 
 
@@ -115,23 +122,41 @@ def embedding(trunc: TruncatedTensor) -> Matrix:
     return trunc.carrier.basis.transpose()
 
 
+@computed_once
 def unit_module(algebra: WeakBialgebra):
-    """The cyclic submodule of the dual generated by the counit."""
+    """The cyclic submodule of the dual generated by the counit, with its
+    carrier; kept per instance."""
     algebra.require_valid()
     carrier = algebra.subspaces["Ahat_R"]
-    basis = carrier.basis.data
-    mats = []
-    for t in range(algebra.dim):
-        op = algebra.right_mult[t].transpose()
-        cols = []
-        for b in basis:
-            coords = carrier.coordinates(op.apply(b))
-            if coords is None:
-                raise ValueError("dual action does not preserve the unit carrier")
-            cols.append(coords)
-        mats.append(Matrix.from_columns(cols, len(basis)))
-    rep = ModuleRep.build(algebra, mats)
-    return rep, carrier
+    mats = [carrier.restrict(r.transpose()) for r in algebra.right_mult]
+    if None in mats:
+        raise ValueError("dual action does not preserve the unit carrier")
+    return ModuleRep.build(algebra, mats), carrier
+
+
+@computed_once
+def _dual_wedge_actions(algebra: WeakBialgebra):
+    """The dual's A_L cap A_R, and the right multiplications by its basis
+    vectors restricted to the unit carrier; those that leave the carrier
+    are skipped."""
+    _, carrier = unit_module(algebra)
+    dual = algebra.dual
+    z = dual.subspaces["A_L"].intersect(dual.subspaces["A_R"])
+    mats = (carrier.restrict(dual.right_mult_of(zv)) for zv in z.basis.data)
+    return z, tuple(m for m in mats if m is not None)
+
+
+@computed_once
+def _wedge_coaction_slices(algebra: WeakBialgebra):
+    """The right wedge A_R as a comodule, one slice per basis index k:
+    column s holds the A_R-coordinates of the e_k leg of the coproduct of
+    basis vector s, or the slice is None when that leg leaves A_R.
+
+    The e_k leg of the coproduct is the transpose of the dual's right
+    multiplication by e_k, and A_R is the dual's Ahat_R, since the dual's
+    Gram matrix is the coproduct of the unit."""
+    space = algebra.subspaces["A_R"]
+    return tuple(space.restrict(r.transpose()) for r in algebra.dual.right_mult)
 
 
 def unit_module_report(algebra: WeakBialgebra):
@@ -149,46 +174,25 @@ def unit_module_report(algebra: WeakBialgebra):
         for sigma in sigmas:
             space = algebra.subspaces["A_%sR" % sigma]
             proj = algebra.projection(sigma, "R")
-            rep_ok = True
-            inter_ok = True
-            sbasis = space.basis.data
-            for t in range(algebra.dim):
-                cols = []
-                for x in sbasis:
-                    moved = proj.apply(algebra.mul(algebra.basis_vector(t), x))
-                    coords = space.coordinates(moved)
-                    if coords is None:
-                        rep_ok = False
-                        break
-                    cols.append(coords)
-                if not rep_ok:
-                    break
-                for k, x in enumerate(sbasis):
-                    lhs = carrier.coordinates(eps_r.apply(proj.apply(algebra.mul(algebra.basis_vector(t), x))))
-                    step = carrier.coordinates(eps_r.apply(x))
-                    rhs = rep.action[t].apply(step)
-                    if lhs != rhs:
-                        inter_ok = False
-            for x in sbasis:
-                for y in sbasis:
-                    if proj.apply(algebra.mul(x, y)) != algebra.mul(x, y):
-                        rep_ok = False
-            checks.append(
-                TheoremCheck("unit-realization-%s" % sigma, True, rep_ok and inter_ok)
-            )
+            # A_sigmaR with e_t acting by proj(e_t x) is a module, and the
+            # counit map eps_r, as the matrix e from its basis to the unit
+            # carrier's, intertwines it with the unit module
+            mats = [space.restrict(proj * lm) for lm in algebra.left_mult]
+            prods = algebra.basis_products(space)
+            realized = None not in mats and prods * proj.transpose() == prods
+            if realized:
+                e = carrier.row_coordinates(space.basis * eps_r.transpose()).transpose()
+                realized = all(e * m == r * e for m, r in zip(mats, rep.action))
+            checks.append(TheoremCheck("unit-realization-%s" % sigma, True, realized))
             # the restricted counit map is a module isomorphism with the
             # hatted counit map as its inverse
             ehat = algebra.eps_maps["epshat_l" if sigma == "L" else "epshat_r"]
-            iso_ok = True
-            for x in sbasis:
-                if ehat.apply(eps_r.apply(x)) != x:
-                    iso_ok = False
-            for phi in carrier.basis.data:
-                back = ehat.apply(phi)
-                if space.coordinates(back) is None:
-                    iso_ok = False
-                elif eps_r.apply(back) != phi:
-                    iso_ok = False
+            back = carrier.basis * ehat.transpose()
+            iso_ok = (
+                space.basis * (ehat * eps_r).transpose() == space.basis
+                and space.row_coordinates(back) is not None
+                and back * eps_r.transpose() == carrier.basis
+            )
             checks.append(TheoremCheck("unit-realization-inverse-%s" % sigma, True, iso_ok))
     return rep, carrier, checks
 
@@ -220,41 +224,20 @@ def coherence_maps(v: ModuleRep) -> CoherenceMaps:
         raise ValueError("counit does not lie in the unit carrier")
     one_ev = _diagonal_operator(algebra, e_rep, v, algebra.unit)
     one_ve = _diagonal_operator(algebra, v, e_rep, algebra.unit)
-    l_cols = []
-    for k in range(dv):
-        vec = [QZERO] * (de * dv)
-        for i, c in enumerate(eps_coords):
-            if c:
-                vec[i * dv + k] += c
-        l_cols.append(one_ev.apply(vec))
-    l_map = Matrix.from_columns(l_cols, de * dv)
-    r_cols = []
-    for k in range(dv):
-        vec = [QZERO] * (dv * de)
-        for i, c in enumerate(eps_coords):
-            if c:
-                vec[k * de + i] += c
-        r_cols.append(one_ve.apply(vec))
-    r_map = Matrix.from_columns(r_cols, dv * de)
+    eps, ident = Matrix.column(eps_coords), Matrix.identity(dv)
+    l_map = one_ev * kron(eps, ident)
+    r_map = one_ve * kron(ident, eps)
     # retractions pair the unit coproduct legs against the dual carrier:
-    # phi (x) v goes to <phi | 1_(1)> 1_(2) . v and its mirror
-    d1 = algebra.delta1
-    ebasis = e_carrier.basis.data
-    lbar_rows = []
-    rbar_rows = []
-    # the operators of <phi | 1_(1)> 1_(2) and 1_(1) <phi | 1_(2)>
-    ops_l = [v.operator(d1.transpose().apply(phi)) for phi in ebasis]
-    ops_r = [v.operator(d1.apply(phi)) for phi in ebasis]
-    for out in range(dv):
-        lrow = []
-        rrow = []
-        for op_l, op_r in zip(ops_l, ops_r):
-            lrow.extend(op_l.row(out))
-            rrow.extend(op_r.row(out))
-        lbar_rows.append(lrow)
-        rbar_rows.append(rrow)
-    l_bar = Matrix(lbar_rows)  # acts on E (x) V coordinates, phi-major
-    r_bar = _reorder_rbar(rbar_rows, de, dv)
+    # phi (x) v goes to <phi | 1_(1)> 1_(2) . v and its mirror; the row
+    # pairing_u lists <phi | e_u> over the carrier basis
+    pairing = e_carrier.basis.transpose().sparse_rows
+    nz = nonzeros(algebra.delta1)
+    l_bar = _kron_sum(
+        ((c, Matrix._of_rows((pairing[u],), de), v.action[s]) for u, s, c in nz), dv, de * dv
+    )
+    r_bar = _kron_sum(
+        ((c, v.action[s], Matrix._of_rows((pairing[u],), de)) for s, u, c in nz), dv, dv * de
+    )
     checks = [
         TheoremCheck("left-retraction", True, l_bar * l_map == Matrix.identity(dv)),
         TheoremCheck("right-retraction", True, r_bar * r_map == Matrix.identity(dv)),
@@ -265,18 +248,6 @@ def coherence_maps(v: ModuleRep) -> CoherenceMaps:
         ),
     ]
     return CoherenceMaps(l_map, r_map, l_bar, r_bar, e_rep, e_carrier, checks)
-
-
-def _reorder_rbar(rbar_rows, de, dv):
-    """Convert retraction columns from phi-major to v-major ordering."""
-    out = []
-    for row in rbar_rows:
-        new = [QZERO] * (dv * de)
-        for i in range(de):
-            for k in range(dv):
-                new[k * de + i] = row[i * dv + k]
-        out.append(new)
-    return Matrix(out)
 
 
 def coherence_report(v: ModuleRep):
@@ -310,25 +281,8 @@ def intertwiner_space(v: ModuleRep, w: ModuleRep) -> Subspace:
     """Module maps v -> w as a subspace of flattened operator matrices."""
     if w.algebra is not v.algebra:
         raise ValueError("modules live over different algebras")
-    rows = []
-    n = v.algebra.dim
-    for t in range(n):
-        # T pi_v(e_t) - pi_w(e_t) T = 0, linear in the entries of T
-        av = v.action[t]
-        aw = w.action[t]
-        for i in range(w.dim):
-            for j in range(v.dim):
-                line = [QZERO] * (w.dim * v.dim)
-                for k in range(v.dim):
-                    c = av[k, j]
-                    if c:
-                        line[i * v.dim + k] += c
-                for k in range(w.dim):
-                    c = aw[i, k]
-                    if c:
-                        line[k * v.dim + j] -= c
-                rows.append(line)
-    return kernel(Matrix.from_rows(rows, w.dim * v.dim))
+    # pi_w(e_t) T = T pi_v(e_t) for every basis vector e_t
+    return kernel(sylvester(zip(v.action, w.action), w.dim, v.dim))
 
 
 @dataclass
@@ -347,7 +301,7 @@ def end_of_unit(algebra: WeakBialgebra) -> EndOfUnitReport:
     report = decide_axioms(algebra)
     checks = []
     if report.monoidal:
-        rep, carrier = unit_module(algebra)
+        rep, _ = unit_module(algebra)
         endo = intertwiner_space(rep, rep)
         spans = {}
         for tag, center in (("R", algebra.center_r), ("L", algebra.center_l)):
@@ -360,27 +314,14 @@ def end_of_unit(algebra: WeakBialgebra) -> EndOfUnitReport:
                 endo == spans["R"] == spans["L"],
             )
         )
-        dual = algebra.dual
-        z_dual = dual.subspaces["A_L"].intersect(dual.subspaces["A_R"])
+        z_dual, actions = _dual_wedge_actions(algebra)
         checks.append(
             TheoremCheck(
                 "unit-endomorphism-dimension", True, endo.dim == z_dual.dim
             )
         )
         # right multiplications by the dual wedge intersection realize them
-        vecs = []
-        for xi in z_dual.basis.data:
-            op_amb = dual.right_mult_of(xi)
-            cols = []
-            good = True
-            for b in carrier.basis.data:
-                coords = carrier.coordinates(op_amb.apply(b))
-                if coords is None:
-                    good = False
-                    break
-                cols.append(coords)
-            if good:
-                vecs.append(Matrix.from_columns(cols, rep.dim).flatten())
+        vecs = [m.flatten() for m in actions]
         checks.append(
             TheoremCheck(
                 "unit-endomorphisms-as-dual-multiplications",
@@ -391,39 +332,16 @@ def end_of_unit(algebra: WeakBialgebra) -> EndOfUnitReport:
         dim_end = endo.dim
     elif report.comonoidal:
         space = algebra.subspaces["A_R"]
-        basis = space.basis.data
-        k = len(basis)
-        n = algebra.dim
-        rows = []
-        # the unit comodule coaction is the restricted coproduct
-        for t_out in range(k):
-            for amb in range(n):
-                for src in range(k):
-                    line = [QZERO] * (k * k)
-                    # (T (x) id) rho - rho T = 0 entrywise
-                    for m in range(k):
-                        c = _coact_coeff(algebra, space, basis, src, m, amb)
-                        if c:
-                            line[t_out * k + m] += c
-                    for m in range(k):
-                        c2 = _coact_coeff(algebra, space, basis, m, t_out, amb)
-                        if c2:
-                            line[m * k + src] -= c2
-                    rows.append(line)
-        endo = kernel(Matrix.from_rows(rows, k * k))
+        k = space.dim
+        # the unit comodule coaction is the restricted coproduct, and an
+        # endomorphism T satisfies (T (x) id) rho = rho T, slice by slice
+        slices = _wedge_coaction_slices(algebra)
+        if None in slices:
+            raise ValueError("coproduct does not restrict to the wedge comodule")
+        endo = kernel(sylvester(((c, c) for c in slices), k, k))
         z = algebra.subspaces["A_L"].intersect(space)
-        vecs = []
-        for zv in z.basis.data:
-            cols = []
-            good = True
-            for b in basis:
-                coords = space.coordinates(algebra.mul(b, zv))
-                if coords is None:
-                    good = False
-                    break
-                cols.append(coords)
-            if good:
-                vecs.append(Matrix.from_columns(cols, k).flatten())
+        mats = (space.restrict(algebra.right_mult_of(zv)) for zv in z.basis.data)
+        vecs = [m.flatten() for m in mats if m is not None]
         checks.append(
             TheoremCheck(
                 "unit-comodule-endomorphisms",
@@ -435,15 +353,6 @@ def end_of_unit(algebra: WeakBialgebra) -> EndOfUnitReport:
     else:
         return EndOfUnitReport(0, [TheoremCheck("end-of-unit", False, True)])
     return EndOfUnitReport(dim_end, checks)
-
-
-def _coact_coeff(algebra, space, basis, src, dst, amb):
-    """Coefficient of (basis dst) (x) e_amb in the coproduct of basis src."""
-    db = algebra.delta(basis[src])
-    coords = space.coordinates(db.col(amb))
-    if coords is None:
-        raise ValueError("coproduct does not restrict to the wedge comodule")
-    return coords[dst]
 
 
 # ----------------------------------------------------------------------
@@ -502,10 +411,7 @@ class Comodule:
 
 
 def regular_comodule(algebra: WeakBialgebra) -> Comodule:
-    mats = []
-    for v in range(algebra.dim):
-        mats.append(algebra.comult[v])
-    return Comodule.build(algebra, mats)
+    return Comodule.build(algebra, algebra.comult)
 
 
 @dataclass
@@ -601,24 +507,17 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
             rec_ok = False
     checks.append(TheoremCheck("counit-recovery", True, rec_ok))
 
-    # quotient carrier of the amalgamated product
+    # quotient carrier of the amalgamated product: the relations
+    # f_a . m (x) g_b - f_a (x) m . g_b
     plain = v.dim * w.dim
-    rel = []
-    for m in rbasis:
-        for a in range(v.dim):
-            va = act_right(v, a, m)
-            for b in range(w.dim):
-                wb = act_left(m, w, b)
-                vecr = [QZERO] * plain
-                for x, c in enumerate(va):
-                    if c:
-                        vecr[x * w.dim + b] += c
-                for y, c in enumerate(wb):
-                    if c:
-                        vecr[a * w.dim + y] -= c
-                if any(vecr):
-                    rel.append(tuple(vecr))
-    relspace = Subspace.from_spanning(rel, plain)
+    pairs = (
+        (
+            Matrix.from_columns([act_left(m, w, b) for b in range(w.dim)], w.dim),
+            Matrix.from_rows([act_right(v, a, m) for a in range(v.dim)], v.dim),
+        )
+        for m in rbasis
+    )
+    relspace = row_space(sylvester(pairs, v.dim, w.dim))
     free = relspace.free_columns
 
     def plain_coaction(a, b):
@@ -768,18 +667,19 @@ def monoidal_coherence_suite(v: ModuleRep, w: ModuleRep):
     inter = intertwiner_space(v, w)
     nat_ok = True
     for frow in inter.basis.data:
-        f = Matrix(
-            [
-                [frow[i * v.dim + j] for j in range(v.dim)]
-                for i in range(w.dim)
-            ]
-        )
+        f = Matrix([frow[i * v.dim : (i + 1) * v.dim] for i in range(w.dim)])
         if maps_w.l_map * f != kron(Matrix.identity(de), f) * maps_v.l_map:
             nat_ok = False
         if maps_w.r_map * f != kron(f, Matrix.identity(de)) * maps_v.r_map:
             nat_ok = False
     checks.append(TheoremCheck("insertion-naturality", True, nat_ok))
     return checks
+
+
+def _flattened_columns(mats, k: int) -> Matrix:
+    """The k*k x len(mats) matrix whose column t is mats[t], k x k,
+    flattened row by row."""
+    return Matrix.from_columns([m.flatten() for m in mats], k * k)
 
 
 def associativity_check(u: ModuleRep, v: ModuleRep, w: ModuleRep) -> bool:
@@ -792,27 +692,21 @@ def associativity_check(u: ModuleRep, v: ModuleRep, w: ModuleRep) -> bool:
     amb_left = kron(embedding(uv), Matrix.identity(w.dim)) * embedding(left)
     amb_right = kron(Matrix.identity(u.dim), embedding(vw)) * embedding(right)
     dim_amb = u.dim * v.dim * w.dim
-    space_left = Subspace.from_spanning(
-        [amb_left.col(t) for t in range(amb_left.cols)], dim_amb
-    )
-    space_right = Subspace.from_spanning(
-        [amb_right.col(t) for t in range(amb_right.cols)], dim_amb
-    )
-    if space_left != space_right:
+    space_left = image(amb_left)
+    if space_left != image(amb_right):
         return False
     algebra = u.algebra
     for t in range(algebra.dim):
-        op = linear_combination(
+        op = _kron_sum(
             (
-                (c, nonzeros(kron(kron(u.action[p], v.action[q]), w.action[r])))
+                (c, kron(u.action[p], v.action[q]), w.action[r])
                 for (p, q, r), c in algebra.delta2(algebra.basis_vector(t)).items()
             ),
             dim_amb,
             dim_amb,
         )
-        for b in space_left.basis.data:
-            if space_left.coordinates(op.apply(b)) is None:
-                return False
+        if space_left.restrict(op) is None:
+            return False
     return True
 
 
@@ -830,70 +724,25 @@ def unit_representation_suite(algebra: WeakBialgebra):
     report = decide_axioms(algebra)
     checks = []
     if report.monoidal:
-        rep, carrier = unit_module(algebra)
+        rep, _ = unit_module(algebra)
         de = rep.dim
         dual = algebra.dual
-        z = dual.subspaces["A_L"].intersect(dual.subspaces["A_R"])
         # endomorphisms commuting with right multiplication by z
-        rows = []
-        for zv in z.basis.data:
-            op_cols = []
-            good = True
-            for b in carrier.basis.data:
-                coords = carrier.coordinates(dual.right_mult_of(zv).apply(b))
-                if coords is None:
-                    good = False
-                    break
-                op_cols.append(coords)
-            if not good:
-                continue
-            zmat = Matrix.from_columns(op_cols, de)
-            for i in range(de):
-                for j in range(de):
-                    line = [QZERO] * (de * de)
-                    for k in range(de):
-                        c = zmat[k, j]
-                        if c:
-                            line[i * de + k] += c
-                        c2 = zmat[i, k]
-                        if c2:
-                            line[k * de + j] -= c2
-                    rows.append(line)
-        commutant = (
-            kernel(Matrix.from_rows(rows, de * de))
-            if rows
-            else Subspace.full(de * de)
-        )
-        img = Subspace.from_spanning(
-            [rep.action[t].flatten() for t in range(algebra.dim)], de * de
-        )
+        z, actions = _dual_wedge_actions(algebra)
+        commutant = kernel(sylvester(((m, m) for m in actions), de, de))
+        img = Subspace.from_spanning([m.flatten() for m in rep.action], de * de)
         checks.append(
             TheoremCheck("unit-action-in-commutant", True, commutant.contains_subspace(img))
         )
-        prod_dim = dual.subspace_product(
-            dual.subspaces["A_L"], dual.subspaces["A_R"]
-        ).dim
-        # the relation of (x z, y) and (x, z y) for basis vectors x of A_L,
-        # y of A_R and z of the intersection, in the coordinates of
-        # A_L (x) A_R; x and y are basis vectors, so their coordinates are
-        # unit vectors
-        rel = []
         a_l, a_r = dual.subspaces["A_L"], dual.subspaces["A_R"]
-        nl, nr = a_l.dim, a_r.dim
-        for zv in z.basis.sparse_rows:
-            z_row = Matrix._of_rows((zv,), dual.dim)
-            cxs = [a_l.coordinates(xz) for xz in dual.products(a_l.basis, z_row).data]
-            cys = [a_r.coordinates(zy) for zy in dual.products(z_row, a_r.basis).data]
-            for ix, cx in enumerate(cxs):
-                for iy, cy in enumerate(cys):
-                    vecr = [QZERO] * (nl * nr)
-                    for i, c in enumerate(cx):
-                        vecr[i * nr + iy] += c
-                    for j, c in enumerate(cy):
-                        vecr[ix * nr + j] -= c
-                    if any(vecr):
-                        rel.append(tuple(vecr))
-        amalg_dim = nl * nr - Subspace.from_spanning(rel, nl * nr).dim
+        prod_dim = dual.subspace_product(a_l, a_r).dim
+        # the relations x z (x) y - x (x) z y for x in A_L, y in A_R and z in
+        # the intersection, in the coordinates of A_L (x) A_R
+        pairs = (
+            (a_r.restrict(dual.left_mult_of(zv)), a_l.restrict(dual.right_mult_of(zv)).transpose())
+            for zv in z.basis.data
+        )
+        amalg_dim = a_l.dim * a_r.dim - rank(sylvester(pairs, a_l.dim, a_r.dim))
         checks.append(
             TheoremCheck(
                 "free-amalgamation-equivalence",
@@ -901,35 +750,16 @@ def unit_representation_suite(algebra: WeakBialgebra):
                 (img == commutant) == (prod_dim == amalg_dim),
             )
         )
-        ker_rows = []
-        for i in range(de):
-            for j in range(de):
-                ker_rows.append(
-                    [rep.action[t][i, j] for t in range(algebra.dim)]
-                )
-        faithful = kernel(Matrix.from_rows(ker_rows, algebra.dim)).dim == 0
+        faithful = rank(_flattened_columns(rep.action, de)) == algebra.dim
         checks.append(
             TheoremCheck("faithfulness-cominimality", True, faithful == report.cominimal)
         )
     if report.comonoidal:
         # the dual statement: kernel of the dual acting on the right wedge
-        space = algebra.subspaces["A_R"]
-        k = space.dim
-        mats = []
-        for phi_idx in range(algebra.dim):
-            cols = []
-            for b in space.basis.data:
-                db = algebra.delta(b)
-                coords = space.coordinates(db.col(phi_idx))
-                if coords is None:
-                    raise ValueError("dual action does not preserve the right wedge")
-                cols.append(coords)
-            mats.append(Matrix.from_columns(cols, k))
-        ker_rows = []
-        for i in range(k):
-            for j in range(k):
-                ker_rows.append([mats[t][i, j] for t in range(algebra.dim)])
-        ker = kernel(Matrix.from_rows(ker_rows, algebra.dim))
+        slices = _wedge_coaction_slices(algebra)
+        if None in slices:
+            raise ValueError("dual action does not preserve the right wedge")
+        ker = kernel(_flattened_columns(slices, algebra.subspaces["A_R"].dim))
         prod = algebra.subspace_product(
             algebra.subspaces["A_L"], algebra.subspaces["A_R"]
         )
