@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from .core import TheoremCheck, WeakBialgebra, computed_once, decide_axioms
 from .exactlin import (
     Matrix,
-    QZERO,
     Subspace,
+    _storage_row,
     inverse,
     linear_combination,
     nonzeros,
@@ -33,14 +33,39 @@ class SelfCheckError(Exception):
     """A proven theorem failed on a validated instance: bug or corrupt input."""
 
 
+@computed_once
+def _coproduct_legs(algebra):
+    """The leg pairs (u, v) that some Delta(e_k) reaches, as (u, (v, ...))
+    groups in increasing order, and the coproduct as one matrix over those
+    pairs, numbered in that order: row k is Delta(e_k).  Kept per instance."""
+    legs = algebra._comult_triples
+    reached = sorted({(u, v) for nz in legs for u, v, _ in nz})
+    index = {pair: t for t, pair in enumerate(reached)}
+    groups = {}
+    for u, v in reached:
+        groups.setdefault(u, []).append(v)
+    stacked = Matrix._of_rows(
+        tuple(tuple((index[u, v], x) for u, v, x in nz) for nz in legs), len(reached)
+    )
+    return tuple(groups.items()), stacked
+
+
 def convolve(algebra: WeakBialgebra, s: Matrix, t: Matrix) -> Matrix:
     """Convolution product of two endomorphisms given by their matrices.
 
-    Row u * n + v of the pair products of the rows of S^t and T^t is
-    S(e_u) T(e_v), so the stacked coproduct times them has row k equal to
-    (S * T)(e_k), which is column k of S * T."""
-    pairs = algebra.products(s.transpose(), t.transpose())
-    return (algebra._stacked_coproduct * pairs).transpose()
+    The rows of S^t and T^t are the images S(e_u) and T(e_v).  Their
+    products S(e_u) T(e_v) over the leg pairs the coproduct reaches, times
+    the coproduct over those pairs, give row k equal to (S * T)(e_k),
+    which is column k of S * T."""
+    groups, stacked = _coproduct_legs(algebra)
+    s_rows = s.transpose().sparse_rows
+    t_rows = t.transpose().sparse_rows
+    pairs = [
+        row
+        for u, vs in groups
+        for row in algebra._product_rows((s_rows[u],), [t_rows[v] for v in vs])
+    ]
+    return (stacked * Matrix._of_rows(tuple(pairs), algebra.dim)).transpose()
 
 
 def convolution_unit(algebra: WeakBialgebra) -> Matrix:
@@ -157,33 +182,43 @@ class AntipodeStatus:
 
 def _antipode_system(algebra):
     """Linear system in the matrix entries of S expressing both quasi-inverse
-    conditions against the mixed counit projections."""
+    conditions against the mixed counit projections.
+
+    The rows are summed over the integer tables and wrapped once, each entry
+    divided by D_m D_c."""
     n = algebra.dim
     lr_cols = algebra.projection("L", "R").transpose().data
     rl_cols = algebra.projection("R", "L").transpose().data
-    # row u of L_i lists the nonzero e_u-coefficients w of e_i e_p, and row
-    # u of R_j those of e_p e_j; the unknown S[p][j] has index p * n + j
-    left = [m.sparse_rows for m in algebra.left_mult]
-    right = [m.sparse_rows for m in algebra.right_mult]
+    tables = algebra._integer_tables
+    # left[i] lists the nonzero (p, u, w): w is the e_u-coefficient of
+    # e_i e_p; right[j] those of e_p e_j.  The unknown S[p][j] has index
+    # p * n + j
+    left = [[] for _ in range(n)]
+    right = [[] for _ in range(n)]
+    for i, row in enumerate(tables.mult):
+        for p, ip in enumerate(row):
+            for u, w in ip:
+                left[i].append((p, u, w))
+                right[p].append((i, u, w))
+    d = tables.d_mult * tables.d_comult
     rows = []
     rhs = []
-    for k in range(n):
-        nz = nonzeros(algebra.comult[k])
-        for u in range(n):
-            # e_i S(e_j) over Delta(e_k), then S(e_i) e_j
-            line = {}
-            for i, j, c in nz:
-                for p, w in left[i][u]:
-                    line[p * n + j] = line.get(p * n + j, QZERO) + c * w
-            rows.append(line)
-        for u in range(n):
-            line = {}
-            for i, j, c in nz:
-                for p, w in right[j][u]:
-                    line[p * n + i] = line.get(p * n + i, QZERO) + c * w
-            rows.append(line)
+    for k, nz in enumerate(tables.comult):
+        # e_i S(e_j) over Delta(e_k), then S(e_i) e_j
+        first = [{} for _ in range(n)]
+        second = [{} for _ in range(n)]
+        for i, j, c in nz:
+            for p, u, w in left[i]:
+                line = first[u]
+                col = p * n + j
+                line[col] = line.get(col, 0) + c * w
+            for p, u, w in right[j]:
+                line = second[u]
+                col = p * n + i
+                line[col] = line.get(col, 0) + c * w
+        rows += [_storage_row(line, d) for line in first + second]
         rhs += lr_cols[k] + rl_cols[k]
-    return Matrix._of_dicts(rows, n * n), tuple(rhs)
+    return Matrix._of_rows(tuple(rows), n * n), tuple(rhs)
 
 
 def _matrix_from_unknowns(x, n) -> Matrix:

@@ -82,9 +82,10 @@ def _as_comult_tensor(dim, comult):
     return tuple(out)
 
 
-def _combination(coeffs, mats, n):
-    """The n x n matrix sum c M over coefficients paired with matrices."""
-    return linear_combination(((c, nonzeros(m)) for c, m in zip(coeffs, mats) if c), n, n)
+def _combination(coeffs, triples, n):
+    """The n x n matrix sum c M over coefficients paired with matrices M,
+    each given by its nonzeros() triples."""
+    return linear_combination(((c, nz) for c, nz in zip(coeffs, triples) if c), n, n)
 
 
 class _IntegerTables(NamedTuple):
@@ -349,12 +350,6 @@ class WeakBialgebra:
         """The multiplication table as products(I, I): row i * dim + j is e_i e_j."""
         return Matrix._of_sparse((ij for row in self._mult_nonzeros for ij in row), self.dim)
 
-    @cached_property
-    def _stacked_coproduct(self) -> Matrix:
-        """The coproduct as one dim x dim^2 matrix: row k is Delta(e_k), the
-        coefficient of e_u (x) e_v in column u * dim + v."""
-        return _stacked(self.comult, self.dim)
-
     def pairing(self, phi) -> Matrix:
         """The matrix of the pairing (a, b) -> phi(a b): entry (i, j) is
         phi(e_i e_j)."""
@@ -368,8 +363,12 @@ class WeakBialgebra:
         subspace: the subalgebra test and the quasi-basis share it."""
         return self.products(s.basis, s.basis)
 
+    @cached_property
+    def _comult_triples(self) -> tuple:
+        return tuple(map(nonzeros, self.comult))
+
     def delta(self, a):
-        return _combination(a, self.comult, self.dim)
+        return _combination(a, self._comult_triples, self.dim)
 
     def eps(self, a):
         return vdot(a, self.counit)
@@ -393,11 +392,19 @@ class WeakBialgebra:
             for col in zip(*self._mult_nonzeros)
         )
 
+    @cached_property
+    def _left_mult_triples(self) -> tuple:
+        return tuple(map(nonzeros, self.left_mult))
+
+    @cached_property
+    def _right_mult_triples(self) -> tuple:
+        return tuple(map(nonzeros, self.right_mult))
+
     def left_mult_of(self, a):
-        return _combination(a, self.left_mult, self.dim)
+        return _combination(a, self._left_mult_triples, self.dim)
 
     def right_mult_of(self, a):
-        return _combination(a, self.right_mult, self.dim)
+        return _combination(a, self._right_mult_triples, self.dim)
 
     # canonical actions of the algebra on its dual
     def act_left(self, a, phi):

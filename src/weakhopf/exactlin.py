@@ -17,11 +17,16 @@ that storage.  Vectors are dense tuples.  All functions are pure.  Subspaces
 are stored through a canonical reduced row-echelon basis, so two subspaces
 are equal as sets iff their stored bases compare equal.
 
-Elimination is sparse: every solver runs one Gauss-Jordan pass over rows
-held as {column: value} dicts of their nonzeros, so its cost follows the
-nonzeros and their fill-in rather than rows x columns.  The reduced
-row-echelon form is unique, so the result is the same canonical RREF a
-dense elimination gives.
+Elimination is sparse and fraction-free: every solver runs one Gauss-Jordan
+pass over rows held as {column: value} dicts of their nonzeros, so its cost
+follows the nonzeros and their fill-in rather than rows x columns.  Each
+incoming row is scaled by the lcm of its denominators and reduced against
+int pivot rows by cross-multiplication, row <- (p/g) row - (f/g) pivot row
+with g = gcd(f, p) (Bareiss, Math. Comp. 22, 1968, without his exact
+division); every new pivot row is divided by the gcd of its entries, and
+only at the end is each divided by its pivot, so no Fraction is formed
+before then.  The reduced row-echelon form is unique, so the result is the
+same canonical RREF a dense Fraction elimination gives.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 Q = Fraction
 
@@ -438,9 +444,12 @@ def outer(u, v) -> Matrix:
 def _reduce(row: dict, pivots: dict) -> dict:
     """Clear the sparse row at every pivot column, in place; return it.
 
-    pivots maps a pivot column to its row, which is 1 there and zero to its
-    left, so eliminating columns in increasing order never refills a column
-    already cleared.
+    pivots maps a pivot column to its row, which is zero to the left of that
+    column, so eliminating columns in increasing order never refills a
+    column already cleared.  A row f at a pivot 1 loses f times the pivot
+    row, as the normalized bases of Subspace need.  An int row f at an int
+    pivot p != 1 is cross-multiplied instead, row <- (p/g) row - (f/g)
+    pivot row with g = gcd(f, p): it stays an int row, scaled by p/g.
     """
     cols = [c for c in row if c in pivots]
     heapify(cols)
@@ -449,7 +458,16 @@ def _reduce(row: dict, pivots: dict) -> dict:
         f = row.get(c)
         if f is None:
             continue
-        for j, x in pivots[c].items():
+        prow = pivots[c]
+        p = prow[c]
+        if p != 1:
+            g = gcd(f, p)
+            f //= g
+            s = p // g
+            if s != 1:
+                for j in row:
+                    row[j] *= s
+        for j, x in prow.items():
             v = row.get(j)
             if v is None:
                 row[j] = -f * x
@@ -464,31 +482,58 @@ def _reduce(row: dict, pivots: dict) -> dict:
     return row
 
 
+def _integral(row: dict) -> dict:
+    """The sparse row of kernel numbers times the lcm of its denominators:
+    a positive multiple of it with int values."""
+    dens = {x.denominator for x in row.values() if type(x) is not int}
+    if not dens:
+        return row
+    d = lcm(*dens)
+    return {
+        j: x * d if type(x) is int else x.numerator * (d // x.denominator)
+        for j, x in row.items()
+    }
+
+
+def _primitive(row: dict, c: int) -> dict:
+    """The nonzero int row divided by the gcd of its values, signed so that
+    it is positive at column c."""
+    g = gcd(*row.values())
+    if row[c] < 0:
+        g = -g
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
 def _eliminate(rows, width: int):
-    """Gauss-Jordan elimination of sparse rows (consumed in place).
+    """Fraction-free Gauss-Jordan elimination of sparse rows (consumed).
 
     Returns the canonical RREF as (pivot column, row) pairs in pivot order.
-    Each incoming row is reduced against the pivot rows found so far and
-    normalized at its leftmost remaining column; the pivot rows are then
-    back-eliminated in decreasing pivot order.
+    Each incoming row is cleared of denominators and reduced against the
+    int pivot rows found so far by cross-multiplication (_reduce), then
+    made primitive and positive at its leftmost remaining column.  The pivot
+    rows are back-eliminated the same way in decreasing pivot order, and
+    each is divided by its pivot once, at the end.
     """
     pivots = {}
     for row in rows:
-        _reduce(row, pivots)
+        row = _reduce(_integral(row), pivots)
         if not row:
             continue
         c = min(row)
-        pv = row[c]
-        if pv != 1:
-            inv = QONE / pv
-            row = {j: _unwrap(x * inv) for j, x in row.items()}
-        pivots[c] = row
+        pivots[c] = _primitive(row, c)
         if len(pivots) == width:
             break
     done = {}
     for c in sorted(pivots, reverse=True):
-        done[c] = _reduce(pivots[c], done)
-    return sorted(done.items())
+        done[c] = _primitive(_reduce(pivots[c], done), c)
+    out = []
+    for c in sorted(done):
+        row = done[c]
+        p = row[c]
+        if p != 1:
+            row = {j: x // p if x % p == 0 else Q(x, p) for j, x in row.items()}
+        out.append((c, row))
+    return out
 
 
 def _row_dicts(m: Matrix) -> list:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import (
     TheoremCheck,
@@ -55,8 +56,12 @@ class ModuleRep:
         rep.check()
         return rep
 
+    @cached_property
+    def _action_triples(self) -> tuple:
+        return tuple(map(nonzeros, self.action))
+
     def operator(self, a) -> Matrix:
-        return _combination(a, self.action, self.dim)
+        return _combination(a, self._action_triples, self.dim)
 
     def check(self):
         alg = self.algebra

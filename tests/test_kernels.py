@@ -7,7 +7,9 @@ nonzeros, and the dual-action operators of the multiplier-realization
 check are built from the coproduct's nonzero lists.  The dense loops they
 replaced are kept here verbatim as oracles, and so are the Fraction loops
 of violations and algebra_axiom_violations that the checks over integer
-tables (denominators cleared once per instance) replaced.  A sweep of the
+tables (denominators cleared once per instance) replaced, and the
+combination behind delta and the multiplication operators of a vector,
+which took the nonzeros of every structure matrix on each call.  A sweep of the
 trusted matrix path follows: every matrix and vector that exactlin builds
 from Fraction
 arithmetic, and every t2_mul product, must hold only Fraction entries, also
@@ -40,7 +42,7 @@ from weakhopf.exactlin import (
     solve_affine,
     unit_vec,
 )
-from weakhopf.repcat import comodule_tensor, regular_comodule
+from weakhopf.repcat import comodule_tensor, regular_comodule, regular_module
 
 SMALL = [
     "trivial",
@@ -332,6 +334,11 @@ def matrix_apply(self, v) -> tuple:
     return tuple(acc)
 
 
+def _combination(coeffs, mats, n):
+    """The n x n matrix sum c M over coefficients paired with matrices."""
+    return linear_combination(((c, nonzeros(m)) for c, m in zip(coeffs, mats) if c), n, n)
+
+
 def p_op(algebra, sigma, phi):
     """The dual-action operator of _multiplier_realization."""
     n_ = algebra.dim
@@ -615,6 +622,22 @@ def test_products_and_apply_multiply_only_nonzero_pairs():
     assert a * b == matrix_mul(a, b)
     # each oracle product of a nonzero a[i, k] and b[k, j] happens twice
     assert _Counted.products == 2 * 4
+
+
+def test_operators_of_vectors_match_the_per_call_nonzeros_oracle(entries):
+    """delta, left_mult_of, right_mult_of and ModuleRep.operator read the
+    nonzero triples kept per instance; the oracle takes nonzeros() of every
+    structure matrix on every call."""
+    rng = random.Random("combination")
+    pool = [a for name in SMALL for a in _variants(entries[name].algebra)]
+    for algebra in pool + _perturbed_pool(entries):
+        n = algebra.dim
+        module = regular_module(algebra)
+        for a in (algebra.unit, _random_vector(rng, n, 0.3), _random_vector(rng, n, 1.0)):
+            assert algebra.delta(a) == _combination(a, algebra.comult, n)
+            assert algebra.left_mult_of(a) == _combination(a, algebra.left_mult, n)
+            assert algebra.right_mult_of(a) == _combination(a, algebra.right_mult, n)
+            assert module.operator(a) == _combination(a, module.action, n)
 
 
 def _catalog_matrices(algebra):

@@ -6,7 +6,9 @@ quasi-basis centrality identity compares two operators; Gram matrices are
 one pairing; and the quotient coordinates of the minimal constructions and
 of the amalgamated comodule tensor come from Subspace.quotient_coordinates.
 The bodies these replaced are kept here verbatim as oracles (convolution's
-per-leg body lives in test_suite_oracles) and compared with the shipped
+per-leg body lives in test_suite_oracles; its all-pairs body, which
+multiplied every pair of images before the coproduct picked the pairs it
+reaches, is kept here) and compared with the shipped
 paths on the catalog instances of dimension at most 9 with their duals,
 opposites and coopposites, on one-constant perturbations, and on seeded
 maps, structures and subspaces.
@@ -36,12 +38,22 @@ from weakhopf.exactlin import (
     vec,
     vector_combination,
 )
-from weakhopf.core import decide_axioms
+from weakhopf.core import _stacked, decide_axioms
 from weakhopf.rigidity import RigidityStructure, TwistPair, _adjoint_maps, verify_rigidity
 
 # ----------------------------------------------------------------------
 # oracles: the replaced bodies as they were
 # ----------------------------------------------------------------------
+
+
+def convolve_all_pairs(algebra, s: Matrix, t: Matrix) -> Matrix:
+    """Convolution product of two endomorphisms given by their matrices.
+
+    Row u * n + v of the pair products of the rows of S^t and T^t is
+    S(e_u) T(e_v), so the stacked coproduct times them has row k equal to
+    (S * T)(e_k), which is column k of S * T."""
+    pairs = algebra.products(s.transpose(), t.transpose())
+    return (_stacked(algebra.comult, algebra.dim) * pairs).transpose()
 
 
 def _unit_words(algebra, s, alpha, beta, x):
@@ -308,6 +320,25 @@ def test_convolve_matches_the_per_leg_oracle(entries, name):
         for s in maps:
             for t in maps:
                 assert antipode.convolve(algebra, s, t) == convolve(algebra, s, t)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_convolve_matches_the_all_pairs_oracle(entries, name):
+    """Only the leg pairs the coproduct reaches are multiplied; the result
+    is the full stacked coproduct times all n^2 pair products."""
+    rng = random.Random("convolve-all-pairs:" + name)
+    for algebra in _variants(entries[name].algebra):
+        maps = _maps(algebra, rng)
+        for s in maps:
+            for t in maps:
+                assert antipode.convolve(algebra, s, t) == convolve_all_pairs(algebra, s, t)
+
+
+def test_convolve_matches_the_all_pairs_oracle_off_the_axioms(entries):
+    rng = random.Random("convolve-perturbed")
+    for algebra in _perturbed_pool(entries)[::3]:
+        s, t = _random_matrix(rng, algebra.dim, 0.5), _random_matrix(rng, algebra.dim, 1.0)
+        assert antipode.convolve(algebra, s, t) == convolve_all_pairs(algebra, s, t)
 
 
 @pytest.mark.parametrize("name", NAMES)
