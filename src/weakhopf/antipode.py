@@ -15,7 +15,7 @@ from .core import TheoremCheck, WeakBialgebra, computed_once, decide_axioms
 from .exactlin import (
     Matrix,
     Subspace,
-    _storage_row,
+    _quotient,
     inverse,
     linear_combination,
     nonzeros,
@@ -185,7 +185,7 @@ def _antipode_system(algebra):
     conditions against the mixed counit projections.
 
     The rows are summed over the integer tables and wrapped once, each entry
-    divided by D_m D_c."""
+    divided by D_m D_c; equal entries share one Fraction."""
     n = algebra.dim
     lr_cols = algebra.projection("L", "R").transpose().data
     rl_cols = algebra.projection("R", "L").transpose().data
@@ -201,6 +201,19 @@ def _antipode_system(algebra):
                 left[i].append((p, u, w))
                 right[p].append((i, u, w))
     d = tables.d_mult * tables.d_comult
+    quotients = {}  # one Fraction per distinct entry of the whole system
+
+    def stored(line):
+        pairs = []
+        for col, x in line.items():
+            if x:
+                q = quotients.get(x)
+                if q is None:
+                    q = quotients[x] = _quotient(x, d)
+                pairs.append((col, q))
+        pairs.sort()
+        return tuple(pairs)
+
     rows = []
     rhs = []
     for k, nz in enumerate(tables.comult):
@@ -216,7 +229,7 @@ def _antipode_system(algebra):
                 line = second[u]
                 col = p * n + i
                 line[col] = line.get(col, 0) + c * w
-        rows += [_storage_row(line, d) for line in first + second]
+        rows += [stored(line) for line in first + second]
         rhs += lr_cols[k] + rl_cols[k]
     return Matrix._of_rows(tuple(rows), n * n), tuple(rhs)
 

@@ -25,7 +25,9 @@ from .exactlin import (
     Q,
     QZERO,
     Subspace,
+    _primitive,
     _quotient,
+    _reduce,
     _storage_row,
     _unwrap,
     _unwrapped_nonzeros,
@@ -185,28 +187,87 @@ def _pairs_swapped(m: Matrix, outer: int) -> Matrix:
     return Matrix._of_rows(tuple(r for j in range(inner) for r in rows[j::inner]), m.cols)
 
 
-def algebra_axiom_violations(algebra):
-    """The failed unit and associativity axioms, with a witness basis tuple each.
+def _generators(table, n):
+    """Basis indices G whose iterated products g (g' (... g'')) span K^n.
 
-    algebra needs dim and _integer_tables.  Each axiom reports its first
-    failure in basis order.  The unit laws compare 1 e_i and e_i 1 with
-    D_u D_m e_i; associativity, of degree two in the multiplication,
-    compares (e_i e_j) e_k with e_i (e_j e_k) as they stand.
+    table holds the per-(i, j) nonzero lists of a multiplication over ints,
+    associative or not.  e_i joins G, in basis order, when it lies outside
+    the span found so far, and the span is then closed under left
+    multiplication by every generator: each product is reduced against the
+    int pivot rows (exactlin._reduce) and kept when it is new.  The closed
+    span lies in every subspace that contains G and is closed under
+    products, so each such subspace is K^n.
     """
-    bad = []
-    n = algebra.dim
-    tables = algebra._integer_tables
-    table = tables.mult
-    one = [(l, u) for l, u in enumerate(tables.unit) if u]
-    scale = tables.d_unit * tables.d_mult
+    pivots = {}
+    gens = []
+    spanning = []
+    closed = 0  # spanning[:closed] has been multiplied by every generator
+
+    def extend(v):
+        row = _reduce(dict(v), pivots)
+        if row:
+            c = min(row)
+            pivots[c] = _primitive(row, c)
+            spanning.append(v)
+
+    def product(g, v):
+        tg = table[g]
+        acc = {}
+        for p, a in v.items():
+            for k, c in tg[p]:
+                acc[k] = acc.get(k, 0) + a * c
+        return {k: x for k, x in acc.items() if x}
+
     for i in range(n):
-        if _summed((k, u * x) for l, u in one for k, x in table[l][i]) != {i: scale}:
-            bad.append(("unit-left", (i,)))
+        if len(pivots) == n:
             break
-    for i in range(n):
-        if _summed((k, u * x) for l, u in one for k, x in table[i][l]) != {i: scale}:
-            bad.append(("unit-right", (i,)))
-            break
+        if not _reduce({i: 1}, pivots):
+            continue
+        gens.append(i)
+        for v in spanning[:closed]:
+            extend(product(i, v))
+        extend({i: 1})
+        while closed < len(spanning) and len(pivots) < n:
+            v = spanning[closed]
+            for g in gens:
+                extend(product(g, v))
+            closed += 1
+    return gens
+
+
+def _associative_on(table, middles) -> bool:
+    """Whether (e_i e_j) e_k = e_i (e_j e_k) for every i and k and each j in
+    middles (Light's test: the j for which it holds span a subspace closed
+    under products, so the _generators suffice).
+
+    Only nonzero terms are enumerated: rows[l] lists the nonzero
+    (k, e_l e_k) and cols[m] the nonzero (i, e_i e_m).
+    """
+    rows = [[(k, lk) for k, lk in enumerate(row) if lk] for row in table]
+    cols = [[(i, im) for i, im in enumerate(col) if im] for col in zip(*table)]
+    for j in middles:
+        # (e_i e_j) e_k minus e_i (e_j e_k), keyed (i, k, t)
+        acc = {}
+        for i, ij in cols[j]:
+            for l, c in ij:
+                for k, lk in rows[l]:
+                    for t, x in lk:
+                        key = (i, k, t)
+                        acc[key] = acc.get(key, 0) + c * x
+        for k, jk in rows[j]:
+            for m, c in jk:
+                for i, im in cols[m]:
+                    for t, x in im:
+                        key = (i, k, t)
+                        acc[key] = acc.get(key, 0) - c * x
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _associativity_witness(table, n):
+    """The first (i, j, k) in basis order with (e_i e_j) e_k != e_i (e_j e_k),
+    or None: the full scan that finds a witness once a decision failed."""
     for i in range(n):
         ti = table[i]
         for j in range(n):
@@ -227,9 +288,102 @@ def algebra_axiom_violations(algebra):
                     for key in left.keys() | right.keys()
                     if left.get(key) != right.get(key)
                 )
-                bad.append(("associativity", (i, j, k)))
-                return bad
+                return (i, j, k)
+    return None
+
+
+def _coassociativity_witness(comult):
+    """(k,) for the first k with (Delta (x) id) Delta(e_k) !=
+    (id (x) Delta) Delta(e_k), or None: the full scan behind a failed
+    decision."""
+    for k, dk in enumerate(comult):
+        left = _summed(((a, b, j), c * x) for i, j, c in dk for a, b, x in comult[i])
+        right = _summed(((i, a, b), c * x) for i, j, c in dk for a, b, x in comult[j])
+        if left != right:
+            return (k,)
+    return None
+
+
+def _dual_product(comult, n):
+    """The dual product of a coproduct table: entry (i, j) lists the (k, c)
+    with c the nonzero e_i (x) e_j coefficient of Delta(e_k)."""
+    table = [[[] for _ in range(n)] for _ in range(n)]
+    for k, dk in enumerate(comult):
+        for i, j, c in dk:
+            table[i][j].append((k, c))
+    return table
+
+
+def _dual_coproduct(table, n):
+    """The dual coproduct of a multiplication table: entry k lists the
+    (i, j, c) with c the nonzero e_k coefficient of e_i e_j."""
+    comult = [[] for _ in range(n)]
+    for i, row in enumerate(table):
+        for j, ij in enumerate(row):
+            for k, c in ij:
+                comult[k].append((i, j, c))
+    return comult
+
+
+def _first_non_multiplicative(table, comult, firsts, scale):
+    """The first (a, b), a over firsts and b over the basis, with
+    scale Delta(e_a e_b) != Delta(e_a) Delta(e_b), or None.
+
+    table and comult are the int tables of one orientation; the identity
+    reads the same on the dual tables, with the two maps swapped."""
+    for a in firsts:
+        ta = table[a]
+        da = comult[a]
+        for b, db in enumerate(comult):
+            lhs = _summed(((u, v), scale * m * x) for l, m in ta[b] for u, v, x in comult[l])
+            if lhs != _summed(_t2_terms(table, da, db).items()):
+                return (a, b)
+    return None
+
+
+def _multiplicativity_witness(table, comult, scale):
+    """The first failing (i, j) in basis order, or None: the full scan
+    behind a failed decision."""
+    return _first_non_multiplicative(table, comult, range(len(table)), scale)
+
+
+def algebra_axiom_violations(algebra, generators=None):
+    """The failed unit and associativity axioms, with a witness basis tuple each.
+
+    algebra needs dim and _integer_tables; generators, when given, are the
+    _generators of its integer multiplication table.  Each axiom reports
+    its first failure in basis order.  The unit laws compare 1 e_i and
+    e_i 1 with D_u D_m e_i.  Associativity, of degree two in the
+    multiplication, is decided on the generators as middle factor
+    (_associative_on); only a failed decision runs the full scan, which
+    finds the first witness.
+    """
+    bad = []
+    n = algebra.dim
+    tables = algebra._integer_tables
+    table = tables.mult
+    one = [(l, u) for l, u in enumerate(tables.unit) if u]
+    scale = tables.d_unit * tables.d_mult
+    for i in range(n):
+        if _summed((k, u * x) for l, u in one for k, x in table[l][i]) != {i: scale}:
+            bad.append(("unit-left", (i,)))
+            break
+    for i in range(n):
+        if _summed((k, u * x) for l, u in one for k, x in table[i][l]) != {i: scale}:
+            bad.append(("unit-right", (i,)))
+            break
+    if generators is None:
+        generators = _generators(table, n)
+    if not _associative_on(table, generators):
+        bad.append(("associativity", _associativity_witness(table, n)))
     return bad
+
+
+def _with_tables(derived, mult_nonzeros, tables):
+    """derived, handed the nonzero lists and integer tables it would
+    otherwise rebuild from its dense tensors.  Its verdicts are its own."""
+    derived.__dict__.update(_mult_nonzeros=mult_nonzeros, _integer_tables=tables)
+    return derived
 
 
 def computed_once(compute):
@@ -522,15 +676,28 @@ class WeakBialgebra:
     def violations(self):
         """All failed structural axioms with a witness basis tuple each.
 
-        Every check runs over _integer_tables.  Coassociativity, of degree
-        two in the coproduct, compares as it stands; the counit laws compare
-        against D_e D_c e_k, and multiplicativity compares D_m D_c Delta(e_i e_j)
-        with Delta(e_i) Delta(e_j).
+        Every check runs over _integer_tables.  The counit laws compare
+        against D_e D_c e_k, and multiplicativity compares
+        D_m D_c Delta(e_i e_j) with Delta(e_i) Delta(e_j).  The three axioms
+        of degree two are decided on algebra generators (_generators), and
+        the full scans run only when a decision fails, to find the first
+        witness in basis order:
+        - associativity, on the generators as middle factor (Light's test);
+        - coassociativity, as associativity of the dual product
+          e^i e^j = sum_k Delta(e_k)[i][j] e^k, on its generators;
+        - multiplicativity, on generators as first factor: once
+          associativity holds, the a with Delta(a b) = Delta(a) Delta(b)
+          for every b form a subalgebra.  The identity is self-dual, so
+          once coassociativity holds it can be decided on the dual tables
+          instead; the side with fewer generators is taken, and with
+          neither law the full scan decides.
         """
-        bad = algebra_axiom_violations(self)
         n = self.dim
         tables = self._integer_tables
         table, comult, eps = tables.mult, tables.comult, tables.counit
+        gens = _generators(table, n)
+        bad = algebra_axiom_violations(self, gens)
+        associative = "associativity" not in dict(bad)
         scale = tables.d_comult * tables.d_counit
         for k in range(n):
             # (eps (x) id) Delta and (id (x) eps) Delta against e_k
@@ -540,25 +707,21 @@ class WeakBialgebra:
             if _summed((i, c * eps[j]) for i, j, c in comult[k]) != {k: scale}:
                 bad.append(("counit-right", (k,)))
                 break
-        for k in range(n):
-            # (Delta (x) id) Delta against (id (x) Delta) Delta
-            dk = comult[k]
-            left = _summed(((a, b, j), c * x) for i, j, c in dk for a, b, x in comult[i])
-            right = _summed(((i, a, b), c * x) for i, j, c in dk for a, b, x in comult[j])
-            if left != right:
-                bad.append(("coassociativity", (k,)))
-                break
+        dual_table = _dual_product(comult, n)
+        dual_gens = _generators(dual_table, n)
+        coassociative = _associative_on(dual_table, dual_gens)
+        if not coassociative:
+            bad.append(("coassociativity", _coassociativity_witness(comult)))
+        if associative and not (coassociative and len(dual_gens) < len(gens)):
+            side = (table, comult, gens)
+        elif coassociative:
+            side = (dual_table, _dual_coproduct(table, n), dual_gens)
+        else:
+            side = None
         scale = tables.d_mult * tables.d_comult
-        for i in range(n):
-            ti = table[i]
-            di = comult[i]
-            for j in range(n):
-                lhs = _summed(
-                    ((a, b), scale * m * x) for l, m in ti[j] for a, b, x in comult[l]
-                )
-                if lhs != _summed(_t2_terms(table, di, comult[j]).items()):
-                    bad.append(("coproduct-multiplicativity", (i, j)))
-                    return tuple(bad)
+        if side is None or _first_non_multiplicative(*side, scale) is not None:
+            witness = _multiplicativity_witness(table, comult, scale)
+            bad.append(("coproduct-multiplicativity", witness))
         return tuple(bad)
 
     @property
@@ -596,13 +759,22 @@ class WeakBialgebra:
     def opposite(self) -> "WeakBialgebra":
         n = self.dim
         mult = [[self.mult[j][i] for j in range(n)] for i in range(n)]
-        return WeakBialgebra(n, mult, self.unit, self.comult, self.counit, self.labels)
+        tables = self._integer_tables
+        return _with_tables(
+            WeakBialgebra(n, mult, self.unit, self.comult, self.counit, self.labels),
+            tuple(zip(*self._mult_nonzeros)),
+            tables._replace(mult=tuple(zip(*tables.mult))),
+        )
 
     @cached_property
     def coopposite(self) -> "WeakBialgebra":
         comult = [m.transpose() for m in self.comult]
-        return WeakBialgebra(
-            self.dim, self.mult, self.unit, comult, self.counit, self.labels
+        tables = self._integer_tables
+        swapped = tuple(tuple(sorted((j, i, c) for i, j, c in nz)) for nz in tables.comult)
+        return _with_tables(
+            WeakBialgebra(self.dim, self.mult, self.unit, comult, self.counit, self.labels),
+            self._mult_nonzeros,
+            tables._replace(comult=swapped),
         )
 
     # ------------------------------------------------------------------
