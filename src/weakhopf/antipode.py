@@ -203,16 +203,14 @@ def _antipode_system(algebra):
     d = tables.d_mult * tables.d_comult
     quotients = {}  # one Fraction per distinct entry of the whole system
 
+    def quotient(x):
+        q = quotients.get(x)
+        if q is None:
+            q = quotients[x] = _quotient(x, d)
+        return q
+
     def stored(line):
-        pairs = []
-        for col, x in line.items():
-            if x:
-                q = quotients.get(x)
-                if q is None:
-                    q = quotients[x] = _quotient(x, d)
-                pairs.append((col, q))
-        pairs.sort()
-        return tuple(pairs)
+        return tuple(sorted((col, quotient(x)) for col, x in line.items() if x))
 
     rows = []
     rhs = []

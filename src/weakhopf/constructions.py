@@ -103,6 +103,7 @@ class Algebra:
         return alg
 
     _mult_nonzeros = WeakBialgebra._mult_nonzeros
+    _mult_generators = WeakBialgebra._mult_generators
     _integer_tables = cached_property(_integer_algebra_tables)
     _table = WeakBialgebra._table
     _product_rows = WeakBialgebra._product_rows

@@ -341,18 +341,11 @@ def _first_non_multiplicative(table, comult, firsts, scale):
     return None
 
 
-def _multiplicativity_witness(table, comult, scale):
-    """The first failing (i, j) in basis order, or None: the full scan
-    behind a failed decision."""
-    return _first_non_multiplicative(table, comult, range(len(table)), scale)
-
-
-def algebra_axiom_violations(algebra, generators=None):
+def algebra_axiom_violations(algebra):
     """The failed unit and associativity axioms, with a witness basis tuple each.
 
-    algebra needs dim and _integer_tables; generators, when given, are the
-    _generators of its integer multiplication table.  Each axiom reports
-    its first failure in basis order.  The unit laws compare 1 e_i and
+    algebra needs dim, _integer_tables and _mult_generators.  Each axiom
+    reports its first failure in basis order.  The unit laws compare 1 e_i and
     e_i 1 with D_u D_m e_i.  Associativity, of degree two in the
     multiplication, is decided on the generators as middle factor
     (_associative_on); only a failed decision runs the full scan, which
@@ -372,9 +365,7 @@ def algebra_axiom_violations(algebra, generators=None):
         if _summed((k, u * x) for l, u in one for k, x in table[i][l]) != {i: scale}:
             bad.append(("unit-right", (i,)))
             break
-    if generators is None:
-        generators = _generators(table, n)
-    if not _associative_on(table, generators):
+    if not _associative_on(table, algebra._mult_generators):
         bad.append(("associativity", _associativity_witness(table, n)))
     return bad
 
@@ -454,6 +445,11 @@ class WeakBialgebra:
             tuple(tuple((k, c) for k, c in enumerate(ij) if c) for ij in row)
             for row in self.mult
         )
+
+    @cached_property
+    def _mult_generators(self):
+        """The _generators of the integer multiplication table."""
+        return _generators(self._integer_tables.mult, self.dim)
 
     def mul(self, a, b):
         """The product a b of two coefficient vectors, as one pair of _product_rows."""
@@ -695,8 +691,8 @@ class WeakBialgebra:
         n = self.dim
         tables = self._integer_tables
         table, comult, eps = tables.mult, tables.comult, tables.counit
-        gens = _generators(table, n)
-        bad = algebra_axiom_violations(self, gens)
+        gens = self._mult_generators
+        bad = algebra_axiom_violations(self)
         associative = "associativity" not in dict(bad)
         scale = tables.d_comult * tables.d_counit
         for k in range(n):
@@ -720,8 +716,10 @@ class WeakBialgebra:
             side = None
         scale = tables.d_mult * tables.d_comult
         if side is None or _first_non_multiplicative(*side, scale) is not None:
-            witness = _multiplicativity_witness(table, comult, scale)
-            bad.append(("coproduct-multiplicativity", witness))
+            # the full scan, over every first factor in basis order
+            witness = _first_non_multiplicative(table, comult, range(n), scale)
+            if witness is not None:
+                bad.append(("coproduct-multiplicativity", witness))
         return tuple(bad)
 
     @property

@@ -161,7 +161,7 @@ def scan_violations(self):
 
 _LARGER = ["adcross:s3,a3", "adcross:z8,z4"]
 
-_FULL_SCANS = ("_associativity_witness", "_coassociativity_witness", "_multiplicativity_witness")
+_FULL_SCANS = ("associativity", "coassociativity", "coproduct-multiplicativity")
 
 
 def _fresh(algebra):
@@ -183,16 +183,29 @@ def larger():
 
 @pytest.fixture
 def full_scans(monkeypatch):
-    """Counts of the calls of each full scan, by its name in core."""
+    """Counts of the calls of each full scan, by its axiom.  The
+    multiplicativity scan is the _first_non_multiplicative call over the
+    whole basis, range(n); a decision passes a list of generators."""
     counts = dict.fromkeys(_FULL_SCANS, 0)
-    for name in _FULL_SCANS:
-        scan = getattr(core, name)
+    witnesses = {
+        "associativity": core._associativity_witness,
+        "coassociativity": core._coassociativity_witness,
+    }
+    for axiom, scan in witnesses.items():
 
-        def counted(*args, name=name, scan=scan):
-            counts[name] += 1
+        def counted(*args, axiom=axiom, scan=scan):
+            counts[axiom] += 1
             return scan(*args)
 
-        monkeypatch.setattr(core, name, counted)
+        monkeypatch.setattr(core, scan.__name__, counted)
+    first_failure = core._first_non_multiplicative
+
+    def counted_products(table, comult, firsts, scale):
+        if type(firsts) is range:
+            counts["coproduct-multiplicativity"] += 1
+        return first_failure(table, comult, firsts, scale)
+
+    monkeypatch.setattr(core, "_first_non_multiplicative", counted_products)
     return counts
 
 
@@ -241,14 +254,41 @@ def test_full_scans_run_only_after_a_failed_decision(entries, full_scans):
         before = dict(full_scans)
         kinds = {name for name, _ in algebra.violations}
         ran = {name for name in _FULL_SCANS if full_scans[name] > before[name]}
-        assert ("_associativity_witness" in ran) == ("associativity" in kinds)
-        assert ("_coassociativity_witness" in ran) == ("coassociativity" in kinds)
+        assert ("associativity" in ran) == ("associativity" in kinds)
+        assert ("coassociativity" in ran) == ("coassociativity" in kinds)
         # with neither law to decide it on, multiplicativity is scanned
         undecidable = {"associativity", "coassociativity"} <= kinds
-        assert ("_multiplicativity_witness" in ran) == (
+        assert ("coproduct-multiplicativity" in ran) == (
             "coproduct-multiplicativity" in kinds or undecidable
         )
     assert all(full_scans.values())
+
+
+def _multiplicative_off_both_laws():
+    """A dim-4 instance that is neither associative nor coassociative but
+    is multiplicative: B = span(e0, e1) with e0 e0 = e1, e1 e0 = e0 and
+    Delta = 0, and C = span(e2, e3) with zero products, Delta(e2) = e2 (x) e3
+    and Delta(e3) = e2 (x) e2; products between B and C are zero.  Every
+    Delta(a b) is zero, and so is every Delta(a) Delta(b)."""
+    n = 4
+    mult = [[[0] * n for _ in range(n)] for _ in range(n)]
+    mult[0][0][1] = 1
+    mult[1][0][0] = 1
+    comult = [[[0] * n for _ in range(n)] for _ in range(n)]
+    comult[2][2][3] = 1
+    comult[3][2][2] = 1
+    return WeakBialgebra(n, mult, [0] * n, comult, [0] * n)
+
+
+def test_multiplicative_instance_off_both_laws(full_scans):
+    algebra = _multiplicative_off_both_laws()
+    got = algebra.violations
+    assert got == scan_violations(algebra)
+    kinds = {name for name, _ in got}
+    assert {"associativity", "coassociativity"} <= kinds
+    assert "coproduct-multiplicativity" not in kinds
+    # neither law holds, so the full scan decided multiplicativity
+    assert full_scans["coproduct-multiplicativity"] == 1
 
 
 def _middle_off_the_generators(base):
