@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import WeakBialgebra, _integer_algebra_tables, algebra_axiom_violations
+from .core import WeakBialgebra, _integer_algebra_tables, _mult_lists, algebra_axiom_violations
 from .exactlin import (
     Matrix,
     Q,
@@ -102,7 +102,7 @@ class Algebra:
         alg.check()
         return alg
 
-    _mult_nonzeros = WeakBialgebra._mult_nonzeros
+    _mult_nonzeros = cached_property(lambda self: _mult_lists(self.dim, self.mult))
     _mult_generators = WeakBialgebra._mult_generators
     _integer_tables = cached_property(_integer_algebra_tables)
     _table = WeakBialgebra._table
@@ -878,15 +878,16 @@ def ad_crossed_product(gp: GroupPresentation, subgroup):
         raise ConstructionError("dual integral is not uniquely solvable")
     lam = sol[0]
 
-    mult = [[[QZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for hi in range(nh):
-        for gi in range(ng):
-            for hj in range(nh):
-                for gj in range(ng):
-                    conj = gp.conjugate(gi, subgroup[hj])
-                    hout = gp.table[subgroup[hi]][conj]
-                    gout = gp.table[gi][gj]
-                    mult[idx(hi, gi)][idx(hj, gj)][idx(hindex[hout], gout)] += QONE
+    # (h, g)(h', g') = (h g h' g^-1, g g'): one basis vector per product
+    mult = tuple(
+        tuple(
+            ((idx(hindex[gp.table[h][gp.conjugate(gi, hj)]], gp.table[gi][gj]), QONE),)
+            for hj in subgroup
+            for gj in range(ng)
+        )
+        for h in subgroup
+        for gi in range(ng)
+    )
     unit = unit_vec(dim, idx(hindex[gp.identity], gp.identity))
     comult = []
     for hi in range(nh):
@@ -898,13 +899,13 @@ def ad_crossed_product(gp: GroupPresentation, subgroup):
                 col = idx(hindex[k], gi)
                 row[col] = row.get(col, QZERO) + inv_h
             comult.append(Matrix._of_dicts(acc, dim))
-    counit = [lam[hi] for hi in range(nh) for gi in range(ng)]
+    counit = tuple(lam[hi] for hi in range(nh) for gi in range(ng))
     labels = [
         "%s|%s" % (gp.labels[subgroup[hi]], gp.labels[gi])
         for hi in range(nh)
         for gi in range(ng)
     ]
-    algebra = WeakBialgebra(dim, mult, unit, comult, counit, labels=labels)
+    algebra = WeakBialgebra._of_tables(dim, mult, unit, tuple(comult), counit, labels)
     if algebra.violations:
         raise ConstructionError(
             "adjoint crossed product violates %s" % (algebra.violations[0][0],)

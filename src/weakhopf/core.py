@@ -3,9 +3,11 @@
 A weak bialgebra here is a finite-dimensional unital algebra over the exact
 rationals carrying a coassociative counital coproduct that is multiplicative
 but need not preserve the unit; the counit need not be multiplicative.  The
-data is a multiplication tensor m[i][j][k] (e_i e_j = sum_k m[i][j][k] e_k),
-a unit vector, a comultiplication tensor d[k][i][j] (coefficient of
-e_i (x) e_j in the coproduct of e_k) and a counit vector.
+data is the multiplication m[i][j][k] (e_i e_j = sum_k m[i][j][k] e_k),
+stored once as nonzero lists (entry (i, j) lists the (k, c) with c != 0)
+and read densely through the mult view only on demand, a unit vector, the
+comultiplication d[k][i][j] (coefficient of e_i (x) e_j in the coproduct of
+e_k) as one sparse Matrix slice per k, and a counit vector.
 
 The module also houses the canonical actions of the dual, the four counit
 projections, the distinguished subspaces, the fixed-point subalgebras, the
@@ -62,10 +64,16 @@ def _shaped(x, n, what):
     return x
 
 
-def _as_mult_tensor(dim, mult):
+def _mult_lists(dim, mult):
+    """The nonzero lists of a dense mult tensor m[i][j][k], one pass over
+    its checked cells: entry (i, j) lists the (k, c) with c != 0."""
     return tuple(
         tuple(
-            vec(_shaped(ij, dim, "mult tensor at (%d,%d)" % (i, j)))
+            tuple(
+                (k, c)
+                for k, c in enumerate(vec(_shaped(ij, dim, "mult tensor at (%d,%d)" % (i, j))))
+                if c
+            )
             for j, ij in enumerate(_shaped(row, dim, "mult tensor"))
         )
         for i, row in enumerate(_shaped(mult, dim, "mult tensor"))
@@ -311,7 +319,7 @@ def _dual_product(comult, n):
     for k, dk in enumerate(comult):
         for i, j, c in dk:
             table[i][j].append((k, c))
-    return table
+    return tuple(tuple(map(tuple, row)) for row in table)
 
 
 def _dual_coproduct(table, n):
@@ -322,7 +330,7 @@ def _dual_coproduct(table, n):
         for j, ij in enumerate(row):
             for k, c in ij:
                 comult[k].append((i, j, c))
-    return comult
+    return tuple(map(tuple, comult))
 
 
 def _first_non_multiplicative(table, comult, firsts, scale):
@@ -370,13 +378,6 @@ def algebra_axiom_violations(algebra):
     return bad
 
 
-def _with_tables(derived, mult_nonzeros, tables):
-    """derived, handed the nonzero lists and integer tables it would
-    otherwise rebuild from its dense tensors.  Its verdicts are its own."""
-    derived.__dict__.update(_mult_nonzeros=mult_nonzeros, _integer_tables=tables)
-    return derived
-
-
 def computed_once(compute):
     """Keep compute(algebra, *args) on the instance, once per instance and args.
 
@@ -406,26 +407,43 @@ class WeakBialgebra:
     def __init__(self, dim, mult, unit, comult, counit, labels=None):
         if dim < 1:
             raise AlgebraDataError("dimension must be positive")
-        self.dim = dim
-        self.mult = _as_mult_tensor(dim, mult)
-        self.unit = vec(unit)
-        if len(self.unit) != dim:
+        mult = _mult_lists(dim, mult)
+        unit = vec(unit)
+        if len(unit) != dim:
             raise AlgebraDataError("unit vector has wrong dimension")
-        self.comult = _as_comult_tensor(dim, comult)
-        self.counit = vec(counit)
-        if len(self.counit) != dim:
+        comult = _as_comult_tensor(dim, comult)
+        counit = vec(counit)
+        if len(counit) != dim:
             raise AlgebraDataError("counit vector has wrong dimension")
-        if labels is None:
-            labels = tuple("x%d" % i for i in range(dim))
-        self.labels = tuple(str(s) for s in labels)
+        self._store(dim, mult, unit, comult, counit, labels)
         if len(self.labels) != dim:
             raise AlgebraDataError("label count does not match the dimension")
+
+    def _store(self, dim, mult_nonzeros, unit, comult, counit, labels):
+        self.dim = dim
+        self._mult_nonzeros = mult_nonzeros
+        self.unit = unit
+        self.comult = comult
+        self.counit = counit
+        labels = tuple("x%d" % i for i in range(dim)) if labels is None else labels
+        self.labels = tuple(map(str, labels))
+
+    @staticmethod
+    def _of_tables(dim, mult_nonzeros, unit, comult, counit, labels=None, tables=None):
+        """The instance on data already in storage form (tuples of Fractions,
+        Matrix slices), kept as given, with tables, when given, as its
+        _integer_tables.  Internal and unchecked."""
+        algebra = WeakBialgebra.__new__(WeakBialgebra)
+        algebra._store(dim, mult_nonzeros, unit, comult, counit, labels)
+        if tables is not None:
+            algebra._integer_tables = tables
+        return algebra
 
     def __eq__(self, other):
         return (
             isinstance(other, WeakBialgebra)
             and self.dim == other.dim
-            and self.mult == other.mult
+            and self._mult_nonzeros == other._mult_nonzeros
             and self.unit == other.unit
             and self.comult == other.comult
             and self.counit == other.counit
@@ -439,12 +457,11 @@ class WeakBialgebra:
     # ------------------------------------------------------------------
 
     @cached_property
-    def _mult_nonzeros(self):
-        """Entry (i, j) lists the nonzero (k, c): e_i e_j = sum c e_k."""
-        return tuple(
-            tuple(tuple((k, c) for k, c in enumerate(ij) if c) for ij in row)
-            for row in self.mult
-        )
+    def mult(self):
+        """The dense view m[i][j][k] of the stored _mult_nonzeros, whose entry
+        (i, j) lists the nonzero (k, c), e_i e_j = sum c e_k, in increasing k.
+        Built on first read."""
+        return tuple(Matrix._of_rows(row, self.dim).data for row in self._mult_nonzeros)
 
     @cached_property
     def _mult_generators(self):
@@ -740,38 +757,37 @@ class WeakBialgebra:
     def dual(self) -> "WeakBialgebra":
         """Dual weak bialgebra on the dual basis."""
         n = self.dim
-        mult = [[[QZERO] * n for _ in range(n)] for _ in range(n)]
-        for k, m in enumerate(self.comult):
-            for i, j, c in nonzeros(m):
-                mult[i][j][k] = c
         # row i of the k-th slice is row k of L_i: the e_k-coefficients of e_i e_j
-        comult = [
+        comult = tuple(
             Matrix._of_sparse((m.sparse_rows[k] for m in self.left_mult), n) for k in range(n)
-        ]
+        )
         labels = tuple(
             lb[:-1] if lb.endswith("^") else lb + "^" for lb in self.labels
         )
-        return WeakBialgebra(n, mult, self.counit, comult, self.unit, labels=labels)
+        # the integer tables are the parent's with the two halves swapped
+        t = self._integer_tables
+        tables = _IntegerTables(
+            t.d_comult, _dual_product(t.comult, n), t.d_counit, t.counit,
+            t.d_mult, _dual_coproduct(t.mult, n), t.d_unit, t.unit,
+        )
+        mult = _dual_product(self._comult_triples, n)
+        return WeakBialgebra._of_tables(n, mult, self.counit, comult, self.unit, labels, tables)
 
     @cached_property
     def opposite(self) -> "WeakBialgebra":
-        n = self.dim
-        mult = [[self.mult[j][i] for j in range(n)] for i in range(n)]
         tables = self._integer_tables
-        return _with_tables(
-            WeakBialgebra(n, mult, self.unit, self.comult, self.counit, self.labels),
-            tuple(zip(*self._mult_nonzeros)),
-            tables._replace(mult=tuple(zip(*tables.mult))),
+        return WeakBialgebra._of_tables(
+            self.dim, tuple(zip(*self._mult_nonzeros)), self.unit, self.comult, self.counit,
+            self.labels, tables._replace(mult=tuple(zip(*tables.mult))),
         )
 
     @cached_property
     def coopposite(self) -> "WeakBialgebra":
-        comult = [m.transpose() for m in self.comult]
+        comult = tuple(m.transpose() for m in self.comult)
         tables = self._integer_tables
         swapped = tuple(tuple(sorted((j, i, c) for i, j, c in nz)) for nz in tables.comult)
-        return _with_tables(
-            WeakBialgebra(self.dim, self.mult, self.unit, comult, self.counit, self.labels),
-            self._mult_nonzeros,
+        return WeakBialgebra._of_tables(
+            self.dim, self._mult_nonzeros, self.unit, comult, self.counit, self.labels,
             tables._replace(comult=swapped),
         )
 
@@ -1764,34 +1780,27 @@ def transport(algebra: WeakBialgebra, t: Matrix) -> WeakBialgebra:
     cols = [t.col(i) for i in range(n)]
     # row i * n + j: T^-1 of the product of columns i and j of T
     tt = t.transpose()
-    prods = (algebra.products(tt, tt) * tinv.transpose()).data
-    mult = [prods[i * n : (i + 1) * n] for i in range(n)]
-    comult = [tinv * algebra.delta(cols[k]) * tinv.transpose() for k in range(n)]
+    prods = (algebra.products(tt, tt) * tinv.transpose()).sparse_rows
+    mult = tuple(prods[i * n : (i + 1) * n] for i in range(n))
+    comult = tuple(tinv * algebra.delta(cols[k]) * tinv.transpose() for k in range(n))
     unit = tinv.apply(algebra.unit)
-    counit = [algebra.eps(cols[k]) for k in range(n)]
-    return WeakBialgebra(n, mult, unit, comult, counit, labels=algebra.labels)
+    counit = tuple(algebra.eps(cols[k]) for k in range(n))
+    return WeakBialgebra._of_tables(n, mult, unit, comult, counit, algebra.labels)
 
 
 def direct_sum(a: WeakBialgebra, b: WeakBialgebra) -> WeakBialgebra:
     n, m = a.dim, b.dim
     dim = n + m
-    mult = [[[QZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                mult[i][j][k] = a.mult[i][j][k]
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                mult[n + i][n + j][n + k] = b.mult[i][j][k]
-    comult = [Matrix._of_sparse(d.sparse_rows + ((),) * m, dim) for d in a.comult]
-    comult += [
+    mult = tuple(row + ((),) * m for row in a._mult_nonzeros) + tuple(
+        ((),) * n + tuple(tuple((n + k, c) for k, c in ij) for ij in row)
+        for row in b._mult_nonzeros
+    )
+    comult = tuple(Matrix._of_sparse(d.sparse_rows + ((),) * m, dim) for d in a.comult)
+    comult += tuple(
         Matrix._of_sparse(
             ((),) * n + tuple(tuple((n + j, x) for j, x in r) for r in d.sparse_rows), dim
         )
         for d in b.comult
-    ]
-    unit = list(a.unit) + list(b.unit)
-    counit = list(a.counit) + list(b.counit)
+    )
     labels = tuple("l." + s for s in a.labels) + tuple("r." + s for s in b.labels)
-    return WeakBialgebra(dim, mult, unit, comult, counit, labels)
+    return WeakBialgebra._of_tables(dim, mult, a.unit + b.unit, comult, a.counit + b.counit, labels)

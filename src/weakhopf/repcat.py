@@ -65,12 +65,12 @@ class ModuleRep:
 
     def check(self):
         alg = self.algebra
-        n = alg.dim
         if self.operator(alg.unit) != Matrix.identity(self.dim):
             raise ValueError("module action does not send the unit to the identity")
-        for i in range(n):
-            for j in range(n):
-                prod = self.operator(alg.mult[i][j])
+        triples = self._action_triples
+        for i, row in enumerate(alg._mult_nonzeros):
+            for j, ij in enumerate(row):
+                prod = linear_combination(((c, triples[k]) for k, c in ij), self.dim, self.dim)
                 if prod != self.action[i] * self.action[j]:
                     raise ValueError(
                         "module action is not multiplicative at (%d,%d)" % (i, j)
@@ -453,6 +453,11 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
         """f_idx . m = f_(0) eps(f_(1) m)."""
         return com.coaction[idx].apply(algebra.act_left(m, algebra.counit))
 
+    # the functionals eps(e_u -) and eps(- e_u), formed once per basis vector
+    basis = [algebra.basis_vector(u) for u in range(algebra.dim)]
+    eps_left = [algebra.act_right(algebra.counit, e) for e in basis]
+    eps_right = [algebra.act_left(e, algebra.counit) for e in basis]
+
     def coaction_of(vector, com):
         """The coaction of the element with coordinates vector, as a dict."""
         return _summed(
@@ -464,8 +469,7 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
 
     # bimodule compatibility of the coactions with the wedge actions
     bi_ok = True
-    mult = algebra.mult
-    e = algebra.basis_vector
+    table = algebra._mult_nonzeros
     for m in rbasis:
         dm = nonzeros(algebra.delta(m))
         for idx in range(v.dim):
@@ -475,10 +479,9 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
                 ((xx, kk), c * c2 * c3 * c4)
                 for x, k, c in terms
                 for u, z, c2 in dm
-                for xx, c3 in enumerate(act_left(e(u), v, x))
+                for xx, c3 in enumerate(v.coaction[x].apply(eps_left[u]))
                 if c3
-                for kk, c4 in enumerate(mult[z][k])
-                if c4
+                for kk, c4 in table[z][k]
             )
             if coaction_of(act_left(m, v, idx), v) != rhs:
                 bi_ok = False
@@ -487,10 +490,9 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
                 ((xx, kk), c * c2 * c3 * c4)
                 for x, k, c in terms
                 for u, z, c2 in dm
-                for xx, c3 in enumerate(act_right(v, x, e(u)))
+                for xx, c3 in enumerate(v.coaction[x].apply(eps_right[u]))
                 if c3
-                for kk, c4 in enumerate(mult[k][z])
-                if c4
+                for kk, c4 in table[k][z]
             )
             if coaction_of(act_right(v, idx, m), v) != rhs_r:
                 bi_ok = False
@@ -531,8 +533,7 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
             ((x * w.dim + y, kk), c1 * c2 * c3)
             for x, k, c1 in nonzeros(v.coaction[a])
             for y, m, c2 in nonzeros(w.coaction[b])
-            for kk, c3 in enumerate(mult[k][m])
-            if c3
+            for kk, c3 in table[k][m]
         )
 
     qdim = len(free)

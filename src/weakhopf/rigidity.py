@@ -363,8 +363,12 @@ def _exchange_identities(algebra, s, alpha, beta) -> bool:
     """Adjoint exchange laws moving a product through the adjoint brackets."""
     n = algebra.dim
     mul = algebra.mul
-    mult = algebra.mult
+    table = algebra._table
     basis = [algebra.basis_vector(i) for i in range(n)]
+
+    def prod(i, j):
+        """e_i e_j, from its nonzeros in row i * n + j of the product table."""
+        return table.row(i * n + j)
 
     def tensor(terms):
         """sum c * x (x) y over (c, x, y) terms."""
@@ -375,24 +379,24 @@ def _exchange_identities(algebra, s, alpha, beta) -> bool:
         for b in range(n):
             d2b = algebra.delta2(basis[b]).items()
             lhs1 = tensor(
-                (c, mult[a][p], mul(mul(s.col(q), alpha), basis[rr]))
+                (c, prod(a, p), mul(mul(s.col(q), alpha), basis[rr]))
                 for (p, q, rr), c in d2b
             )
             lhs2 = tensor(
-                (c, mul(mul(s.col(p), alpha), basis[q]), mult[a][rr])
+                (c, mul(mul(s.col(p), alpha), basis[q]), prod(a, rr))
                 for (p, q, rr), c in d2b
             )
             lhs3 = tensor(
-                (c, mul(mul(basis[p], beta), s.col(q)), mult[rr][b])
+                (c, mul(mul(basis[p], beta), s.col(q)), prod(rr, b))
                 for (p, q, rr), c in d2a
             )
             lhs4 = tensor(
-                (c, mult[p][b], mul(mul(basis[q], beta), s.col(rr)))
+                (c, prod(p, b), mul(mul(basis[q], beta), s.col(rr)))
                 for (p, q, rr), c in d2a
             )
             # the legs of a b, leg by leg
             legs = [
-                (c1 * c2, mult[p1][p2], mult[q1][q2], mult[r1][r2])
+                (c1 * c2, prod(p1, p2), prod(q1, q2), prod(r1, r2))
                 for (p1, q1, r1), c1 in d2a
                 for (p2, q2, r2), c2 in d2b
             ]
@@ -608,12 +612,11 @@ def regular_module_rigidity_identities(algebra: WeakBialgebra, r: RigidityStruct
         terms = []
         for u, v, c in nonzeros(algebra.delta1):
             op = algebra.left_mult_of(adj_b.apply(p_lr.col(u)))
-            w_vec = algebra.mult[v][t]
+            w_nz = algebra._mult_nonzeros[v][t]
             # op (x) w expands in the middle legs; contract with ev
             for i, j, mij in nonzeros(op):
-                for k, wk in enumerate(w_vec):
-                    if wk:
-                        terms.append((c * mij * wk, algebra.mul(p_rr.apply(ev[j][k]), e(i))))
+                for k, wk in w_nz:
+                    terms.append((c * mij * wk, algebra.mul(p_rr.apply(ev[j][k]), e(i))))
         if vector_combination(terms, n) != e(t):
             return False
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .core import WeakBialgebra
-from .exactlin import Matrix, QZERO, parse_scalar, qstr
+from .exactlin import Matrix, parse_scalar, qstr
 
 
 class ParseError(Exception):
@@ -20,23 +20,21 @@ class ParseError(Exception):
 
 
 def algebra_to_document(algebra: WeakBialgebra, extras: dict | None = None) -> dict:
-    n = algebra.dim
-    mult_entries = []
-    for i in range(n):
-        for j in range(n):
-            for k, c in enumerate(algebra.mult[i][j]):
-                if c:
-                    mult_entries.append([i, j, k, qstr(c)])
-    comult_entries = []
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                c = algebra.comult[k][i, j]
-                if c:
-                    comult_entries.append([k, i, j, qstr(c)])
+    mult_entries = [
+        [i, j, k, qstr(c)]
+        for i, row in enumerate(algebra._mult_nonzeros)
+        for j, ij in enumerate(row)
+        for k, c in ij
+    ]
+    comult_entries = [
+        [k, i, j, qstr(c)]
+        for k, m in enumerate(algebra.comult)
+        for i, row in enumerate(m.sparse_rows)
+        for j, c in row
+    ]
     doc = {
         "field": "Q",
-        "dim": n,
+        "dim": algebra.dim,
         "basis": list(algebra.labels),
         "mult": mult_entries,
         "unit": [qstr(c) for c in algebra.unit],
@@ -97,18 +95,21 @@ def document_to_algebra(doc) -> WeakBialgebra:
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != n:
             raise ParseError("basis labels must list one name per dimension")
-    mult = [[[QZERO] * n for _ in range(n)] for _ in range(n)]
+    # the checked entries, sorted into nonzero lists: those of mult by
+    # (i, j), those of comult by slice k and row i
+    mult = [[[] for _ in range(n)] for _ in range(n)]
     for i, j, k, c in parse_sparse_entries(doc.get("mult", []), n):
-        mult[i][j][k] = c
-    comult = [[[QZERO] * n for _ in range(n)] for _ in range(n)]
+        if c:
+            mult[i][j].append((k, c))
+    comult = [[[] for _ in range(n)] for _ in range(n)]
     for k, i, j, c in parse_sparse_entries(doc.get("comult", []), n):
-        comult[k][i][j] = c
+        if c:
+            comult[k][i].append((j, c))
     unit = parse_vector(doc.get("unit", []), n)
     counit = parse_vector(doc.get("counit", []), n)
-    try:
-        return WeakBialgebra(n, mult, unit, comult, counit, labels=labels)
-    except Exception as exc:
-        raise ParseError("structurally malformed algebra: %s" % exc) from exc
+    mult = tuple(tuple(tuple(sorted(ij)) for ij in row) for row in mult)
+    comult = tuple(Matrix._of_sparse(map(sorted, rows), n) for rows in comult)
+    return WeakBialgebra._of_tables(n, mult, unit, comult, counit, labels)
 
 
 def parse_sparse_entries(entries, n):
