@@ -281,14 +281,13 @@ def named_ad_crossed_product(group_name, sub_name):
 def group_algebra(gp: GroupPresentation) -> WeakBialgebra:
     """Group algebra with grouplike coproduct; an ordinary Hopf algebra."""
     n = gp.order
-    mult = [[list(unit_vec(n, gp.table[i][j])) for j in range(n)] for i in range(n)]
-    comult = [
-        Matrix([[QONE if i == k == j else QZERO for j in range(n)] for i in range(n)])
-        for k in range(n)
-    ]
+    # e_g e_h = e_gh and Delta(e_k) = e_k (x) e_k, one nonzero each
+    mult = tuple(tuple(((gp.table[i][j], QONE),) for j in range(n)) for i in range(n))
+    comult = tuple(
+        Matrix._of_rows(((),) * k + (((k, QONE),),) + ((),) * (n - k - 1), n) for k in range(n)
+    )
     unit = unit_vec(n, gp.identity)
-    counit = [QONE] * n
-    return WeakBialgebra(n, mult, unit, comult, counit, labels=gp.labels)
+    return WeakBialgebra._of_tables(n, mult, unit, comult, (QONE,) * n, gp.labels)
 
 
 def group_antipode(gp: GroupPresentation) -> Matrix:

@@ -16,6 +16,7 @@ axiom-class deciders and the structural theorem suite.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
@@ -160,16 +161,43 @@ def _t2_terms(table, xnz, ynz):
     and (r, s, d) of Y.  table holds the per-(i, j) nonzero lists of the
     multiplication, of rationals or of ints; the result may hold zeros.
     """
+    return _t2_rows(table, _rows_of(xnz), _rows_of(ynz))
+
+
+def _t2_rows(table, xrows, yrows):
+    """_t2_terms on X and Y given as rows (_rows_of), contracted one leg at
+    a time.  With C_p the vector sum c e_q over row p of X, and D_r the
+    same for row r of Y, X Y is the sum over p and r of (e_p e_r) (x)
+    C_p D_r, and C_p D_r sums c e_q D_r, with each e_q D_r formed once.
+    That is a few products per pair of rows, not one per pair of nonzeros;
+    a pair of rows of one nonzero each takes its single product directly.
+    """
     acc = {}
-    for p, q, c in xnz:
+    seconds = {}
+    for p, cp in xrows:
         tp = table[p]
-        tq = table[q]
-        for r, s, d in ynz:
+        for r, dr in yrows:
             first = tp[r]
-            second = tq[s]
-            if not (first and second):
+            if not first:
                 continue
-            cd = c * d
+            if len(cp) == 1 == len(dr):
+                ((q, c),) = cp
+                ((s, d),) = dr
+                second = table[q][s]
+                cd = c * d
+            else:
+                cd = 1
+                second = {}
+                for q, c in cp:
+                    eq = seconds.get((q, r))
+                    if eq is None:
+                        tq = table[q]
+                        eq = seconds[q, r] = _summed(
+                            (v, d * f) for s, d in dr for v, f in tq[s]
+                        ).items()
+                    for v, x in eq:
+                        second[v] = second.get(v, 0) + c * x
+                second = second.items()
             for u, fu in first:
                 w = cd * fu
                 for v, sv in second:
@@ -177,6 +205,22 @@ def _t2_terms(table, xnz, ynz):
                     prev = acc.get(key)
                     acc[key] = w * sv if prev is None else prev + w * sv
     return acc
+
+
+def _rows_of(triples):
+    """(i, j, c) triples grouped by i: the (i, ((j, c), ...)) rows."""
+    out = {}
+    for i, j, c in triples:
+        out.setdefault(i, []).append((j, c))
+    return tuple(out.items())
+
+
+def _swapping(*pairs):
+    """The key-to-key table that swaps the two keys of each pair."""
+    out = {}
+    for a, b in pairs:
+        out[a], out[b] = b, a
+    return out
 
 
 def _unwrapped_triples(m: Matrix) -> list:
@@ -339,12 +383,13 @@ def _first_non_multiplicative(table, comult, firsts, scale):
 
     table and comult are the int tables of one orientation; the identity
     reads the same on the dual tables, with the two maps swapped."""
+    rows = [_rows_of(d) for d in comult]
     for a in firsts:
         ta = table[a]
-        da = comult[a]
-        for b, db in enumerate(comult):
+        ra = rows[a]
+        for b, rb in enumerate(rows):
             lhs = _summed(((u, v), scale * m * x) for l, m in ta[b] for u, v, x in comult[l])
-            if lhs != _summed(_t2_terms(table, da, db).items()):
+            if lhs != _summed(_t2_rows(table, ra, rb).items()):
                 return (a, b)
     return None
 
@@ -598,12 +643,16 @@ class WeakBialgebra:
 
     @cached_property
     def delta1(self) -> Matrix:
-        return self.delta(self.unit)
+        """Delta(1): the dual's gram, taken from the dual when it keeps one."""
+        kept = self._twin_kept("gram")
+        return self.delta(self.unit) if kept is None else kept
 
     @cached_property
     def gram(self) -> Matrix:
-        """Gram matrix of the counit pairing: entry (i, j) is eps(e_i e_j)."""
-        return self.pairing(self.counit)
+        """Gram matrix of the counit pairing: entry (i, j) is eps(e_i e_j).
+        It is the dual's delta1, taken from the dual when it keeps one."""
+        kept = self._twin_kept("delta1")
+        return self.pairing(self.counit) if kept is None else kept
 
     # ------------------------------------------------------------------
     # iterated coproducts, sparse dicts keyed by tuples of basis legs
@@ -753,9 +802,28 @@ class WeakBialgebra:
     # dual and twisted variants
     # ------------------------------------------------------------------
 
-    @cached_property
+    @property
     def dual(self) -> "WeakBialgebra":
-        """Dual weak bialgebra on the dual basis."""
+        """Dual weak bialgebra on the dual basis, whose own dual is this
+        instance: a.dual.dual is a.  The instance holds its dual, and the
+        dual refers back weakly, so a dual pair makes no reference cycle."""
+        dual = self._twin
+        if dual is None:
+            dual = self.__dict__["_dual"] = self._dual_of()
+            dual._dual_ref = weakref.ref(self)
+        return dual
+
+    @property
+    def _twin(self):
+        """The dual if it is built, else None."""
+        d = self.__dict__
+        dual = d.get("_dual")
+        if dual is None and "_dual_ref" in d:
+            dual = d["_dual_ref"]()
+        return dual
+
+    def _dual_of(self) -> "WeakBialgebra":
+        """A new dual, built from this instance's tables."""
         n = self.dim
         # row i of the k-th slice is row k of L_i: the e_k-coefficients of e_i e_j
         comult = tuple(
@@ -772,6 +840,20 @@ class WeakBialgebra:
         )
         mult = _dual_product(self._comult_triples, n)
         return WeakBialgebra._of_tables(n, mult, self.counit, comult, self.unit, labels, tables)
+
+    def _twin_kept(self, name):
+        """The value the dual keeps under name, or None when the dual is not
+        built or has not computed it.  gram, delta1, eps_maps, projections
+        and subspaces of a dual pair are each other's with roles swapped,
+        so whichever side computes one first hands it to the other."""
+        twin = self._twin
+        return None if twin is None else twin.__dict__.get(name)
+
+    def _from_twin(self, name, twins):
+        """The dict the dual keeps under name, in its key order, with the
+        value of each key taken from the dual's key twins[key], or None."""
+        kept = self._twin_kept(name)
+        return None if kept is None else {key: kept[twins[key]] for key in kept}
 
     @cached_property
     def opposite(self) -> "WeakBialgebra":
@@ -795,13 +877,20 @@ class WeakBialgebra:
     # counit maps, projections, subspaces
     # ------------------------------------------------------------------
 
+    # the dual's counit maps are these with the hat toggled
+    _EPS_MAP_TWINS = _swapping(("eps_l", "epshat_l"), ("eps_r", "epshat_r"))
+
     @cached_property
     def eps_maps(self):
         """Matrices of the four counit maps between the algebra and its dual.
 
         eps_l / eps_r send the algebra into its dual, their hatted partners
         send the dual back.  Images are the four distinguished subspaces.
+        The dual's maps are these with and without the hat.
         """
+        kept = self._from_twin("eps_maps", self._EPS_MAP_TWINS)
+        if kept is not None:
+            return kept
         g = self.gram
         d1 = self.delta1
         return {
@@ -811,9 +900,16 @@ class WeakBialgebra:
             "epshat_r": d1,
         }
 
+    # the dual's projections are these with the "dual" flag toggled
+    _PROJECTION_TWINS = _swapping(*(((s, t), (s, t, "dual")) for s in "LR" for t in "LR"))
+
     @cached_property
     def projections(self):
-        """The four counit projections on the algebra and on the dual."""
+        """The four counit projections on the algebra and on the dual; the
+        dual's are these with the "dual" flag toggled."""
+        kept = self._from_twin("projections", self._PROJECTION_TWINS)
+        if kept is not None:
+            return kept
         g = self.gram
         gt = g.transpose()
         d1 = self.delta1
@@ -833,9 +929,18 @@ class WeakBialgebra:
         key = (sigma, sigma_prime, "dual") if dual else (sigma, sigma_prime)
         return self.projections[key]
 
+    # the dual's subspaces are these with A_* and Ahat_* swapped
+    _SUBSPACE_TWINS = _swapping(
+        *(("A_" + x, "Ahat_" + x) for x in ("L", "R", "LL", "LR", "RL", "RR"))
+    )
+
     @cached_property
     def subspaces(self):
-        """Distinguished subspaces: wedge spaces and projection images."""
+        """Distinguished subspaces: wedge spaces and projection images; the
+        dual's are these with A_* and Ahat_* swapped."""
+        kept = self._from_twin("subspaces", self._SUBSPACE_TWINS)
+        if kept is not None:
+            return kept
         d1 = self.delta1
         g = self.gram
         out = {
@@ -1023,16 +1128,12 @@ class AxiomReport:
 
 
 def _first_monoidal_witness(algebra, right: bool):
-    """Lexicographically first (a, b, c) basis triple violating the axiom."""
-    n = algebra.dim
-    kept = _counit_triples(algebra)
-    lhs = kept["rt_g"]
-    rhs = kept["g_dt_g"] if right else kept["g_d_g"]
-    for i in range(n):
-        for k in range(n):
-            if lhs[k].sparse_rows[i] != rhs[k].sparse_rows[i]:
-                return (i, k, _first_difference(lhs[k], rhs[k], i))
-    return None
+    """Lexicographically first (a, b, c) basis triple violating the axiom:
+    the first row i * n + k, then column j, where the two sides of
+    _counit_forms differ."""
+    triple, left_form, right_form = _counit_forms(algebra)
+    witness = _first_matrix_witness(triple, right_form if right else left_form)
+    return None if witness is None else divmod(witness[0], algebra.dim) + witness[1:]
 
 
 def _first_comonoidal_witness(algebra, right: bool):
@@ -1058,22 +1159,53 @@ def _first_matrix_witness(a: Matrix, b: Matrix):
 
 
 @computed_once
+def _counit_forms(algebra):
+    """The trilinear counit form and its two factorizations, each stacked
+    as one n^2 x n matrix whose row i * n + k is a functional of z:
+    eps(e_i e_k z), and with the sums over the nonzeros (u, v, c) of
+    Delta(e_k), sum c eps(e_i e_u) eps(e_v z) and sum c eps(e_i e_v)
+    eps(e_u z).  Left monoidality is the first equal to the second, right
+    monoidality the first equal to the third (the weakly multiplicative
+    counit of Boehm, Nill and Szlachanyi).  Each is one product with the
+    Gram matrix g: the multiplication table times g, and the rows
+    sum c g[i, u] e_v (sum c g[i, v] e_u) times g."""
+    n = algebra.dim
+    g = algebra.gram
+    tables = algebra._integer_tables
+    columns = g.transpose().sparse_rows
+    d_g = _denominator_lcm(x for col in columns for _, x in col)
+    columns = [[(i, _cleared(x, d_g)) for i, x in col] for col in columns]
+    # {row i * n + k: {column: int sum}}, only for the rows some term reaches
+    left, right = {}, {}
+    for k, dk in enumerate(tables.comult):
+        for u, v, c in dk:
+            for rows, first, second in ((left, u, v), (right, v, u)):
+                for i, x in columns[first]:
+                    row = rows.get(i * n + k)
+                    if row is None:
+                        row = rows[i * n + k] = {}
+                    row[second] = row.get(second, 0) + c * x
+    d = tables.d_comult * d_g
+    stacked = [algebra._table]
+    for rows in (left, right):
+        stacked.append(
+            Matrix._of_rows(
+                tuple(_storage_row(rows[r], d) if r in rows else () for r in range(n * n)), n
+            )
+        )
+    return tuple(m * g for m in stacked)
+
+
+@computed_once
 def _counit_triples(algebra):
     """Per basis index k, with g the Gram matrix, D_k the coproduct of e_k
-    and R_k right multiplication by e_k: R_k^t, R_k^t g, D_k g, D_k^t g,
-    g D_k g and g D_k^t g.  The monoidality deciders compare R_k^t g with
-    the last two, and the shape cross-check shares all of them."""
+    and R_k right multiplication by e_k: R_k^t, D_k g and D_k^t g, which
+    the shape cross-check shares."""
     g = algebra.gram
-    rt = [m.transpose() for m in algebra.right_mult]
-    d_g = [d * g for d in algebra.comult]
-    dt_g = [d.transpose() * g for d in algebra.comult]
     return {
-        "rt": rt,
-        "rt_g": [m * g for m in rt],
-        "d_g": d_g,
-        "dt_g": dt_g,
-        "g_d_g": [g * m for m in d_g],
-        "g_dt_g": [g * m for m in dt_g],
+        "rt": [m.transpose() for m in algebra.right_mult],
+        "d_g": [d * g for d in algebra.comult],
+        "dt_g": [d.transpose() * g for d in algebra.comult],
     }
 
 
@@ -1109,7 +1241,16 @@ def _agree_on_image(p: Matrix, lhs, rhs, n: int) -> bool:
 
 @computed_once
 def decide_axioms(algebra: WeakBialgebra) -> AxiomReport:
-    """Decide every axiom class and collect dimensions and witnesses."""
+    """Decide every axiom class and collect dimensions and witnesses.
+
+    Monoidality is the trilinear counit identity eps(x y z) =
+    eps(x y_1) eps(y_2 z) (left) or eps(x y_2) eps(y_1 z) (right), decided
+    on the three stacked forms of _counit_forms; the witness is the first
+    basis triple (x, y, z) where the two sides differ.  Cominimality reads
+    the dual's subspaces, which the dual takes over from this instance:
+    a.dual.dual is a, and gram, delta1, eps_maps, projections and
+    subspaces of a dual pair are computed once for both.
+    """
     algebra.require_valid()
     witnesses = {}
 
@@ -1194,11 +1335,10 @@ def _axiom_tensor_shapes(algebra, left: bool):
     dp_lr = dual.projection("L", "R")
     dp_rl = dual.projection("R", "L")
     kept = _counit_triples(algebra)
+    triple, left_form, right_form = _counit_forms(algebra)
     out = {}
     if left:
-        out["counit-triple"] = all(
-            a == b for a, b in zip(kept["rt_g"], kept["g_d_g"])
-        )
+        out["counit-triple"] = triple == left_form
         dp_ll_t = dp_ll.transpose()
         out["dual-ll-absorb"] = all(
             dual.comult[t] * dp_ll_t
@@ -1225,9 +1365,7 @@ def _axiom_tensor_shapes(algebra, left: bool):
             r_ll[s] == algebra.comult[s].transpose() * gt for s in range(n)
         )
     else:
-        out["counit-triple"] = all(
-            a == b for a, b in zip(kept["rt_g"], kept["g_dt_g"])
-        )
+        out["counit-triple"] = triple == right_form
         dp_lr_t = dp_lr.transpose()
         out["dual-lr-absorb"] = all(
             dual.comult[t] * dp_lr_t
