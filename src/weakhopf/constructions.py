@@ -13,24 +13,29 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import WeakBialgebra, _integer_algebra_tables, _mult_lists, algebra_axiom_violations
+from .core import (
+    WeakBialgebra,
+    _first_matrix_witness,
+    _integer_algebra_tables,
+    _mult_lists,
+    _stacked,
+    algebra_axiom_violations,
+)
 from .exactlin import (
     Matrix,
     Q,
     QONE,
     QZERO,
     inverse,
+    kron,
     linear_combination,
     nonzeros,
     outer,
-    outer_nonzeros,
     rank,
     row_space,
     solve_affine,
     sylvester,
     unit_vec,
-    vdot,
-    vector_combination,
     vscale,
 )
 
@@ -108,6 +113,8 @@ class Algebra:
     _table = WeakBialgebra._table
     _product_rows = WeakBialgebra._product_rows
     mul = WeakBialgebra.mul
+    products = WeakBialgebra.products
+    reversed_products = WeakBialgebra.reversed_products
     pairing = WeakBialgebra.pairing
 
     def basis_vector(self, i):
@@ -347,7 +354,9 @@ class Amalgamation:
 class _Carrier:
     """Tensor carrier of two commuting factors, optionally amalgamated over a
     shared central subalgebra: the quotient by the amalgamation relations,
-    with coordinates at the free columns of their RREF."""
+    with coordinates at the free columns of their RREF.  It is an algebra:
+    the product of the classes of e_i (x) e_j and e_k (x) e_l is the class of
+    (e_i e_k) (x) (e_j e_l), and the tensor-square product is borrowed."""
 
     def __init__(self, a1: Algebra, a2: Algebra, amalg=None):
         self.a1 = a1
@@ -361,68 +370,65 @@ class _Carrier:
                 z2 = amalg.into_second[z]
                 self._check_central(z1, z2)
                 # the relations e_i z (x) e_j - e_i (x) z e_j
-                right = Matrix.from_rows([a1.mul(a1.basis_vector(i), z1) for i in range(a1.dim)])
-                left = Matrix.from_columns([a2.mul(z2, a2.basis_vector(j)) for j in range(a2.dim)], a2.dim)
+                right = a1.products(Matrix.identity(a1.dim), _row(z1))
+                left = a2.products(_row(z2), Matrix.identity(a2.dim)).transpose()
                 pairs.append((left, right))
         self.reducer = row_space(sylvester(pairs, a1.dim, a2.dim))
         self.free = self.reducer.free_columns
         self.dim = len(self.free)
+        self.pairs = [divmod(pos, a2.dim) for pos in self.free]
+        # row u is the class of the ambient basis vector u
+        self.reduction = Matrix.from_rows(
+            [self.reduce(unit_vec(self.full_dim, u)) for u in range(self.full_dim)], self.dim
+        )
+        self.unit = self.reduce(outer(a1.unit, a2.unit).flatten())
+        # row (i * dim1 + k) * dim2^2 + j * dim2 + l is (e_i e_k) (x) (e_j e_l)
+        ambient = kron(a1._table, a2._table)
+        squares = a2.dim * a2.dim
+        table = _picked(
+            ambient,
+            [
+                (i * a1.dim + k) * squares + j * a2.dim + l
+                for i, j in self.pairs
+                for k, l in self.pairs
+            ],
+        ) * self.reduction
+        rows = table.sparse_rows
+        self._mult_nonzeros = tuple(rows[s * self.dim : (s + 1) * self.dim] for s in range(self.dim))
+
+    _integer_tables = cached_property(_integer_algebra_tables)
+    t2_mul = WeakBialgebra.t2_mul
 
     def _check_central(self, z1, z2):
-        for i in range(self.a1.dim):
-            b = self.a1.basis_vector(i)
-            if self.a1.mul(z1, b) != self.a1.mul(b, z1):
-                raise ConstructionError("amalgamated element not central in factor 1")
-        for j in range(self.a2.dim):
-            b = self.a2.basis_vector(j)
-            if self.a2.mul(z2, b) != self.a2.mul(b, z2):
-                raise ConstructionError("amalgamated element not central in factor 2")
+        for factor, a, z in ((1, self.a1, _row(z1)), (2, self.a2, _row(z2))):
+            one = Matrix.identity(a.dim)
+            if a.products(z, one) != a.reversed_products(z, one):
+                raise ConstructionError("amalgamated element not central in factor %d" % factor)
 
     def reduce(self, v):
         """Project an ambient tensor vector onto quotient coordinates."""
         return self.reducer.quotient_coordinates(v)
 
-    def embed_pair(self, x, y):
-        """Class of x (x) y for x in the first factor, y in the second."""
-        return self.reduce(outer(x, y).flatten())
-
-    def lift(self, q):
-        """Canonical ambient representative of a quotient vector."""
-        v = [QZERO] * self.full_dim
-        for pos, c in zip(self.free, q):
-            v[pos] = c
-        return tuple(v)
-
-    def mul(self, qx, qy):
-        x = self.lift(qx)
-        y = self.lift(qy)
-        acc = [QZERO] * self.full_dim
-        d2 = self.a2.dim
-        for u, a in enumerate(x):
-            if not a:
-                continue
-            i1, j1 = divmod(u, d2)
-            for w, b in enumerate(y):
-                if not b:
-                    continue
-                i2, j2 = divmod(w, d2)
-                left = self.a1.mul(self.a1.basis_vector(i1), self.a1.basis_vector(i2))
-                right = self.a2.mul(self.a2.basis_vector(j1), self.a2.basis_vector(j2))
-                ab = a * b
-                for p, xp in enumerate(left):
-                    if xp:
-                        f = ab * xp
-                        for q, yq in enumerate(right):
-                            if yq:
-                                acc[p * d2 + q] += f * yq
-        return self.reduce(acc)
-
     def labels(self):
-        out = []
-        for pos in self.free:
-            i, j = divmod(pos, self.a2.dim)
-            out.append("%s*%s" % (self.a1.labels[i], self.a2.labels[j]))
-        return out
+        return ["%s*%s" % (self.a1.labels[i], self.a2.labels[j]) for i, j in self.pairs]
+
+
+def _picked(m: Matrix, rows) -> Matrix:
+    """The matrix of the given rows of m, in the given order."""
+    stored = m.sparse_rows
+    return Matrix._of_rows(tuple(stored[r] for r in rows), m.cols)
+
+
+def _kron3(x: Matrix, y: Matrix, z: Matrix) -> Matrix:
+    """kron(kron(x, y), z): its row (a * y.rows + b) * z.rows + c is the
+    flattened Kronecker product of rows a, b and c of x, y and z, whose
+    entry (r * y.cols + s) * z.cols + t is x[a, r] y[b, s] z[c, t]."""
+    return kron(kron(x, y), z)
+
+
+def _row(v) -> Matrix:
+    """The vector v as a one-row matrix."""
+    return Matrix.from_rows([v])
 
 
 # ----------------------------------------------------------------------
@@ -436,10 +442,8 @@ def algebra_quasi_basis(alg: Algebra, omega):
     ginv = inverse(g)
     if ginv is None:
         return None
-    index = vector_combination(
-        ((c, alg.mul(alg.basis_vector(j), alg.basis_vector(k))) for j, k, c in nonzeros(ginv)),
-        alg.dim,
-    )
+    # sum ginv[j, k] e_j e_k over the rows j * dim + k of the table
+    index = alg._table.transpose().apply(ginv.flatten())
     theta = ginv * g.transpose()
     return ginv, index, theta
 
@@ -455,7 +459,8 @@ def minimal_from_idempotent(a1: Algebra, a2: Algebra, p: Matrix, amalgamation=No
 
     p[j][k] is the coefficient of (second-factor basis j) (x) (first-factor
     basis k).  Raises with a witness when p is not idempotent, degenerate, or
-    incompatible with the amalgamated subalgebra.
+    incompatible with the amalgamated subalgebra; a witness is the first in
+    basis order.
     """
     if p.rows != a2.dim or p.cols != a1.dim:
         raise ConstructionError("idempotent tensor has wrong shape")
@@ -464,93 +469,46 @@ def minimal_from_idempotent(a1: Algebra, a2: Algebra, p: Matrix, amalgamation=No
     q = inverse(p)
     if q is None:
         raise ConstructionError("tensor is degenerate as a pairing")
-    carrier = _Carrier(a1, a2, amalgamation)
+    return _minimal(_Carrier(a1, a2, amalgamation), p, q)
+
+
+def _minimal(carrier: _Carrier, p: Matrix, q: Matrix) -> WeakBialgebra:
+    """minimal_from_idempotent on its carrier, with q the inverse of p."""
+    a1, a2 = carrier.a1, carrier.a2
+    n2 = a2.dim
+    reduction = carrier.reduction
+    # rows k and j: the classes of e_k (x) 1 and of 1 (x) e_j
+    firsts = kron(Matrix.identity(a1.dim), _row(a2.unit)) * reduction
+    seconds = kron(_row(a1.unit), Matrix.identity(n2)) * reduction
     # p as an element of the carrier tensor square
-    terms = [
-        (j, k, p[j, k]) for j in range(a2.dim) for k in range(a1.dim) if p[j, k]
-    ]
-
-    def embed2(j):
-        return carrier.embed_pair(a1.unit, a2.basis_vector(j))
-
-    def embed1(k):
-        return carrier.embed_pair(a1.basis_vector(k), a2.unit)
-
-    p_sq = {}
-    for j, k, c in terms:
-        for jp, kp, cp in terms:
-            u = carrier.mul(embed2(j), embed2(jp))
-            v = carrier.mul(embed1(k), embed1(kp))
-            cc = c * cp
-            for a, xa in enumerate(u):
-                if xa:
-                    for b, yb in enumerate(v):
-                        if yb:
-                            key = (a, b)
-                            p_sq[key] = p_sq.get(key, QZERO) + cc * xa * yb
-    p_elem = {}
-    for j, k, c in terms:
-        u = embed2(j)
-        v = embed1(k)
-        for a, xa in enumerate(u):
-            if xa:
-                for b, yb in enumerate(v):
-                    if yb:
-                        key = (a, b)
-                        p_elem[key] = p_elem.get(key, QZERO) + c * xa * yb
-    for key in set(p_sq) | set(p_elem):
-        if p_sq.get(key, QZERO) != p_elem.get(key, QZERO):
-            raise ConstructionError("tensor is not idempotent at %s" % (key,))
+    square = seconds.transpose() * p * firsts
+    witness = _first_matrix_witness(carrier.t2_mul(square, square), square)
+    if witness is not None:
+        raise ConstructionError("tensor is not idempotent at %s" % (witness,))
+    amalgamation = carrier.amalg
     if amalgamation is not None:
         for z in range(amalgamation.dim):
-            z1 = amalgamation.into_first[z]
-            z2 = amalgamation.into_second[z]
+            z1 = _row(amalgamation.into_first[z])
+            z2 = _row(amalgamation.into_second[z])
             # (z (x) 1) p = (1 (x) z) p inside the second-first tensor order
-            lhs = {}
-            rhs = {}
-            for j, k, c in terms:
-                zj = a2.mul(z2, a2.basis_vector(j))
-                for jj, x in enumerate(zj):
-                    if x:
-                        lhs[(jj, k)] = lhs.get((jj, k), QZERO) + c * x
-                zk = a1.mul(z1, a1.basis_vector(k))
-                for kk, x in enumerate(zk):
-                    if x:
-                        rhs[(j, kk)] = rhs.get((j, kk), QZERO) + c * x
-            for key in set(lhs) | set(rhs):
-                if lhs.get(key, QZERO) != rhs.get(key, QZERO):
-                    raise ConstructionError(
-                        "amalgamation compatibility fails at %s" % (key,)
-                    )
+            witness = _first_matrix_witness(
+                a2.products(z2, p.transpose()).transpose(), a1.products(z1, p)
+            )
+            if witness is not None:
+                raise ConstructionError("amalgamation compatibility fails at %s" % (witness,))
     dim = carrier.dim
-    basis_pairs = [divmod(pos, a2.dim) for pos in carrier.free]
-    mult = [
-        [
-            list(carrier.mul(unit_vec(dim, s), unit_vec(dim, t)))
-            for t in range(dim)
-        ]
-        for s in range(dim)
-    ]
-    unit = carrier.embed_pair(a1.unit, a2.unit)
-    comult = [
-        linear_combination(
-            (
-                (
-                    c,
-                    outer_nonzeros(
-                        carrier.embed_pair(a1.basis_vector(i), a2.basis_vector(jp)),
-                        carrier.embed_pair(a1.basis_vector(kp), a2.basis_vector(j)),
-                    ),
-                )
-                for jp, kp, c in terms
-            ),
-            dim,
-            dim,
-        )
-        for (i, j) in basis_pairs
-    ]
-    counit = [q[i, j] for (i, j) in basis_pairs]
-    result = WeakBialgebra(dim, mult, unit, comult, counit, labels=carrier.labels())
+    classes = reduction.sparse_rows
+    # Delta(e_i (x) e_j) is the sum of p[j', k'] (e_i (x) e_j') (x) (e_k' (x) e_j)
+    comult = tuple(
+        Matrix._of_rows(classes[i * n2 : (i + 1) * n2], dim).transpose()
+        * p
+        * Matrix._of_rows(classes[j::n2], dim)
+        for i, j in carrier.pairs
+    )
+    counit = tuple(q[i, j] for i, j in carrier.pairs)
+    result = WeakBialgebra._of_tables(
+        dim, carrier._mult_nonzeros, carrier.unit, comult, counit, carrier.labels()
+    )
     if result.violations:
         raise ConstructionError(
             "constructed data violates %s" % (result.violations[0][0],)
@@ -570,14 +528,14 @@ def minimal_weak_hopf(a1: Algebra, a2: Algebra, omega, s_r: Matrix, amalgamation
     s_r_inv = inverse(s_r)
     if s_r_inv is None:
         raise ConstructionError("wedge flip is not bijective")
-    for i in range(a2.dim):
-        for j in range(a2.dim):
-            lhs = s_r.apply(a2.mul(a2.basis_vector(i), a2.basis_vector(j)))
-            rhs = a1.mul(s_r.apply(a2.basis_vector(j)), s_r.apply(a2.basis_vector(i)))
-            if lhs != rhs:
-                raise ConstructionError(
-                    "wedge flip is not anti-multiplicative at (%d,%d)" % (i, j)
-                )
+    # row i is the image of e_i; row i * dim + j of each side is the image
+    # of e_i e_j and the product of the images of e_j and e_i
+    flip = s_r.transpose()
+    witness = _first_matrix_witness(a2._table * flip, a1.reversed_products(flip, flip))
+    if witness is not None:
+        raise ConstructionError(
+            "wedge flip is not anti-multiplicative at (%d,%d)" % divmod(witness[0], a2.dim)
+        )
     if s_r.apply(a2.unit) != a1.unit:
         raise ConstructionError("wedge flip does not preserve the unit")
     qb = algebra_quasi_basis(a1, omega)
@@ -594,17 +552,13 @@ def minimal_weak_hopf(a1: Algebra, a2: Algebra, omega, s_r: Matrix, amalgamation
                     "wedge flip does not restrict to the identity on the shared subalgebra"
                 )
     p = s_r_inv * ginv
-    algebra = minimal_from_idempotent(a1, a2, p, amalgamation)
-    s_l = s_r_inv * theta
     carrier = _Carrier(a1, a2, amalgamation)
-    cols = []
-    for pos in carrier.free:
-        i, j = divmod(pos, a2.dim)
-        left = s_r.apply(a2.basis_vector(j))
-        right = s_l.apply(a1.basis_vector(i))
-        cols.append(carrier.embed_pair(left, right))
-    antipode = Matrix.from_columns(cols, algebra.dim)
-    return algebra, antipode
+    algebra = _minimal(carrier, p, inverse(p))
+    s_l = s_r_inv * theta
+    # S(e_i (x) e_j) is the class of s_r(e_j) (x) s_l(e_i), row j * dim + i
+    images = kron(flip, s_l.transpose())
+    antipode = _picked(images, [j * a1.dim + i for i, j in carrier.pairs]) * carrier.reduction
+    return algebra, antipode.transpose()
 
 
 # ----------------------------------------------------------------------
@@ -620,52 +574,47 @@ class ModuleAlgebraAction:
     target: Algebra
     matrices: tuple  # one target-endomorphism matrix per Hopf basis vector
 
-    def act(self, g, a):
-        return vector_combination(
-            ((c, m.apply(a)) for c, m in zip(g, self.matrices) if c), self.target.dim
-        )
+    def operator(self, g) -> Matrix:
+        """The matrix A_g of the action of the Hopf element g."""
+        n = self.target.dim
+        return linear_combination(((c, nonzeros(m)) for c, m in zip(g, self.matrices)), n, n)
 
     def check(self):
+        """The action laws compared as operators, each failure with its first
+        witness in basis order: A_{e_i e_j} = A_i A_j, A_i 1 = eps(e_i) 1 and
+        the module-algebra law on the rows of the target's table."""
         h = self.hopf.algebra
         t = self.target
+        n = t.dim
+        # row a of moves[i] is A_i e_a; the stacked rows are A^t flattened
+        moves = [m.transpose() for m in self.matrices]
+        witness = _first_matrix_witness(
+            h._table * _stacked(moves, n),
+            _stacked([mj * mi for mi in moves for mj in moves], n),
+        )
+        if witness is not None:
+            i, j = divmod(witness[0], h.dim)
+            raise ConstructionError(
+                "action is not multiplicative at (%d,%d,%d)" % (i, j, witness[1] // n)
+            )
         for i in range(h.dim):
-            for j in range(h.dim):
-                prod = h.mul(h.basis_vector(i), h.basis_vector(j))
-                for a in range(t.dim):
-                    av = t.basis_vector(a)
-                    got = self.act(prod, av)
-                    step = self.act(h.basis_vector(i), self.act(h.basis_vector(j), av))
-                    if got != step:
-                        raise ConstructionError(
-                            "action is not multiplicative at (%d,%d,%d)" % (i, j, a)
-                        )
-        for i in range(h.dim):
-            gi = h.basis_vector(i)
-            if self.act(gi, t.unit) != vscale(h.eps(gi), t.unit):
+            if self.matrices[i].apply(t.unit) != vscale(h.counit[i], t.unit):
                 raise ConstructionError("action does not normalize the unit at %d" % i)
-            for a in range(t.dim):
-                for b in range(t.dim):
-                    ab = t.mul(t.basis_vector(a), t.basis_vector(b))
-                    lhs = self.act(gi, ab)
-                    rhs = vector_combination(
-                        (
-                            (
-                                c,
-                                t.mul(
-                                    self.act(h.basis_vector(u), t.basis_vector(a)),
-                                    self.act(h.basis_vector(v), t.basis_vector(b)),
-                                ),
-                            )
-                            for u, v, c in nonzeros(h.comult[i])
-                        ),
-                        t.dim,
-                    )
-                    if lhs != rhs:
-                        raise ConstructionError(
-                            "action is not a module-algebra action at (%d,%d,%d)"
-                            % (i, a, b)
-                        )
-        if self.act(h.unit, t.basis_vector(0)) != t.basis_vector(0):
+            # row a * n + b: A_i(e_a e_b), against the sum of the
+            # (A_u e_a)(A_v e_b) over the legs (u, v) of Delta(e_i)
+            legs = (
+                (c, nonzeros(t.products(moves[u], moves[v])))
+                for u, v, c in h._comult_triples[i]
+            )
+            witness = _first_matrix_witness(
+                t._table * moves[i], linear_combination(legs, n * n, n)
+            )
+            if witness is not None:
+                raise ConstructionError(
+                    "action is not a module-algebra action at (%d,%d,%d)"
+                    % ((i,) + divmod(witness[0], n))
+                )
+        if self.operator(h.unit).apply(t.basis_vector(0)) != t.basis_vector(0):
             raise ConstructionError("action does not fix the unit of the Hopf algebra")
 
 
@@ -692,148 +641,101 @@ def two_sided_crossed_product(
     if qb is None:
         raise ConstructionError("functional is degenerate")
     ginv, index, theta = qb
-    for gi in range(h.dim):
-        g = h.basis_vector(gi)
-        for ai in range(a_l.dim):
-            lhs = vdot(omega, action.act(g, a_l.basis_vector(ai)))
-            if lhs != h.eps(g) * vdot(omega, a_l.basis_vector(ai)):
-                raise ConstructionError(
-                    "functional is not invariant under the action at (%d,%d)"
-                    % (gi, ai)
-                )
+    dl, dg, dr = a_l.dim, h.dim, a_r.dim
+    # row a of moves[g] is e_g . e_a
+    moves = [m.transpose() for m in action.matrices]
+    # entry (g, a): omega(e_g . e_a), against eps(e_g) omega(e_a)
+    witness = _first_matrix_witness(
+        Matrix.from_rows([m.apply(omega) for m in moves], dl), outer(h.counit, omega)
+    )
+    if witness is not None:
+        raise ConstructionError(
+            "functional is not invariant under the action at (%d,%d)" % witness
+        )
     if index != a_l.unit:
         raise ConstructionError("functional does not have index one")
     s_r_inv = inverse(s_r)
     if s_r_inv is None:
         raise ConstructionError("wedge flip is not bijective")
+    s = hopf.antipode
     s_inv = hopf.antipode_inverse
-
-    def act_right(a, g):
-        """Derived right action on the right factor."""
-        return s_r_inv.apply(action.act(hopf.antipode.apply(g), s_r.apply(a)))
+    # the derived right action of e_g on the right factor, s_r^-1 A_{S e_g} s_r
+    rights = [s_r_inv * action.operator(s.col(g)) * s_r for g in range(dg)]
 
     # compatibility of the unit coproduct with the two actions
     p = s_r_inv * ginv  # second (x) first coefficients of the unit coproduct
-    for gi in range(h.dim):
-        g = h.basis_vector(gi)
-        lhs = {}
-        rhs = {}
-        for j in range(a_r.dim):
-            for k in range(a_l.dim):
-                c = p[j, k]
-                if not c:
-                    continue
-                gk = action.act(g, a_l.basis_vector(k))
-                for kk, x in enumerate(gk):
-                    if x:
-                        lhs[(j, kk)] = lhs.get((j, kk), QZERO) + c * x
-                jg = act_right(a_r.basis_vector(j), g)
-                for jj, x in enumerate(jg):
-                    if x:
-                        rhs[(jj, k)] = rhs.get((jj, k), QZERO) + c * x
-        for key in set(lhs) | set(rhs):
-            if lhs.get(key, QZERO) != rhs.get(key, QZERO):
-                raise ConstructionError(
-                    "unit coproduct is not compatible with the actions at g=%d" % gi
-                )
-    dl, dg, dr = a_l.dim, h.dim, a_r.dim
+    for g in range(dg):
+        if p * moves[g] != rights[g] * p:
+            raise ConstructionError(
+                "unit coproduct is not compatible with the actions at g=%d" % g
+            )
     dim = dl * dg * dr
-
-    def idx(i, k, j):
-        return (i * dg + k) * dr + j
+    # row (i * dg + u) * dl + k: e_i (e_u . e_k)
+    lefts = a_l.products(
+        Matrix.identity(dl), Matrix._of_rows(tuple(r for m in moves for r in m.sparse_rows), dl)
+    )
+    # row (v * dr + j) * dr + l: (e_j . e_v) e_l
+    acted = Matrix._of_rows(tuple(r for b in rights for r in b.transpose().sparse_rows), dr)
+    ends = a_r.products(acted, Matrix.identity(dr))
+    legs = h._comult_triples
 
     def mul_basis(t1, t2):
+        # the sum of e_i1 (u1 . e_i2) (x) v1 u2 (x) (e_j1 . v2) e_j2 over
+        # the legs (u1, v1) of Delta(e_k1) and (u2, v2) of Delta(e_k2)
         i1, k1, j1 = _unidx(t1, dg, dr)
         i2, k2, j2 = _unidx(t2, dg, dr)
-        acc = [QZERO] * dim
-        for u1, v1, c1 in nonzeros(h.comult[k1]):
-            left = a_l.mul(
-                a_l.basis_vector(i1),
-                action.act(h.basis_vector(u1), a_l.basis_vector(i2)),
+        terms = (
+            (
+                c1 * c2,
+                nonzeros(
+                    _kron3(
+                        _picked(lefts, [(i1 * dg + u1) * dl + i2]),
+                        _picked(h._table, [v1 * dg + u2]),
+                        _picked(ends, [(v2 * dr + j1) * dr + j2]),
+                    )
+                ),
             )
-            for u2, v2, c2 in nonzeros(h.comult[k2]):
-                midg = h.mul(h.basis_vector(v1), h.basis_vector(u2))
-                rightv = a_r.mul(
-                    act_right(a_r.basis_vector(j1), h.basis_vector(v2)),
-                    a_r.basis_vector(j2),
-                )
-                cc = c1 * c2
-                for lpos, lx in enumerate(left):
-                    if not lx:
-                        continue
-                    for gpos, gx in enumerate(midg):
-                        if not gx:
-                            continue
-                        w = cc * lx * gx
-                        for rpos, rx in enumerate(rightv):
-                            if rx:
-                                acc[idx(lpos, gpos, rpos)] += w * rx
-        return tuple(acc)
+            for u1, v1, c1 in legs[k1]
+            for u2, v2, c2 in legs[k2]
+        )
+        return linear_combination(terms, 1, dim).sparse_rows[0]
 
-    mult = [[None] * dim for _ in range(dim)]
-    for t1 in range(dim):
-        for t2 in range(dim):
-            mult[t1][t2] = list(mul_basis(t1, t2))
-    unit = [QZERO] * dim
-    for i, x in enumerate(a_l.unit):
-        if x:
-            for k, y in enumerate(h.unit):
-                if y:
-                    for j, z in enumerate(a_r.unit):
-                        if z:
-                            unit[idx(i, k, j)] += x * y * z
+    mult = tuple(tuple(mul_basis(t1, t2) for t2 in range(dim)) for t1 in range(dim))
+    unit = _kron3(_row(a_l.unit), _row(h.unit), _row(a_r.unit)).row(0)
     comult = []
     for t in range(dim):
         i, k, j = _unidx(t, dg, dr)
-        acc = [{} for _ in range(dim)]
+        # Delta(e_i (x) e_k (x) e_j) is the sum of
+        # (e_i (x) k_1 (x) e_j') (x) (k_2 . e_k' (x) k_3 (x) e_j)
+        # over p[j', k'] and the legs of Delta^2(e_k): rows j' and k' of
+        # the two Kronecker products
+        terms = []
         for (k1, k2, k3), ck in h.iterated_delta(h.basis_vector(k), 2).items():
-            for jp in range(dr):
-                for kp in range(dl):
-                    c = p[jp, kp]
-                    if not c:
-                        continue
-                    second_l = action.act(h.basis_vector(k2), a_l.basis_vector(kp))
-                    cc = ck * c
-                    row = acc[idx(i, k1, jp)]
-                    for lx, xv in enumerate(second_l):
-                        if xv:
-                            key = idx(lx, k3, j)
-                            row[key] = row.get(key, QZERO) + cc * xv
-        comult.append(Matrix._of_dicts(acc, dim))
-    counit = []
-    for t in range(dim):
-        i, k, j = _unidx(t, dg, dr)
-        moved = action.act(s_inv.apply(h.basis_vector(k)), a_l.basis_vector(i))
-        counit.append(vdot(omega, a_l.mul(moved, s_r.apply(a_r.basis_vector(j)))))
+            firsts = _kron3(_row(unit_vec(dl, i)), _row(unit_vec(dg, k1)), Matrix.identity(dr))
+            seconds = _kron3(moves[k2], _row(unit_vec(dg, k3)), _row(unit_vec(dr, j)))
+            terms.append((ck, nonzeros(firsts.transpose() * p * seconds)))
+        comult.append(linear_combination(terms, dim, dim))
+    # row (i * dg + k) * dr + j: omega(S^-1(e_k) . e_i s_r(e_j))
+    backs = [action.operator(s_inv.col(k)).transpose().sparse_rows for k in range(dg)]
+    moved = Matrix._of_rows(tuple(backs[k][i] for i in range(dl) for k in range(dg)), dl)
+    counit = a_l.products(moved, s_r.transpose()).apply(omega)
     labels = [
         "%s*%s*%s" % (a_l.labels[i], h.labels[k], a_r.labels[j])
         for t in range(dim)
         for (i, k, j) in [_unidx(t, dg, dr)]
     ]
-    algebra = WeakBialgebra(dim, mult, unit, comult, counit, labels=labels)
+    algebra = WeakBialgebra._of_tables(dim, mult, unit, tuple(comult), counit, labels)
     if algebra.violations:
         raise ConstructionError(
             "crossed product violates %s" % (algebra.violations[0][0],)
         )
-    theta_map = s_r_inv * theta
-    cols = []
-    for t in range(dim):
-        i, k, j = _unidx(t, dg, dr)
-        left = s_r.apply(a_r.basis_vector(j))
-        mid = hopf.antipode.apply(h.basis_vector(k))
-        right = theta_map.apply(a_l.basis_vector(i))
-        acc = [QZERO] * dim
-        for lp, lx in enumerate(left):
-            if lx:
-                for gp, gx in enumerate(mid):
-                    if gx:
-                        w = lx * gx
-                        for rp, rx in enumerate(right):
-                            if rx:
-                                acc[idx(lp, gp, rp)] += w * rx
-        cols.append(acc)
-    antipode = Matrix.from_columns(cols, dim)
-    return algebra, antipode
+    # S(e_i (x) e_k (x) e_j) = s_r(e_j) (x) S(e_k) (x) s_r^-1 theta(e_i),
+    # row (j * dg + k) * dl + i
+    images = _kron3(s_r.transpose(), s.transpose(), (s_r_inv * theta).transpose())
+    antipode = _picked(
+        images, [(j * dg + k) * dl + i for t in range(dim) for i, k, j in [_unidx(t, dg, dr)]]
+    )
+    return algebra, antipode.transpose()
 
 
 def _unidx(t, dg, dr):
@@ -888,23 +790,22 @@ def ad_crossed_product(gp: GroupPresentation, subgroup):
         for gi in range(ng)
     )
     unit = unit_vec(dim, idx(hindex[gp.identity], gp.identity))
-    comult = []
-    for hi in range(nh):
-        for gi in range(ng):
-            acc = [{} for _ in range(dim)]
-            for k in subgroup:
-                left_h = gp.table[subgroup[hi]][gp.inv(k)]
-                row = acc[idx(hindex[left_h], gp.table[k][gi])]
-                col = idx(hindex[k], gi)
-                row[col] = row.get(col, QZERO) + inv_h
-            comult.append(Matrix._of_dicts(acc, dim))
+    def coproduct(h, g):
+        # the mean of (h k^-1, k g) (x) (k, g) over k in the subgroup
+        legs = [
+            (idx(hindex[gp.table[h][gp.inv(k)]], gp.table[k][g]), idx(hindex[k], g), QONE)
+            for k in subgroup
+        ]
+        return linear_combination([(inv_h, legs)], dim, dim)
+
+    comult = tuple(coproduct(h, g) for h in subgroup for g in range(ng))
     counit = tuple(lam[hi] for hi in range(nh) for gi in range(ng))
     labels = [
         "%s|%s" % (gp.labels[subgroup[hi]], gp.labels[gi])
         for hi in range(nh)
         for gi in range(ng)
     ]
-    algebra = WeakBialgebra._of_tables(dim, mult, unit, tuple(comult), counit, labels)
+    algebra = WeakBialgebra._of_tables(dim, mult, unit, comult, counit, labels)
     if algebra.violations:
         raise ConstructionError(
             "adjoint crossed product violates %s" % (algebra.violations[0][0],)

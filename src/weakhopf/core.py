@@ -446,6 +446,14 @@ def computed_once(compute):
     return once
 
 
+def _dual_label(label):
+    """The dual basis label: one trailing "^" stripped when the label ends
+    in an odd number of them, one added otherwise, so that applying it
+    twice gives the label back."""
+    carets = len(label) - len(label.rstrip("^"))
+    return label[:-1] if carets % 2 else label + "^"
+
+
 class WeakBialgebra:
     """Immutable structure-constant presentation of a weak bialgebra."""
 
@@ -829,9 +837,7 @@ class WeakBialgebra:
         comult = tuple(
             Matrix._of_sparse((m.sparse_rows[k] for m in self.left_mult), n) for k in range(n)
         )
-        labels = tuple(
-            lb[:-1] if lb.endswith("^") else lb + "^" for lb in self.labels
-        )
+        labels = tuple(map(_dual_label, self.labels))
         # the integer tables are the parent's with the two halves swapped
         t = self._integer_tables
         tables = _IntegerTables(
@@ -1136,16 +1142,6 @@ def _first_monoidal_witness(algebra, right: bool):
     return None if witness is None else divmod(witness[0], algebra.dim) + witness[1:]
 
 
-def _first_comonoidal_witness(algebra, right: bool):
-    lhs = algebra._comonoidal_product(not right)
-    rhs = algebra.delta2(algebra.unit)
-    keys = sorted(set(lhs) | set(rhs))
-    for key in keys:
-        if lhs.get(key, QZERO) != rhs.get(key, QZERO):
-            return key
-    return None
-
-
 def _first_difference(a: Matrix, b: Matrix, i):
     """The first column where row i of a and row i of b differ."""
     return next(j for j, (x, y) in enumerate(zip(a.row(i), b.row(i))) if x != y)
@@ -1246,7 +1242,10 @@ def decide_axioms(algebra: WeakBialgebra) -> AxiomReport:
     Monoidality is the trilinear counit identity eps(x y z) =
     eps(x y_1) eps(y_2 z) (left) or eps(x y_2) eps(y_1 z) (right), decided
     on the three stacked forms of _counit_forms; the witness is the first
-    basis triple (x, y, z) where the two sides differ.  Cominimality reads
+    basis triple (x, y, z) where the two sides differ.  Comonoidality is
+    monoidality of the dual, whose trilinear counit form is Delta^2(1) and
+    whose left form is (Delta(1) (x) 1)(1 (x) Delta(1)); its witness is the
+    first leg triple where they differ.  Cominimality reads
     the dual's subspaces, which the dual takes over from this instance:
     a.dual.dual is a, and gram, delta1, eps_maps, projections and
     subspaces of a dual pair are computed once for both.
@@ -1261,8 +1260,9 @@ def decide_axioms(algebra: WeakBialgebra) -> AxiomReport:
     if wr is not None:
         witnesses["right-monoidal"] = wr
 
-    cl = _first_comonoidal_witness(algebra, right=False)
-    cr = _first_comonoidal_witness(algebra, right=True)
+    dual = algebra.dual
+    cl = _first_monoidal_witness(dual, right=False)
+    cr = _first_monoidal_witness(dual, right=True)
     if cl is not None:
         witnesses["left-comonoidal"] = cl
     if cr is not None:
@@ -1285,7 +1285,6 @@ def decide_axioms(algebra: WeakBialgebra) -> AxiomReport:
 
     span_lr = algebra.subspace_product(a_l, a_r)
     minimal = comonoidal and span_lr.dim == algebra.dim
-    dual = algebra.dual
     dsub = dual.subspaces
     dual_span = dual.subspace_product(dsub["A_L"], dsub["A_R"])
     cominimal = monoidal and dual_span.dim == algebra.dim
