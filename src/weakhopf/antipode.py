@@ -11,16 +11,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import TheoremCheck, WeakBialgebra, computed_once, decide_axioms
+from .core import (
+    TheoremCheck,
+    WeakBialgebra,
+    _block_transposed,
+    _coproduct_legs,
+    _flat,
+    _spread,
+    computed_once,
+    decide_axioms,
+)
 from .exactlin import (
     Matrix,
     Subspace,
     _quotient,
     inverse,
-    linear_combination,
+    kron,
     nonzeros,
     outer,
-    outer_nonzeros,
     particular_solution,
     rank,
     row_space,
@@ -31,23 +39,6 @@ from .exactlin import (
 
 class SelfCheckError(Exception):
     """A proven theorem failed on a validated instance: bug or corrupt input."""
-
-
-@computed_once
-def _coproduct_legs(algebra):
-    """The leg pairs (u, v) that some Delta(e_k) reaches, as (u, (v, ...))
-    groups in increasing order, and the coproduct as one matrix over those
-    pairs, numbered in that order: row k is Delta(e_k).  Kept per instance."""
-    legs = algebra._comult_triples
-    reached = sorted({(u, v) for nz in legs for u, v, _ in nz})
-    index = {pair: t for t, pair in enumerate(reached)}
-    groups = {}
-    for u, v in reached:
-        groups.setdefault(u, []).append(v)
-    stacked = Matrix._of_rows(
-        tuple(tuple((index[u, v], x) for u, v, x in nz) for nz in legs), len(reached)
-    )
-    return tuple(groups.items()), stacked
 
 
 def convolve(algebra: WeakBialgebra, s: Matrix, t: Matrix) -> Matrix:
@@ -85,12 +76,13 @@ def is_anti_multiplicative(algebra, s: Matrix) -> bool:
 
 
 def is_anti_comultiplicative(algebra, s: Matrix) -> bool:
+    """Delta(S e_k) = S D_k^t S^t for every k at once, D_k the coproduct of
+    e_k: S^t spread over the stacked D_k against the stacked D_k S^t, each
+    block transposed, times S^t."""
     n = algebra.dim
-    st = s.transpose()
-    for k in range(n):
-        if algebra.delta(s.col(k)) != s * algebra.comult[k].transpose() * st:
-            return False
-    return True
+    stacked = algebra._stacks["D"]
+    s_t = s.transpose()
+    return _spread(s_t, n) * stacked == _block_transposed(stacked * s_t, n) * s_t
 
 
 @computed_once
@@ -343,15 +335,14 @@ def sigma_maps(algebra: WeakBialgebra) -> SigmaMaps:
         for img, space, other in zip(flipped, (a_l, a_r), (a_r, a_l)):
             if img != other or space.dim != other.dim:
                 iso = False
-        for v in a_l.basis.data:
-            if s_r.apply(sbar_l.apply(v)) != v:
-                iso = False
-            if sbar_r.apply(s_l.apply(v)) != v:
-                iso = False
-        for v in a_r.basis.data:
-            if sbar_l.apply(s_r.apply(v)) != v:
-                iso = False
-            if s_l.apply(sbar_r.apply(v)) != v:
+        # G(F(v)) = v over the basis rows B of each wedge at once: B F^t G^t = B
+        for basis, first, then in (
+            (a_l.basis, sbar_l, s_r),
+            (a_l.basis, s_l, sbar_r),
+            (a_r.basis, s_r, sbar_l),
+            (a_r.basis, sbar_r, s_l),
+        ):
+            if basis * first.transpose() * then.transpose() != basis:
                 iso = False
     return SigmaMaps(
         to_right=s_l,
@@ -390,47 +381,41 @@ def quasi_basis(algebra: WeakBialgebra, omega, space: Subspace):
         raise ValueError("quasi-basis support must be a unital subalgebra")
     omega = tuple(omega)
     basis_m = space.basis
-    basis = basis_m.data
-    k = len(basis)
+    k = basis_m.rows
     # products of basis pairs, once each (row j * k + l is b_j b_l, shared
     # with the subalgebra test); omega of one is a Gram entry
     prod_m = algebra.basis_products(space)
-    prods = prod_m.data
     omegas = prod_m.apply(omega)
     gram = Matrix._of_fractions([omegas[i * k : (i + 1) * k] for i in range(k)], k)
     ginv = inverse(gram)
     if ginv is None:
         return None
     n = algebra.dim
-    # the dual tensor sums ginv[j, l] basis[j] (x) basis[l]
-    pairs = [(ginv[j, l], j, l) for j in range(k) for l in range(k) if ginv[j, l]]
-    quasi = linear_combination(
-        ((c, outer_nonzeros(basis[j], basis[l])) for c, j, l in pairs), n, n
-    )
-    index = vector_combination(((c, prods[j * k + l]) for c, j, l in pairs), n)
-    # the defining reproduction identities, then centrality of the tensor
-    for i, m in enumerate(basis):
-        got = vector_combination(((c * gram[i, j], basis[l]) for c, j, l in pairs), n)
-        got2 = vector_combination(((c * gram[l, i], basis[j]) for c, j, l in pairs), n)
-        if got != m or got2 != m:
-            raise SelfCheckError("quasi-basis reproduction identities failed")
-        # (m (x) 1) Q is L_m Q and Q (1 (x) m) is Q R_m^t
-        if algebra.left_mult_of(m) * quasi != quasi * algebra.right_mult_of(m).transpose():
-            raise SelfCheckError("quasi-basis centrality identity failed")
-    index_m = Matrix._of_fractions([index], n)
+    # the dual tensor sums ginv[j, l] b_j (x) b_l, which is B^t ginv B, and
+    # its index ginv[j, l] b_j b_l
+    quasi = basis_m.transpose() * ginv * basis_m
+    index_m = Matrix._of_rows((_flat(ginv),), k * k) * prod_m
+    index = index_m.row(0)
+    # the reproduction identities over every basis row at once: row i of
+    # gram ginv B and of (ginv gram)^t B sum ginv[j, l] gram[i, j] b_l and
+    # ginv[j, l] gram[l, i] b_j
+    if gram * ginv * basis_m != basis_m or (ginv * gram).transpose() * basis_m != basis_m:
+        raise SelfCheckError("quasi-basis reproduction identities failed")
+    # centrality of the tensor, L_m Q = (m (x) 1) Q against Q R_m^t, over the
+    # basis rows m spread over the stacked L_t (R_t)
+    st = algebra._stacks
+    spread = _spread(basis_m, n)
+    if spread * st["L"] * quasi != _block_transposed(spread * st["R"] * quasi.transpose(), n):
+        raise SelfCheckError("quasi-basis centrality identity failed")
     if algebra.products(index_m, basis_m) != algebra.products(basis_m, index_m):
         raise SelfCheckError("index is not central in its subalgebra")
     modular = ginv * gram.transpose()
-    auto = True
     # theta_i = sum_j modular[j, i] basis[j], as the rows of modular^t B
     theta_m = modular.transpose() * basis_m
     theta_prods = algebra.products(theta_m, theta_m)
-    for i in range(k):
-        for j in range(k):
-            lhs = modular.apply(space.coordinates(prods[i * k + j]))
-            rhs = space.coordinates(theta_prods.row(i * k + j))
-            if lhs != rhs:
-                auto = False
+    # theta(b_i b_j) against theta_i theta_j, in coordinates, over every pair
+    coordinates = space.row_coordinates
+    auto = coordinates(prod_m) * modular.transpose() == coordinates(theta_prods)
     # omega(x y) = omega(y theta(x)) on basis pairs
     if algebra.reversed_products(theta_m, basis_m).apply(omega) != omegas:
         raise SelfCheckError("modular automorphism identity failed")
@@ -488,11 +473,7 @@ def separability_suite(algebra: WeakBialgebra) -> SeparabilityReport:
         # its second leg (A_R)
         left = smaps.to_left if sigma == "L" else Matrix.identity(n)
         right = Matrix.identity(n) if sigma == "L" else smaps.to_right
-        formula = linear_combination(
-            ((c, outer_nonzeros(left.col(u), right.col(v))) for u, v, c in nonzeros(d1)),
-            n,
-            n,
-        )
+        formula = left * d1 * right.transpose()
         checks.append(
             TheoremCheck(
                 "quasi-basis-formula-on-A_%s" % sigma, True, formula == qb.quasi_tensor
@@ -502,28 +483,15 @@ def separability_suite(algebra: WeakBialgebra) -> SeparabilityReport:
             composite = smaps.to_left * smaps.to_right
         else:
             composite = smaps.back_right * smaps.back_left
-        agree = True
-        for i, b in enumerate(space.basis.data):
-            expect = vector_combination(zip(qb.modular.col(i), space.basis.data), n)
-            if composite.apply(b) != expect:
-                agree = False
+        # composite(b_i) against sum_j modular[j, i] b_j over the basis rows B
+        agree = space.basis * composite.transpose() == qb.modular.transpose() * space.basis
         checks.append(TheoremCheck("modular-automorphism-on-A_%s" % sigma, True, agree))
-        # separating idempotent in the enveloping product
-        basis = space.basis.data
-        k = len(basis)
+        # separating idempotent in the enveloping product: the sum of
+        # ginv[j, l] ginv[j', l'] (b_j b_j') (x) (b_l' b_l) over the basis
+        # products quasi_basis formed, rows j * k + j' and l * k + l'
         ginv = inverse(qb.gram)
-        pairs = [(ginv[j, l], j, l) for j in range(k) for l in range(k) if ginv[j, l]]
-        # the basis-pair products quasi_basis formed, row j * k + l
-        prods = algebra.basis_products(space).data
-        ee = linear_combination(
-            (
-                (c * cp, outer_nonzeros(prods[j * k + jp], prods[lp * k + l]))
-                for c, j, l in pairs
-                for cp, jp, lp in pairs
-            ),
-            n,
-            n,
-        )
+        firsts = algebra.basis_products(space).transpose()
+        ee = firsts * kron(ginv, ginv) * algebra.reversed_products(space.basis, space.basis)
         idem = ee == qb.quasi_tensor
         checks.append(TheoremCheck("separating-idempotent-on-A_%s" % sigma, True, idem))
     return SeparabilityReport(applicable=True, checks=checks)
@@ -590,9 +558,11 @@ def classify_weak_hopf(algebra: WeakBialgebra) -> WeakHopfReport:
         checks.append(TheoremCheck("inverse-is-pode", True, status.pode_inverse))
         sub = algebra.subspaces
         smaps = sigma_maps(algebra)
+        s_t = s.transpose()
         restrict_ok = all(
-            s.apply(v) == smaps.to_right.apply(v) for v in sub["A_L"].basis.data
-        ) and all(s.apply(v) == smaps.to_left.apply(v) for v in sub["A_R"].basis.data)
+            space.basis * s_t == space.basis * flip.transpose()
+            for space, flip in ((sub["A_L"], smaps.to_right), (sub["A_R"], smaps.to_left))
+        )
         checks.append(TheoremCheck("antipode-restricts-to-wedge-flips", True, restrict_ok))
     ordinary = False
     if is_whopf:
@@ -754,15 +724,14 @@ def _one_sided_coproduct_absorption(algebra, s: Matrix) -> bool:
     By coassociativity, which validation checks, the first left side is
     ((S * id) (x) id) Delta(a) and the second (id (x) (id * S)) Delta(a), so
     per e_k the comparisons are (S * id) D_k against Delta(1) L_k^t and
-    D_k (id * S)^t against R_k Delta(1), with D_k the coproduct of e_k."""
+    D_k (id * S)^t against R_k Delta(1), D_k the coproduct of e_k, each over
+    the stacked families at once (the first transposed)."""
     ident = Matrix.identity(algebra.dim)
-    s_id = _kept_convolution(algebra, s, ident)
+    s_id_t = _kept_convolution(algebra, s, ident).transpose()
     id_s_t = _kept_convolution(algebra, ident, s).transpose()
     d1 = algebra.delta1
-    for dk, lk, rk in zip(algebra.comult, algebra.left_mult, algebra.right_mult):
-        if s_id * dk != d1 * lk.transpose() or dk * id_s_t != rk * d1:
-            return False
-    return True
+    st = algebra._stacks
+    return st["Dt"] * s_id_t == st["L"] * d1.transpose() and st["D"] * id_s_t == st["R"] * d1
 
 
 def antipode_theorem_suite(algebra: WeakBialgebra):

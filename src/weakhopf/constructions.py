@@ -525,7 +525,7 @@ def minimal_weak_hopf(a1: Algebra, a2: Algebra, omega, s_r: Matrix, amalgamation
     omega = tuple(Q(x) for x in omega)
     if s_r.rows != a1.dim or s_r.cols != a2.dim:
         raise ConstructionError("wedge flip has wrong shape")
-    s_r_inv = inverse(s_r)
+    s_r_inv = inverse(s_r) if s_r.is_square() else None
     if s_r_inv is None:
         raise ConstructionError("wedge flip is not bijective")
     # row i is the image of e_i; row i * dim + j of each side is the image
@@ -654,7 +654,9 @@ def two_sided_crossed_product(
         )
     if index != a_l.unit:
         raise ConstructionError("functional does not have index one")
-    s_r_inv = inverse(s_r)
+    if s_r.rows != a_l.dim or s_r.cols != a_r.dim:
+        raise ConstructionError("wedge flip has wrong shape")
+    s_r_inv = inverse(s_r) if s_r.is_square() else None
     if s_r_inv is None:
         raise ConstructionError("wedge flip is not bijective")
     s = hopf.antipode

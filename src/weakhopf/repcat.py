@@ -21,8 +21,12 @@ from functools import cached_property
 from .core import (
     TheoremCheck,
     WeakBialgebra,
+    _block_transposed,
     _combination,
+    _flat,
+    _leg_sums,
     _summed,
+    _vstack,
     computed_once,
     decide_axioms,
 )
@@ -258,23 +262,22 @@ def coherence_maps(v: ModuleRep) -> CoherenceMaps:
 def coherence_report(v: ModuleRep):
     """Coherence maps with naturality of the insertions under the module
     action; on the regular module the two one-sided naturality statements
-    decide the corresponding monoidality flags exactly."""
+    decide the corresponding monoidality flags exactly.  Each is one
+    comparison over every e_t at once: the insertion times V_t against the
+    action of Delta(e_t) times it, summed over the coproduct legs (_leg_sums)."""
     algebra = v.algebra
     maps = coherence_maps(v)
     e_rep = maps.e_rep
-    left_natural = True
-    right_natural = True
-    for t in range(algebra.dim):
-        big_ev = _diagonal_operator(algebra, e_rep, v, algebra.basis_vector(t))
-        if maps.l_map * v.action[t] != big_ev * maps.l_map:
-            left_natural = False
-            break
-    for t in range(algebra.dim):
-        big_ve = _diagonal_operator(algebra, v, e_rep, algebra.basis_vector(t))
-        if maps.r_map * v.action[t] != big_ve * maps.r_map:
-            right_natural = False
-            break
-    return maps, left_natural, right_natural
+    actions_t = _vstack((m.transpose() for m in v.action), v.dim)
+
+    def natural(insert, first, second):
+        def flats(i, js):
+            return (_flat(kron(first.action[i], second.action[j]) * insert) for j in js)
+
+        lhs = _block_transposed(actions_t * insert.transpose(), v.dim)
+        return lhs == _leg_sums(algebra, flats, insert.rows, v.dim)
+
+    return maps, natural(maps.l_map, e_rep, v), natural(maps.r_map, v, e_rep)
 
 
 # ----------------------------------------------------------------------

@@ -16,10 +16,19 @@ from .antipode import (
     SelfCheckError,
     _kept_convolution,
     convolve,
+    is_anti_comultiplicative,
     is_anti_multiplicative,
     is_normal_prerigidity_map,
 )
-from .core import WeakBialgebra, computed_once, decide_axioms
+from .core import (
+    WeakBialgebra,
+    _block_transposed,
+    _first_matrix_witness,
+    _leg_words,
+    _vstack,
+    computed_once,
+    decide_axioms,
+)
 from .exactlin import (
     Matrix,
     Subspace,
@@ -134,60 +143,37 @@ def _verification(algebra, s, alpha, beta) -> RigidityVerification:
     p_lr = algebra.projection("L", "R")
     d1 = algebra.delta1
     n = algebra.dim
-    # (p_lr L_t)^t and p_rl R_t, each used by two of the loops below
-    lr_left = [(p_lr * m).transpose() for m in algebra.left_mult]
-    rl_right = [p_rl * m for m in algebra.right_mult]
     if adj_a != adj_a * p_rl:
         witnesses.append(("alpha-adjoint-invariance", None))
     if adj_b != adj_b * p_lr:
         witnesses.append(("beta-adjoint-invariance", None))
-    adj_a_d1 = adj_a * d1
-    for t in range(n):
-        lhs = adj_a * algebra.right_mult[t] * d1
-        rhs = adj_a_d1 * lr_left[t]
-        if lhs != rhs:
-            witnesses.append(("alpha-tensor-invariance", t))
-            break
-    d1_adj_b = d1 * adj_b.transpose()
-    for t in range(n):
-        lhs = d1 * (adj_b * algebra.left_mult[t]).transpose()
-        rhs = rl_right[t] * d1_adj_b
-        if lhs != rhs:
-            witnesses.append(("beta-tensor-invariance", t))
-            break
-    # reconstructed dual tensors must interchange the two module actions:
-    # S(1_(1)) alpha 1_(2) (x) 1_(3) is A Delta(1) by coassociativity, and
-    # 1_(1) (x) 1_(2) beta S(1_(3)) is Delta(1) B^t
-    amat, bmat = adj_a_d1, d1_adj_b
-    s_cols = s.transpose().data
-    left_of_s = [algebra.left_mult_of(c) for c in s_cols]
-    right_of_s = [algebra.right_mult_of(c) for c in s_cols]
-    for t in range(n):
-        # S(e_t_(1)) . e_t_(2) acting on the first tensor
-        op = linear_combination(
-            (
-                (c, nonzeros(left_of_s[u] * algebra.right_mult[v]))
-                for u, v, c in nonzeros(algebra.comult[t])
-            ),
-            n,
-            n,
-        )
-        if op * amat != amat * lr_left[t]:
-            witnesses.append(("first-tensor-morphism", t))
-            break
-    for t in range(n):
-        # e_t_(1) . S(e_t_(2)) acting on the second tensor
-        op = linear_combination(
-            (
-                (c, nonzeros(algebra.left_mult[u] * right_of_s[v]))
-                for u, v, c in nonzeros(algebra.comult[t])
-            ),
-            n,
-            n,
-        )
-        if bmat * op.transpose() != rl_right[t] * bmat:
-            witnesses.append(("second-tensor-morphism", t))
-            break
+    # the reconstructed dual tensors S(1_(1)) alpha 1_(2) (x) 1_(3) = A Delta(1)
+    # and 1_(1) (x) 1_(2) beta S(1_(3)) = Delta(1) B^t (coassociativity)
+    amat = adj_a * d1
+    bmat = d1 * adj_b.transpose()
+    ident = Matrix.identity(n)
+    s_t = s.transpose()
+    st = algebra._stacks
+    # each family over t is one stack, rows t * n + j, whose first differing
+    # block is the witness; row (t, j) of the stacked P_LR L_t (P_RL R_t)
+    # reads p_j(e_t e_k) (p_j(e_k e_t)) over k
+    lr_left = _block_transposed(st["Lt"] * p_lr.transpose(), n) * amat.transpose()
+    rl_right = _block_transposed(st["Rt"] * p_rl.transpose(), n) * bmat
+    # (A R_t Delta(1))^t has row (t, j) A(c_j e_t) over the columns c_j of
+    # Delta(1), and Delta(1) L_t^t B^t row (t, j) B(e_t r_j) over its rows
+    by_cols = algebra.reversed_products(ident, d1.transpose())
+    by_rows = algebra.products(ident, d1)
+    for name, lhs, rhs in (
+        ("alpha-tensor-invariance", by_cols * adj_a.transpose(), lr_left),
+        ("beta-tensor-invariance", by_rows * adj_b.transpose(), rl_right),
+        # S(e_t_(1)) . e_t_(2) acting on the first tensor, transposed, and
+        # e_t_(1) . S(e_t_(2)) acting on the second
+        ("first-tensor-morphism", _leg_words(algebra, amat.transpose(), firsts=s_t), lr_left),
+        ("second-tensor-morphism", _leg_words(algebra, bmat, seconds=s_t), rl_right),
+    ):
+        witness = _first_matrix_witness(lhs, rhs)
+        if witness is not None:
+            witnesses.append((name, witness[0] // n))
     if witnesses:
         return RigidityVerification(
             "failed", True, input_normalized, a_n, b_n, witnesses
@@ -526,47 +512,41 @@ def sqcap_suite(algebra: WeakBialgebra, s: Matrix) -> SqcapReport:
         sub["A_LL"].dim == img_l.dim == sub["A_RR"].dim
     )
     checks.append(("dimension-chain", dims_ok))
-    # module-map property of the contractions on the two realizations
+    # module-map property of the contractions on the two realizations, over
+    # every basis vector x of A_LR and A_RR (A_LL and A_RL) and e_t at once,
+    # rows (t, x): cap_l(P(e_t x)) against e_t_(1) cap_l(x) S(e_t_(2)), and
+    # cap_r(P(x e_t)) against S(e_t_(1)) cap_r(x) e_t_(2)
     n = algebra.dim
     ident = Matrix.identity(n)
+    s_t = s.transpose()
     lin_ok = True
-    for sigma in "LR":
-        proj = p[(sigma, "R")]
-        for x in sub["A_%sR" % sigma].basis.data:
-            # column t is e_t_(1) cap_l(x) S(e_t_(2)), which is id * S
-            # itself when cap_l(x) is the unit
-            rhs = _kept_convolution(algebra, algebra.right_mult_of(cap_l.apply(x)), s)
-            for t in range(n):
-                acted = proj.apply(algebra.mul(algebra.basis_vector(t), x))
-                if cap_l.apply(acted) != rhs.col(t):
-                    lin_ok = False
-        proj2 = p[(sigma, "L")]
-        for x in sub["A_%sL" % sigma].basis.data:
-            # column t is S(e_t_(1)) cap_r(x) e_t_(2), which is S * id
-            # itself when cap_r(x) is the unit
-            rhs = _kept_convolution(algebra, algebra.right_mult_of(cap_r.apply(x)) * s, ident)
-            for t in range(n):
-                acted = proj2.apply(algebra.mul(x, algebra.basis_vector(t)))
-                if cap_r.apply(acted) != rhs.col(t):
-                    lin_ok = False
+    for cap, side, acting, leg in (
+        (cap_l, "R", algebra.products, {"seconds": s_t}),
+        (cap_r, "L", algebra.reversed_products, {"firsts": s_t}),
+    ):
+        bases = [sub["A_%s%s" % (sigma, side)].basis for sigma in "LR"]
+        acted = [
+            (acting(ident, b) * (cap * p[(sigma, side)]).transpose(), b.rows)
+            for sigma, b in zip("LR", bases)
+        ]
+        rows = tuple(
+            r for t in range(n) for a, m in acted for r in a.sparse_rows[t * m : (t + 1) * m]
+        )
+        words = _leg_words(algebra, _vstack((b * cap.transpose() for b in bases), n), **leg)
+        if words.sparse_rows != rows:
+            lin_ok = False
     checks.append(("module-map-property", lin_ok))
+    # G(F(x)) = x over the basis rows B of each space at once: B F^t G^t = B
     inv_ok = True
     for sigma in "LR":
-        space = sub["A_%sR" % sigma]
-        back = p[(sigma, "R")]
-        for x in sub["A_LL"].basis.data:
-            if cap_l.apply(back.apply(x)) != x:
-                inv_ok = False
-        for x in space.basis.data:
-            if back.apply(cap_l.apply(x)) != x:
-                inv_ok = False
-        space2 = sub["A_%sL" % sigma]
-        back2 = p[(sigma, "L")]
-        for x in sub["A_RR"].basis.data:
-            if cap_r.apply(back2.apply(x)) != x:
-                inv_ok = False
-        for x in space2.basis.data:
-            if back2.apply(cap_r.apply(x)) != x:
+        for space, first, then in (
+            ("A_LL", p[(sigma, "R")], cap_l),
+            ("A_%sR" % sigma, cap_l, p[(sigma, "R")]),
+            ("A_RR", p[(sigma, "L")], cap_r),
+            ("A_%sL" % sigma, cap_r, p[(sigma, "L")]),
+        ):
+            rows = sub[space].basis
+            if rows * first.transpose() * then.transpose() != rows:
                 inv_ok = False
     checks.append(("triangle-inverses", inv_ok))
     equiv_l = (cap_l == p[("L", "R")]) == (sub["A_LL"] == sub["A_LR"])
@@ -721,9 +701,8 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
     alphas = [vdot(coeffs, pairings) for coeffs in decomp]
     # the flip must be anti-comultiplicative so its transpose is an algebra
     # anti-morphism on the dual
-    for t in range(n):
-        if b.delta(s_b.col(t)) != s_b * b.comult[t].transpose() * s_b.transpose():
-            raise SelfCheckError("constructed flip is not anti-comultiplicative")
+    if not is_anti_comultiplicative(b, s_b):
+        raise SelfCheckError("constructed flip is not anti-comultiplicative")
     dual = b.dual
     structure = RigidityStructure(
         algebra=dual,

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import pytest
 
 from conftest import dense_scramble, monomial_scramble
+from test_stacked_operator_oracles import _comonoidal_product
 from weakhopf import constructions
 from weakhopf.cli import main
 from weakhopf.constructions import (
@@ -540,7 +541,7 @@ def two_sided_crossed_product(
 
 
 def _first_comonoidal_witness(algebra, right: bool):
-    lhs = algebra._comonoidal_product(not right)
+    lhs = _comonoidal_product(algebra, not right)
     rhs = algebra.delta2(algebra.unit)
     keys = sorted(set(lhs) | set(rhs))
     for key in keys:

@@ -3,8 +3,9 @@
 Matrix products and applications, linear and vector combinations, dot
 products, WeakBialgebra.mul and the sparse elimination hold an integral
 Fraction as its int inside their loops and wrap each output entry back into
-a Fraction once, and so does WeakBialgebra._comonoidal_product over the
-integer tables.  The Fraction-only bodies they had before are kept here
+a Fraction once, and so do the dual's counit forms over the integer tables,
+which hold the comonoidal products (Delta(1) (x) 1)(1 (x) Delta(1)).
+The Fraction-only bodies they had before are kept here
 verbatim as oracles (only the names they call are the oracles' own), and
 the shipped kernels are compared with them on integral inputs (the catalog
 instances of dimension at most 9, their duals, opposites and coopposites),
@@ -28,6 +29,7 @@ import pytest
 
 from conftest import monomial_scramble
 from test_kernels import SMALL, _catalog_matrices, _perturbed_pool
+from test_stacked_operator_oracles import _comonoidal_form
 from weakhopf.core import AlgebraDataError, WeakBialgebra, _t2_terms, transport
 from weakhopf.exactlin import (
     Matrix,
@@ -480,7 +482,7 @@ def test_comonoidal_product_matches_fraction_oracle(entries):
     scaled = False
     for algebra in pool + _perturbed_pool(entries):
         for left_first in (True, False):
-            got = algebra._comonoidal_product(left_first)
+            got = _comonoidal_form(algebra, left_first)
             assert got == comonoidal_product(algebra, left_first)
             assert _fractions(got.values()) and all(got.values())
             scaled = scaled or any(x.denominator > 1 for x in got.values())
