@@ -27,6 +27,7 @@ from .exactlin import (
     _quotient,
     inverse,
     kron,
+    linear_combination,
     nonzeros,
     outer,
     particular_solution,
@@ -57,6 +58,39 @@ def convolve(algebra: WeakBialgebra, s: Matrix, t: Matrix) -> Matrix:
         for row in algebra._product_rows((s_rows[u],), [t_rows[v] for v in vs])
     ]
     return (stacked * Matrix._of_rows(tuple(pairs), algebra.dim)).transpose()
+
+
+def convolve_tensors(algebra: WeakBialgebra, p: Matrix, q: Matrix, x=None) -> Matrix:
+    """The convolution x -> P(x_(1)) Q(x_(2)) of two maps A -> A (x) A,
+    multiplied in A (x) A.
+
+    A map to A (x) A is an n^2 x n matrix whose column k is the image of
+    e_k, row u * n + v holding its coefficient of e_u (x) e_v, so that
+    (X (x) Y) F is kron(X, Y) F.  As in convolve, each product P(e_u) Q(e_v)
+    over the leg pairs the coproduct reaches is formed once, and the stacked
+    coproduct sums them into P * Q, in the same form.  Given x, only the
+    legs of Delta(x) are formed, and the n x n tensor (P * Q)(x) returned."""
+    n = algebra.dim
+
+    def tensors(m):
+        """The columns of m as n x n tensors."""
+        out = []
+        for row in m.transpose().sparse_rows:
+            cut = [[] for _ in range(n)]
+            for c, y in row:
+                cut[c // n].append((c % n, y))
+            out.append(Matrix._of_sparse(cut, n))
+        return out
+
+    ps, qs = tensors(p), tensors(q)
+    if x is not None:
+        legs = nonzeros(algebra.delta(x))
+        return linear_combination(
+            ((c, nonzeros(algebra.t2_mul(ps[u], qs[v]))) for u, v, c in legs), n, n
+        )
+    groups, stacked = _coproduct_legs(algebra)
+    pairs = tuple(_flat(algebra.t2_mul(ps[u], qs[v])) for u, vs in groups for v in vs)
+    return (stacked * Matrix._of_rows(pairs, n * n)).transpose()
 
 
 def convolution_unit(algebra: WeakBialgebra) -> Matrix:

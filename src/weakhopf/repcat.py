@@ -705,18 +705,16 @@ def associativity_check(u: ModuleRep, v: ModuleRep, w: ModuleRep) -> bool:
     if space_left != image(amb_right):
         return False
     algebra = u.algebra
-    for t in range(algebra.dim):
-        op = _kron_sum(
-            (
-                (c, kron(u.action[p], v.action[q]), w.action[r])
-                for (p, q, r), c in algebra.delta2(algebra.basis_vector(t)).items()
-            ),
-            dim_amb,
-            dim_amb,
-        )
-        if space_left.restrict(op) is None:
-            return False
-    return True
+    basis = [algebra.basis_vector(t) for t in range(algebra.dim)]
+    # each e_t acts on the triple tensor through (id (x) Delta) Delta(e_t):
+    # the plain V (x) W action, then the diagonal one with U; all of them
+    # restrict at once, stacked as B op_t^t for the carrier basis B
+    plain = ModuleRep(
+        algebra, v.dim * w.dim, tuple(_diagonal_operator(algebra, v, w, e) for e in basis)
+    )
+    ops = (_diagonal_operator(algebra, u, plain, e) for e in basis)
+    acted = _vstack((space_left.basis * op.transpose() for op in ops), dim_amb)
+    return space_left.row_coordinates(acted) is not None
 
 
 # ----------------------------------------------------------------------

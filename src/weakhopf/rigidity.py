@@ -16,6 +16,7 @@ from .antipode import (
     SelfCheckError,
     _kept_convolution,
     convolve,
+    convolve_tensors,
     is_anti_comultiplicative,
     is_anti_multiplicative,
     is_normal_prerigidity_map,
@@ -25,6 +26,8 @@ from .core import (
     _block_transposed,
     _first_matrix_witness,
     _leg_words,
+    _pairs_swapped,
+    _stacked,
     _vstack,
     computed_once,
     decide_axioms,
@@ -35,15 +38,14 @@ from .exactlin import (
     image,
     inverse,
     kernel,
-    linear_combination,
+    kron,
     nonzeros,
-    outer,
-    outer_nonzeros,
     particular_solution,
     rank,
     vdot,
     vector_combination,
 )
+from .repcat import _kron_sum
 
 
 @dataclass
@@ -105,9 +107,18 @@ def _unit_word_maps(algebra, s, alpha, beta):
 
 
 def _unit_words(algebra, s, alpha, beta, x):
-    """The two unit words of _unit_word_maps at x."""
-    first, second = _unit_word_maps(algebra, s, alpha, beta)
-    return first.apply(x), second.apply(x)
+    """The two unit words of _unit_word_maps at x, summed over the legs
+    (u, v) of Delta(x) alone: x_(1) beta A(x_(2)) as e_u beta A(e_v), and
+    S(x_(1)) alpha B(x_(2)) as S(e_u) alpha B(e_v)."""
+    adj_a, adj_b = _adjoint_maps(algebra, s, alpha, beta)
+    legs = nonzeros(algebra.delta(x))
+    words = ((algebra.right_mult_of(beta), adj_a), (algebra.right_mult_of(alpha) * s, adj_b))
+    return tuple(
+        vector_combination(
+            ((c, algebra.mul(left.col(u), adj.col(v))) for u, v, c in legs), algebra.dim
+        )
+        for left, adj in words
+    )
 
 
 def verify_rigidity(algebra: WeakBialgebra, r: RigidityStructure) -> RigidityVerification:
@@ -288,161 +299,109 @@ class ConjugationData:
 
 def conjugation_data(algebra: WeakBialgebra, r: RigidityStructure) -> ConjugationData:
     """The pair of tensors intertwining the coproduct of S with the flipped
-    double image of the coproduct, with all exchange identities verified."""
+    double image of the coproduct, with all exchange identities verified.
+
+    f = S(1_(2)) alpha (x) S(1_(1)) alpha . Delta(1_(3) beta S(1_(4))) and
+    fbar = Delta(S(1_(1)) alpha 1_(2)) . beta S(1_(4)) (x) beta S(1_(3)) are
+    convolutions at 1, f = (H * Delta B)(1) with H = flip (R_alpha S (x)
+    R_alpha S) Delta, and fbar = (Delta A * K)(1) with K = flip (L_beta S
+    (x) L_beta S) Delta, for the adjoint maps A and B."""
     check = verify_rigidity(algebra, r)
     if check.status in ("failed", "pre_rigid"):
         raise ValueError("conjugation data needs a verified rigid structure")
     s = r.s
     alpha, beta = check.normalized_alpha, check.normalized_beta
     n = algebra.dim
-    f_terms = []
-    fbar_terms = []
-    for (p, q, rr, w), c in algebra.iterated_delta(algebra.unit, 3).items():
-        first = algebra.mul(s.col(q), alpha)
-        second = algebra.mul(s.col(p), alpha)
-        third = algebra.delta(
-            algebra.mul(
-                algebra.basis_vector(rr), algebra.mul(beta, s.col(w))
-            )
-        )
-        f_terms.append((c, nonzeros(algebra.t2_mul(outer(first, second), third))))
-        head = algebra.delta(
-            algebra.mul(algebra.mul(s.col(p), alpha), algebra.basis_vector(q))
-        )
-        tail = outer(algebra.mul(beta, s.col(w)), algebra.mul(beta, s.col(rr)))
-        fbar_terms.append((c, nonzeros(algebra.t2_mul(head, tail))))
-    f = linear_combination(f_terms, n, n)
-    fbar = linear_combination(fbar_terms, n, n)
-    ok = True
-    for t in range(n):
-        ds_op = algebra.comult[t].transpose()
-        flip_double = s * ds_op * s.transpose()
-        lhs = algebra.t2_mul(f, algebra.delta(s.col(t)))
-        rhs = algebra.t2_mul(flip_double, f)
-        if lhs != rhs:
-            ok = False
-            break
-        lhs2 = algebra.t2_mul(algebra.delta(s.col(t)), fbar)
-        rhs2 = algebra.t2_mul(fbar, flip_double)
-        if lhs2 != rhs2:
-            ok = False
-            break
-    if ok:
-        s_one = s.apply(algebra.unit)
-        if algebra.t2_mul(fbar, f) != algebra.delta(s_one):
-            ok = False
-        flip_unit = s * algebra.delta1.transpose() * s.transpose()
-        if algebra.t2_mul(f, fbar) != flip_unit:
-            ok = False
-        if algebra.t2_mul(algebra.t2_mul(f, fbar), f) != f:
-            ok = False
-        if algebra.t2_mul(algebra.t2_mul(fbar, f), fbar) != fbar:
-            ok = False
-    if ok and not _exchange_identities(algebra, s, alpha, beta):
-        ok = False
-    if ok and not _absorption_identities(algebra, s, alpha, beta):
-        ok = False
+    adj_a, adj_b = _adjoint_maps(algebra, s, alpha, beta)
+    d = _stacked(algebra.comult, n).transpose()
+    d_op = _pairs_swapped(d, n)
+    r_alpha_s = algebra.right_mult_of(alpha) * s
+    l_beta_s = algebra.left_mult_of(beta) * s
+    one = algebra.unit
+    f = convolve_tensors(algebra, kron(r_alpha_s, r_alpha_s) * d_op, d * adj_b, one)
+    fbar = convolve_tensors(algebra, d * adj_a, kron(l_beta_s, l_beta_s) * d_op, one)
+
+    def times(tensor, mults):
+        """Multiplication by tensor on A (x) A, from the side of mults:
+        the sum of c M_u (x) M_v over its nonzeros c at (u, v)."""
+        return _kron_sum(((c, mults[u], mults[v]) for u, v, c in nonzeros(tensor)), n * n, n * n)
+
+    # f Delta(S x) = (S (x) S) Delta^op(x) f and Delta(S x) fbar = fbar
+    # (S (x) S) Delta^op(x) at every basis x: column x of each side
+    ds, flipped = d * s, kron(s, s) * d_op
+    left, right = algebra.left_mult, algebra.right_mult
+    s_one = s.apply(one)
+    ff = algebra.t2_mul(f, fbar)
+    ok = (
+        times(f, left) * ds == times(f, right) * flipped
+        and times(fbar, right) * ds == times(fbar, left) * flipped
+        and algebra.t2_mul(fbar, f) == algebra.delta(s_one)
+        and ff == s * algebra.delta1.transpose() * s.transpose()
+        and algebra.t2_mul(ff, f) == f
+        and algebra.t2_mul(algebra.t2_mul(fbar, f), fbar) == fbar
+        and _exchange_identities(algebra, s, alpha, beta)
+        and _absorption_identities(algebra, s, alpha, beta)
+    )
     return ConjugationData(f=f, fbar=fbar, checks_ok=ok)
 
 
 def _exchange_identities(algebra, s, alpha, beta) -> bool:
-    """Adjoint exchange laws moving a product through the adjoint brackets."""
+    """Adjoint exchange laws moving a product through the adjoint brackets.
+
+    With F1 = (id (x) A) Delta, F2 = (A (x) id) Delta, F3 = (B (x) id) Delta
+    and F4 = (id (x) B) Delta: F1 L_a = (L_a (x) I) F1, F2 L_a = (I (x) L_a)
+    F2, F3 R_b = (I (x) R_b) F3 and F4 R_b = (R_b (x) I) F4 over every basis
+    a and b (Delta^2 is multiplicative on a valid instance).  The flip turns
+    the second and third into the first and fourth for flip F2 = (id (x) A)
+    Delta^op and flip F3 = (id (x) B) Delta^op.  Each family is one stacked
+    comparison, transposed: block a of the stacked M_a^t against the blocks
+    of the stacked M_a (x) I applied to F, each transposed.
+    """
     n = algebra.dim
-    mul = algebra.mul
-    table = algebra._table
-    basis = [algebra.basis_vector(i) for i in range(n)]
-
-    def prod(i, j):
-        """e_i e_j, from its nonzeros in row i * n + j of the product table."""
-        return table.row(i * n + j)
-
-    def tensor(terms):
-        """sum c * x (x) y over (c, x, y) terms."""
-        return linear_combination(((c, outer_nonzeros(x, y)) for c, x, y in terms), n, n)
-
-    for a in range(n):
-        d2a = algebra.delta2(basis[a]).items()
-        for b in range(n):
-            d2b = algebra.delta2(basis[b]).items()
-            lhs1 = tensor(
-                (c, prod(a, p), mul(mul(s.col(q), alpha), basis[rr]))
-                for (p, q, rr), c in d2b
-            )
-            lhs2 = tensor(
-                (c, mul(mul(s.col(p), alpha), basis[q]), prod(a, rr))
-                for (p, q, rr), c in d2b
-            )
-            lhs3 = tensor(
-                (c, mul(mul(basis[p], beta), s.col(q)), prod(rr, b))
-                for (p, q, rr), c in d2a
-            )
-            lhs4 = tensor(
-                (c, prod(p, b), mul(mul(basis[q], beta), s.col(rr)))
-                for (p, q, rr), c in d2a
-            )
-            # the legs of a b, leg by leg
-            legs = [
-                (c1 * c2, prod(p1, p2), prod(q1, q2), prod(r1, r2))
-                for (p1, q1, r1), c1 in d2a
-                for (p2, q2, r2), c2 in d2b
-            ]
-            rhs1 = tensor((c, x, mul(mul(s.apply(y), alpha), z)) for c, x, y, z in legs)
-            rhs2 = tensor((c, mul(mul(s.apply(x), alpha), y), z) for c, x, y, z in legs)
-            rhs3 = tensor((c, mul(mul(x, beta), s.apply(y)), z) for c, x, y, z in legs)
-            rhs4 = tensor((c, x, mul(mul(y, beta), s.apply(z))) for c, x, y, z in legs)
-            if lhs1 != rhs1 or lhs2 != rhs2 or lhs3 != rhs3 or lhs4 != rhs4:
+    ident = Matrix.identity(n)
+    st = algebra._stacks
+    adj_a, adj_b = _adjoint_maps(algebra, s, alpha, beta)
+    d = _stacked(algebra.comult, n).transpose()
+    for coproduct in (d, _pairs_swapped(d, n)):
+        for adj, mults in ((adj_a, "L"), (adj_b, "R")):
+            f = kron(ident, adj) * coproduct
+            if st[mults + "t"] * f.transpose() != _block_transposed(
+                kron(st[mults], ident) * f, n * n
+            ):
                 return False
     return True
 
 
 def _absorption_identities(algebra, s, alpha, beta) -> bool:
-    """Unit absorption: the alternating adjoint words collapse elementwise."""
+    """Unit absorption: the alternating adjoint words collapse elementwise.
+
+    The words x_(1) beta S(x_(4)) alpha x_(5) (x) x_(2) beta S(x_(3)) alpha
+    x_(6) sum to P * Q with P = (id (x) B) Delta and Q = (L_beta A (x)
+    L_alpha) Delta, which must be Delta; the words S(x_(2)) alpha x_(3) beta
+    S(x_(6)) (x) S(x_(1)) alpha x_(4) beta S(x_(5)) sum to P2 * Q2 with P2 =
+    flip (R_alpha S (x) A) Delta and Q2 = flip (B (x) L_beta S) Delta, which
+    must be (S (x) S) Delta^op.
+    """
     n = algebra.dim
-    mul = algebra.mul
-    basis = [algebra.basis_vector(i) for i in range(n)]
     first, second = _unit_word_maps(algebra, s, alpha, beta)
     if first != Matrix.identity(n) or second != s:
         return False
-    for t in range(n):
-        d5 = algebra.iterated_delta(basis[t], 5).items()
-        lhs = linear_combination(
-            (
-                (
-                    c,
-                    outer_nonzeros(
-                        mul(mul(mul(basis[a1], beta), s.col(a4)), mul(alpha, basis[a5])),
-                        mul(mul(mul(basis[a2], beta), s.col(a3)), mul(alpha, basis[a6])),
-                    ),
-                )
-                for (a1, a2, a3, a4, a5, a6), c in d5
-            ),
-            n,
-            n,
-        )
-        if lhs != algebra.comult[t]:
-            return False
-        lhs2 = linear_combination(
-            (
-                (
-                    c,
-                    outer_nonzeros(
-                        mul(mul(mul(s.col(a2), alpha), basis[a3]), mul(beta, s.col(a6))),
-                        mul(mul(mul(s.col(a1), alpha), basis[a4]), mul(beta, s.col(a5))),
-                    ),
-                )
-                for (a1, a2, a3, a4, a5, a6), c in d5
-            ),
-            n,
-            n,
-        )
-        rhs2 = linear_combination(
-            ((c, outer_nonzeros(s.col(v), s.col(u))) for u, v, c in nonzeros(algebra.comult[t])),
-            n,
-            n,
-        )
-        if lhs2 != rhs2:
-            return False
-    return True
+    adj_a, adj_b = _adjoint_maps(algebra, s, alpha, beta)
+    d = _stacked(algebra.comult, n).transpose()
+    d_op = _pairs_swapped(d, n)
+    ident = Matrix.identity(n)
+    l_beta = algebra.left_mult_of(beta)
+    pq = convolve_tensors(
+        algebra, kron(ident, adj_b) * d, kron(l_beta * adj_a, algebra.left_mult_of(alpha)) * d
+    )
+    if pq != d:
+        return False
+    pq2 = convolve_tensors(
+        algebra,
+        kron(adj_a, algebra.right_mult_of(alpha) * s) * d_op,
+        kron(l_beta * s, adj_b) * d_op,
+    )
+    return pq2 == kron(s, s) * d_op
 
 
 # ----------------------------------------------------------------------
@@ -562,69 +521,34 @@ def sqcap_suite(algebra: WeakBialgebra, s: Matrix) -> SqcapReport:
 
 def regular_module_rigidity_identities(algebra: WeakBialgebra, r: RigidityStructure) -> bool:
     """Realize the evaluation and coevaluation morphisms on the regular
-    module and check both zig-zag composites reduce to identities."""
+    module and check both zig-zag composites reduce to identities.
+
+    Evaluation sends phi (x) x to phi(a' x) a'' over a' (x) a'' = S(1_(1))
+    alpha 1_(2) (x) 1_(3) = (A (x) id) Delta(1), and coevaluation inserts
+    b' (x) b'' = (B P_LR (x) id) Delta(1), b' acting by left multiplication.
+    Multiplied out, the zig-zag on the regular module is left
+    multiplication by w = P_RR(a'') b' a' b'', the identity iff w = 1; the
+    one on the conjugate module, the functionals phi(S(1) .), sends phi to
+    phi(v .) with v = S(1_(1)) a' B(P_LR 1_(2)) S P_LR(a''), the identity
+    iff S(1) v = S(1).  Each word multiplies out the legs of one product
+    (x' (x) x'')(y' (x) y'') = x' y' (x) x'' y'' of A (x) A.
+    """
     check = verify_rigidity(algebra, r)
     if check.status in ("failed", "pre_rigid"):
         return False
     s = r.s
-    alpha, beta = check.normalized_alpha, check.normalized_beta
-    n = algebra.dim
+    d1 = algebra.delta1
     p_lr = algebra.projection("L", "R")
-    p_rr = algebra.projection("R", "R")
-    e = algebra.basis_vector
-
-    # ev[j][k] (a vector in A): evaluation of e^j (x) e_k
-    ev = [[None] * n for _ in range(n)]
-    d2u = algebra.delta2(algebra.unit).items()
-    for k in range(n):
-        words = [
-            (c, algebra.mul(algebra.mul(algebra.mul(s.col(p), alpha), e(q)), e(k)), rr)
-            for (p, q, rr), c in d2u
-        ]
-        for j in range(n):
-            ev[j][k] = vector_combination(((c * w[j], e(rr)) for c, w, rr in words), n)
-
-    # coevaluation of x: left multiplication by x_(1) beta S(x_(2))
-    _, adj_b = _adjoint_maps(algebra, s, alpha, beta)
-
-    # first zig-zag on the regular module
-    for t in range(n):
-        terms = []
-        for u, v, c in nonzeros(algebra.delta1):
-            op = algebra.left_mult_of(adj_b.apply(p_lr.col(u)))
-            w_nz = algebra._mult_nonzeros[v][t]
-            # op (x) w expands in the middle legs; contract with ev
-            for i, j, mij in nonzeros(op):
-                for k, wk in w_nz:
-                    terms.append((c * mij * wk, algebra.mul(p_rr.apply(ev[j][k]), e(i))))
-        if vector_combination(terms, n) != e(t):
-            return False
-
-    return _conjugate_zigzag(algebra, s, adj_b, ev)
-
-
-def _conjugate_zigzag(algebra, s, adj_b, ev) -> bool:
-    """Zig-zag on the conjugate of the regular module."""
-    n = algebra.dim
-    p_lr = algebra.projection("L", "R")
-    lst = [algebra.left_mult_of(s.col(t)).transpose() for t in range(n)]
-    vbar = image(algebra.left_mult_of(s.apply(algebra.unit)).transpose())
-    for phi0 in vbar.basis.data:
-        terms = []
-        # coevaluation inserted on the right leg of the conjugate module
-        for u, v, c in nonzeros(algebra.delta1):
-            phi1 = lst[u].apply(phi0)
-            op = algebra.left_mult_of(adj_b.apply(p_lr.col(v)))
-            for i, j, mij in nonzeros(op):
-                # evaluation consumes (phi1, module leg e_i)
-                e_out = vector_combination(((pj, ev[jj][i]) for jj, pj in enumerate(phi1)), n)
-                # leftover conjugate functional e^j acted by the
-                # counit projection of the evaluation output
-                move = p_lr.apply(e_out)
-                terms.append((c * mij, algebra.left_mult_of(s.apply(move)).row(j)))
-        if vector_combination(terms, n) != phi0:
-            return False
-    return True
+    adj_a, adj_b = _adjoint_maps(algebra, s, check.normalized_alpha, check.normalized_beta)
+    ev = adj_a * d1
+    coev = adj_b * p_lr
+    products = (
+        algebra.t2_mul(algebra.projection("R", "R") * ev.transpose(), coev * d1),
+        algebra.t2_mul(s * d1 * coev.transpose(), ev * (s * p_lr).transpose()),
+    )
+    w, v = (_stacked(products, algebra.dim) * algebra._table).data
+    s_one = s.apply(algebra.unit)
+    return w == algebra.unit and algebra.mul(s_one, v) == s_one
 
 
 # ----------------------------------------------------------------------
