@@ -15,9 +15,10 @@ from .core import (
     TheoremCheck,
     WeakBialgebra,
     _block_transposed,
-    _coproduct_legs,
     _flat,
+    _leg_sums,
     _spread,
+    _unflat,
     computed_once,
     decide_axioms,
 )
@@ -46,18 +47,16 @@ def convolve(algebra: WeakBialgebra, s: Matrix, t: Matrix) -> Matrix:
     """Convolution product of two endomorphisms given by their matrices.
 
     The rows of S^t and T^t are the images S(e_u) and T(e_v).  Their
-    products S(e_u) T(e_v) over the leg pairs the coproduct reaches, times
-    the coproduct over those pairs, give row k equal to (S * T)(e_k),
+    products S(e_u) T(e_v), one block per reached leg pair, summed over the
+    legs of each Delta(e_k) (_leg_sums) give row k equal to (S * T)(e_k),
     which is column k of S * T."""
-    groups, stacked = _coproduct_legs(algebra)
     s_rows = s.transpose().sparse_rows
     t_rows = t.transpose().sparse_rows
-    pairs = [
-        row
-        for u, vs in groups
-        for row in algebra._product_rows((s_rows[u],), [t_rows[v] for v in vs])
-    ]
-    return (stacked * Matrix._of_rows(tuple(pairs), algebra.dim)).transpose()
+
+    def flats(u, vs):
+        return algebra._product_rows((s_rows[u],), [t_rows[v] for v in vs])
+
+    return _leg_sums(algebra, flats, 1, algebra.dim).transpose()
 
 
 def convolve_tensors(algebra: WeakBialgebra, p: Matrix, q: Matrix, x=None) -> Matrix:
@@ -67,20 +66,14 @@ def convolve_tensors(algebra: WeakBialgebra, p: Matrix, q: Matrix, x=None) -> Ma
     A map to A (x) A is an n^2 x n matrix whose column k is the image of
     e_k, row u * n + v holding its coefficient of e_u (x) e_v, so that
     (X (x) Y) F is kron(X, Y) F.  As in convolve, each product P(e_u) Q(e_v)
-    over the leg pairs the coproduct reaches is formed once, and the stacked
-    coproduct sums them into P * Q, in the same form.  Given x, only the
-    legs of Delta(x) are formed, and the n x n tensor (P * Q)(x) returned."""
+    is one block per reached leg pair, and _leg_sums sums them into P * Q,
+    in the same form.  Given x, only the legs of Delta(x) are formed, and
+    the n x n tensor (P * Q)(x) returned."""
     n = algebra.dim
 
     def tensors(m):
         """The columns of m as n x n tensors."""
-        out = []
-        for row in m.transpose().sparse_rows:
-            cut = [[] for _ in range(n)]
-            for c, y in row:
-                cut[c // n].append((c % n, y))
-            out.append(Matrix._of_sparse(cut, n))
-        return out
+        return [Matrix._of_rows(_unflat(c, n, n), n) for c in m.transpose().sparse_rows]
 
     ps, qs = tensors(p), tensors(q)
     if x is not None:
@@ -88,9 +81,11 @@ def convolve_tensors(algebra: WeakBialgebra, p: Matrix, q: Matrix, x=None) -> Ma
         return linear_combination(
             ((c, nonzeros(algebra.t2_mul(ps[u], qs[v]))) for u, v, c in legs), n, n
         )
-    groups, stacked = _coproduct_legs(algebra)
-    pairs = tuple(_flat(algebra.t2_mul(ps[u], qs[v])) for u, vs in groups for v in vs)
-    return (stacked * Matrix._of_rows(pairs, n * n)).transpose()
+
+    def flats(u, vs):
+        return (_flat(algebra.t2_mul(ps[u], qs[v])) for v in vs)
+
+    return _leg_sums(algebra, flats, 1, n * n).transpose()
 
 
 def convolution_unit(algebra: WeakBialgebra) -> Matrix:

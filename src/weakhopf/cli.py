@@ -47,6 +47,7 @@ from .serialize import (
     algebra_to_document,
     document_to_algebra,
     dumps,
+    is_json_int,
     load_path,
     matrix_to_lists,
     parse_matrix,
@@ -204,6 +205,14 @@ def cmd_antipode(args):
     return EXIT_OK
 
 
+def _extras(doc) -> dict:
+    """The extras object of a parsed document, {} when there is none."""
+    extras = doc.get("extras", {})
+    if not isinstance(extras, dict):
+        raise ParseError("extras must be an object")
+    return extras
+
+
 def _structure_from_extras(algebra, extras, key="rigidity"):
     data = extras.get(key)
     if not isinstance(data, dict):
@@ -212,6 +221,16 @@ def _structure_from_extras(algebra, extras, key="rigidity"):
     alpha = parse_vector(data.get("alpha"), algebra.dim)
     beta = parse_vector(data.get("beta"), algebra.dim)
     return RigidityStructure(algebra, s, alpha, beta)
+
+
+def _structure_data(structure) -> dict:
+    """A rigidity structure as the rigidity entry of a document's extras."""
+    return {
+        "s": matrix_to_lists(structure.s),
+        "alpha": vector_to_list(structure.alpha),
+        "beta": vector_to_list(structure.beta),
+        "status": structure.status,
+    }
 
 
 def _rigidity_doc(structure, check):
@@ -232,24 +251,14 @@ def _rigidity_doc(structure, check):
 
 def cmd_rigidity(args):
     doc, algebra = _load_algebra(args.path)
-    extras = doc.get("extras", {}) if isinstance(doc, dict) else {}
+    extras = _extras(doc)
     if args.sub == "example2":
         cross = extras.get("cross_map")
         if cross is None:
             raise ParseError("extras.cross_map is required")
         structure = dual_rigidity_structure(algebra, parse_matrix(cross))
-        out_doc = algebra_to_document(
-            structure.algebra,
-            extras={
-                "rigidity": {
-                    "s": matrix_to_lists(structure.s),
-                    "alpha": vector_to_list(structure.alpha),
-                    "beta": vector_to_list(structure.beta),
-                    "status": structure.status,
-                }
-            },
-        )
-        _emit(out_doc, args)
+        rigid = {"rigidity": _structure_data(structure)}
+        _emit(algebra_to_document(structure.algebra, extras=rigid), args)
         return EXIT_OK
     structure = _structure_from_extras(algebra, extras)
     if args.sub == "verify":
@@ -269,18 +278,7 @@ def cmd_rigidity(args):
         except ValueError as exc:
             _emit({"error": str(exc)}, args, _render_report_text)
             return EXIT_MATH
-        out_doc = algebra_to_document(
-            algebra,
-            extras={
-                "rigidity": {
-                    "s": matrix_to_lists(twisted.s),
-                    "alpha": vector_to_list(twisted.alpha),
-                    "beta": vector_to_list(twisted.beta),
-                    "status": twisted.status,
-                }
-            },
-        )
-        _emit(out_doc, args)
+        _emit(algebra_to_document(algebra, extras={"rigidity": _structure_data(twisted)}), args)
         return EXIT_OK
     if args.sub == "intertwine":
         second = _structure_from_extras(algebra, extras, key="rigidity2")
@@ -297,10 +295,9 @@ def cmd_rigidity(args):
 def _algebra_input(data) -> Algebra:
     if not isinstance(data, dict):
         raise ParseError("algebra inputs must be objects")
-    try:
-        n = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("algebra input needs a dimension") from exc
+    n = data.get("dim")
+    if not is_json_int(n):
+        raise ParseError("algebra input needs a dimension")
     mult = [[[QZERO] * n for _ in range(n)] for _ in range(n)]
     for i, j, k, c in parse_sparse_entries(data.get("mult", []), n):
         mult[i][j][k] = c
@@ -375,7 +372,7 @@ def cmd_construct(args):
         hopf_doc = doc.get("hopf")
         hopf_alg = document_to_algebra(hopf_doc)
         antipode = parse_matrix(
-            hopf_doc.get("extras", {}).get("antipode"), hopf_alg.dim, hopf_alg.dim
+            _extras(hopf_doc).get("antipode"), hopf_alg.dim, hopf_alg.dim
         )
         hopf = HopfAlgebra.build(hopf_alg, antipode)
         matrices = tuple(
@@ -412,12 +409,7 @@ def cmd_catalog(args):
         if entry.antipode is not None:
             extras["antipode"] = matrix_to_lists(entry.antipode)
         if entry.rigidity is not None:
-            extras["rigidity"] = {
-                "s": matrix_to_lists(entry.rigidity.s),
-                "alpha": vector_to_list(entry.rigidity.alpha),
-                "beta": vector_to_list(entry.rigidity.beta),
-                "status": entry.rigidity.status,
-            }
+            extras["rigidity"] = _structure_data(entry.rigidity)
         _emit(algebra_to_document(entry.algebra, extras=extras or None), args)
         return EXIT_OK
     raise ParseError("unknown catalog subcommand %r" % args.sub)

@@ -26,7 +26,6 @@ from typing import NamedTuple
 from .exactlin import (
     Matrix,
     Q,
-    QZERO,
     Subspace,
     _primitive,
     _quotient,
@@ -1249,42 +1248,30 @@ def _coproduct_legs(algebra):
     return tuple(groups.items()), stacked
 
 
+def _unflat(row, rows: int, cols: int) -> tuple:
+    """_flat undone: the storage rows of the rows x cols matrix laid out as row."""
+    cut = [[] for _ in range(rows)]
+    for c, x in row:
+        j, k = divmod(c, cols)
+        cut[j].append((k, x))
+    return tuple(map(tuple, cut))
+
+
 def _leg_sums(algebra, flats, rows: int, cols: int) -> Matrix:
     """Over the basis index t, stacked, the sum of c B(u, v) over the
-    nonzeros c of Delta(e_t) at leg pairs (u, v), for blocks B(u, v) of
-    rows rows and cols columns.  flats(u, vs) gives B(u, v) laid out as one
-    row (_flat) for v over vs, so each reached pair is formed once; one
-    product with the coproduct sums them, each sum cut back into its rows."""
+    nonzeros c of Delta(e_t) at leg pairs (u, v), for one block B(u, v) of
+    rows rows and cols columns per reached pair.  flats(u, vs) gives B(u, v)
+    laid out as one row (_flat) for v over vs, so each reached pair is formed
+    once; one product with the coproduct sums them, each sum cut back into
+    its rows.  Every sum over the legs of Delta runs through here: the
+    convolution is the case of one-row blocks, which need no cut."""
     groups, stacked = _coproduct_legs(algebra)
     flat = tuple(r for u, vs in groups for r in flats(u, vs))
-    out = []
-    for row in (stacked * Matrix._of_rows(flat, rows * cols)).sparse_rows:
-        cut = [[] for _ in range(rows)]
-        for c, x in row:
-            j, k = divmod(c, cols)
-            cut[j].append((k, x))
-        out += map(tuple, cut)
-    return Matrix._of_rows(tuple(out), cols)
-
-
-def _placed_legs(algebra, rows: Matrix, count: int, on_u: bool) -> Matrix:
-    """_leg_sums of blocks of count rows, each summed at one leg and placed
-    at the other: row t * count + j, column o * dim + k sums c x_j[k] over
-    the nonzeros c of Delta(e_t) at (u, v), for the rows x_j of block x of
-    rows, with x = u and o = v when on_u, else x = v and o = u."""
-    n = algebra.dim
-    # block x laid out at o = 0, shifted to leg o per pair
-    blocks = [
-        _flat(Matrix._of_rows(rows.sparse_rows[x * count : (x + 1) * count], n * n))
-        for x in range(n)
-    ]
-
-    def placed(u, vs):
-        for v in vs:
-            x, o = (u, v) if on_u else (v, u)
-            yield tuple((c + o * n, y) for c, y in blocks[x])
-
-    return _leg_sums(algebra, placed, count, n * n)
+    sums = stacked * Matrix._of_rows(flat, rows * cols)
+    if rows == 1:
+        return sums
+    cut = (r for row in sums.sparse_rows for r in _unflat(row, rows, cols))
+    return Matrix._of_rows(tuple(cut), cols)
 
 
 def _leg_words(algebra, middle: Matrix, firsts=None, seconds=None) -> Matrix:
@@ -1292,19 +1279,42 @@ def _leg_words(algebra, middle: Matrix, firsts=None, seconds=None) -> Matrix:
     Delta(e_t) at (u, v), for the rows m_j of middle: x_u is row u of
     firsts and y_v is e_v, or x_u is e_u and y_v row v of seconds.
 
-    The basis leg is multiplied in first, the other leg placed
-    (_placed_legs) and multiplied through the stacked x_u e_k (e_k y_v):
-    the words x_u (m_j e_v), or (e_u m_j) y_v."""
+    One leg sum (_leg_sums) of the blocks x_u m_j y_v over j, each group
+    over u one _product_rows: x_u times the words m_j e_v, or the words
+    e_u m_j times the y_v.  Only the nonzero rows m_j are multiplied, each
+    times the lcm d of the denominators of middle, so that the words of
+    every leg pair are int sums; the leg sum is divided by d."""
     n = algebra.dim
+    rows = middle.sparse_rows
+    live = [j for j, row in enumerate(rows) if row]
+    d = _denominator_lcm(x for row in rows for _, x in row)
+    cleared = (tuple((k, Q(_cleared(x, d))) for k, x in rows[j]) for j in live)
+    mids = Matrix._of_rows(tuple(cleared), n)
     ident = Matrix.identity(n)
-    st = algebra._stacks
     if seconds is None:
-        inner = algebra.reversed_products(ident, middle)
-        outer = _spread(firsts, n) * st["Lt"]
+        xs, ends = firsts.sparse_rows, algebra.products(mids, ident).sparse_rows
+
+        def factors(u, vs):  # ends row p * n + v is d m_live[p] e_v
+            return (xs[u],), [ends[p * n + v] for p in range(len(live)) for v in vs]
+
     else:
-        inner = algebra.products(ident, middle)
-        outer = _spread(seconds, n) * st["Rt"]
-    return _placed_legs(algebra, inner, middle.rows, seconds is not None) * outer
+        ys, starts = seconds.sparse_rows, algebra.products(ident, mids).sparse_rows
+
+        def factors(u, vs):  # starts row u * len(live) + p is d e_u m_live[p]
+            return starts[u * len(live) : (u + 1) * len(live)], [ys[v] for v in vs]
+
+    def flats(u, vs):
+        # the words in the order (p, v): block v is every len(vs)-th
+        words = tuple(algebra._product_rows(*factors(u, vs)))
+        for i in range(len(vs)):
+            yield tuple(
+                (j * n + k, x) for j, w in zip(live, words[i :: len(vs)]) for k, x in w
+            )
+
+    sums = _leg_sums(algebra, flats, middle.rows, n)
+    if d == 1:
+        return sums
+    return Matrix._of_rows(tuple(tuple((k, x / d) for k, x in r) for r in sums.sparse_rows), n)
 
 
 def _agree_on_image(p: Matrix, lhs, rhs, n: int) -> bool:
@@ -1486,27 +1496,34 @@ def _counit_absorption_identities(algebra) -> bool:
     Each identity sums over the coproduct legs of a, with b running over the
     basis: a_(2) proj_LL(b a_(1)) = a_(2) eps(b a_(1)) and its three mirrors.
     Both sides are linear in b and in the coproduct, so each identity is
-    compared as whole operators over every e_s at once, transposed: the sum
-    of c L_v P_LL R_u over the nonzeros (u, v, c) of D_s, the coproduct of
-    e_s, against D_s^t g^t (eps(e_b e_u) is g[b, u]).  Column b of the left
-    side is the table applied to the sums of c P(e_b e_u) placed at leg v
-    (_placed_legs); the mirrors use the other three projections.
+    compared as whole operators over every e_s at once: the sum of
+    c L_v (P_LL R_u) over the nonzeros (u, v, c) of D_s, the coproduct of
+    e_s, one block per reached leg pair (_leg_sums), against D_s^t g^t
+    (eps(e_b e_u) is g[b, u]).  P_LL R_u is kept by _projection_products;
+    the mirrors use the other three projections.
     """
     n = algebra.dim
     g = algebra.gram
     gt = g.transpose()
     st = algebra._stacks
-    # per identity: the projection, the table it projects, whether leg u is
-    # projected (else v, and u is placed), the table that multiplies the
-    # placed leg, and the right side D_s^t g^t (D_s g, D_s^t g, D_s g^t)
-    for key, projected, on_u, outer, rhs in (
-        (("L", "L"), st["Rt"], True, st["Lt"], st["Dt"] * gt),
-        (("R", "R"), st["Lt"], False, st["Rt"], st["D"] * g),
-        (("L", "R"), st["Lt"], True, st["Rt"], st["Dt"] * g),
-        (("R", "L"), st["Rt"], False, st["Lt"], st["D"] * gt),
+    lm, rm = algebra.left_mult, algebra.right_mult
+    # per identity: the projection, the multiplications on the outer leg,
+    # whether leg u is projected (else v), and the right side D_s^t g^t
+    # (D_s g, D_s^t g, D_s g^t)
+    for key, outer, on_u, rhs in (
+        ("LL", lm, True, st["Dt"] * gt),
+        ("RR", rm, False, st["D"] * g),
+        ("LR", rm, True, st["Dt"] * g),
+        ("RL", lm, False, st["D"] * gt),
     ):
-        rows = projected * algebra.projection(*key).transpose()
-        if _placed_legs(algebra, rows, n, on_u) * outer != _block_transposed(rhs, n):
+        projected = _projection_products(algebra, key)[1]
+
+        def flats(u, vs):
+            for v in vs:
+                x, o = (u, v) if on_u else (v, u)
+                yield _flat(outer[o] * projected[x])
+
+        if _leg_sums(algebra, flats, n, n) != rhs:
             return False
     return True
 
@@ -1671,19 +1688,12 @@ def _dual_action_operator(algebra, sigma, phi) -> Matrix:
     """The operator of a functional phi acting through the coproduct.
 
     Column i pairs phi with the first (sigma "L") or the second ("R") leg of
-    Delta(e_i); the other leg gives the row.
-    """
+    Delta(e_i); the other leg gives the row: entry (v, i) is phi applied to
+    row v of D_i^t ("L") or of D_i ("R"), which the stacked coproducts with
+    their pairs swapped hold at row v * n + i."""
     n = algebra.dim
-    rows = [{} for _ in range(n)]
-    for i, m in enumerate(algebra.comult):
-        for u, v, c in nonzeros(m):
-            if sigma == "L":
-                x, row = phi[u], rows[v]
-            else:
-                x, row = phi[v], rows[u]
-            if x:
-                row[i] = row.get(i, QZERO) + c * x
-    return Matrix._of_dicts(rows, n)
+    flat = _pairs_swapped(algebra._stacks["Dt" if sigma == "L" else "D"], n).apply(phi)
+    return Matrix._of_fractions([flat[v * n : (v + 1) * n] for v in range(n)], n)
 
 
 def _multiplier_realization(algebra) -> TheoremCheck:
@@ -1700,12 +1710,10 @@ def _multiplier_realization(algebra) -> TheoremCheck:
     nfix = algebra.fixed_point_subalgebras
     dfix = dual.fixed_point_subalgebras
     stack_q = {"L": _stacked(algebra.left_mult, n), "R": _stacked(algebra.right_mult, n)}
-    stack_p = {
-        s: _stacked(
-            (_dual_action_operator(algebra, s, algebra.basis_vector(t)) for t in range(n)), n
-        )
-        for s in "LR"
-    }
+    # row t of P_sigma is the dual-action operator of e_t, flattened: the
+    # stacked coproducts of _dual_action_operator, transposed
+    st = algebra._stacks
+    stack_p = {s: _pairs_swapped(st[d], n).transpose() for s, d in (("L", "Dt"), ("R", "D"))}
     span_q = {s: row_space(m) for s, m in stack_q.items()}
     span_p = {s: row_space(m) for s, m in stack_p.items()}
     ok = True

@@ -80,15 +80,19 @@ def parse_vector(data, dim=None):
     return v
 
 
+def is_json_int(x) -> bool:
+    """Whether x is a JSON integer; a boolean is not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def document_to_algebra(doc) -> WeakBialgebra:
     if not isinstance(doc, dict):
         raise ParseError("document must be an object")
     if doc.get("field") != "Q":
         raise ParseError("unsupported field %r" % doc.get("field"))
-    try:
-        n = int(doc["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("missing or bad dimension") from exc
+    n = doc.get("dim")
+    if not is_json_int(n):
+        raise ParseError("missing or bad dimension")
     if n < 1:
         raise ParseError("dimension must be positive")
     labels = doc.get("basis")
@@ -127,7 +131,7 @@ def parse_sparse_entries(entries, n):
             raise ParseError("sparse entries are [i, j, k, scalar] quadruples")
         *indices, s = entry
         for x in indices:
-            if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n:
+            if not is_json_int(x) or not 0 <= x < n:
                 raise ParseError("index %r out of range" % (x,))
         key = tuple(indices)
         if key in seen:

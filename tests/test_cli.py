@@ -401,3 +401,82 @@ def test_failing_input_exits_one(tmp_path, capsys, command, payload):
     assert code == 1
     assert captured.err.startswith("failed: ")
     assert "Traceback" not in captured.err
+
+
+def _z2_swap_crossed_spec(hopf_extras):
+    """The two-sided crossed product of K^2 by Z2 acting by the swap, with
+    the given extras on the Hopf algebra."""
+    diagonal = {"dim": 2, "mult": _DIAGONAL, "unit": ["1", "1"]}
+    hopf = {
+        "field": "Q",
+        "dim": 2,
+        "mult": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"]],
+        "unit": ["1", "0"],
+        "comult": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
+        "counit": ["1", "1"],
+        "extras": hopf_extras,
+    }
+    return {
+        "a_l": diagonal,
+        "hopf": hopf,
+        "action": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]],
+        "a_r": diagonal,
+        "omega": ["1", "1"],
+        "s_r": [["1", "0"], ["0", "1"]],
+    }
+
+
+def _exit_and_error(tmp_path, capsys, argv, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code = main(argv + [str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_crossed_spec_with_an_antipode_builds(tmp_path, capsys):
+    spec = _z2_swap_crossed_spec({"antipode": [["1", "0"], ["0", "1"]]})
+    code, err = _exit_and_error(tmp_path, capsys, ["construct", "crossed"], spec)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("extras", [None, []], ids=["null", "list"])
+@pytest.mark.parametrize("command", ["rigidity verify", "rigidity twist", "rigidity example2"])
+def test_non_object_extras_exits_two(tmp_path, capsys, command, extras):
+    doc = algebra_to_document(catalog("example2-rigidity").algebra)
+    doc["extras"] = extras
+    code, err = _exit_and_error(tmp_path, capsys, command.split(), doc)
+    assert code == 2
+    assert err.startswith("input error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extras", [None, []], ids=["null", "list"])
+def test_non_object_hopf_extras_exits_two(tmp_path, capsys, extras):
+    spec = _z2_swap_crossed_spec(extras)
+    code, err = _exit_and_error(tmp_path, capsys, ["construct", "crossed"], spec)
+    assert code == 2
+    assert err.startswith("input error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dim", [True, False, 2.7, 2.0, "2", None, [2]])
+def test_non_integer_dim_exits_two(tmp_path, capsys, dim):
+    """dim is a JSON integer: booleans, floats, strings and other values
+    are bad input, in an instance document and in a construction input."""
+    code, err = _exit_and_error(tmp_path, capsys, ["validate"], dict(_document([1, 1, 1, "1"]), dim=dim))
+    assert code == 2
+    assert err.startswith("input error: ")
+    spec = _minimal_spec(_DIAGONAL)
+    spec["a1"] = dict(spec["a1"], dim=dim)
+    code, err = _exit_and_error(tmp_path, capsys, ["construct", "minimal"], spec)
+    assert code == 2
+    assert err.startswith("input error: ")
+
+
+def test_boolean_dim_of_a_one_dimensional_document_exits_two(tmp_path, capsys):
+    """true is not the dimension 1, even where 1 would fit the tables."""
+    doc = algebra_to_document(catalog("trivial").algebra)
+    assert _exit_and_error(tmp_path, capsys, ["validate"], doc)[0] == 0
+    code, err = _exit_and_error(tmp_path, capsys, ["validate"], dict(doc, dim=True))
+    assert code == 2
+    assert err.startswith("input error: ")

@@ -22,10 +22,11 @@ product and of the minimal construction are checked through the CLI.
 """
 
 import json
+import random
 
 import pytest
 
-from test_kernels import _perturbed_pool
+from test_kernels import _perturbed_pool, _random_matrix, _random_vector
 from test_repcat_oracles import coherence_report
 from test_suite_oracles import NAMES, _all_flags, _maps_near_the_antipode, _records, _structures
 
@@ -54,6 +55,7 @@ from weakhopf.core import (
     _cleared,
     _counit_forms,
     _denominator_lcm,
+    _dual_action_operator,
     computed_once,
     decide_axioms,
 )
@@ -1019,6 +1021,163 @@ def _comonoidal_form(algebra, left_first: bool) -> dict:
     }
 
 
+# the placed-leg layout that the counit absorption identities and the leg
+# words had before every leg sum took one block per leg pair: each block was
+# summed at one leg and placed at the other (_placed_legs), then multiplied
+# through a stacked table; the layout helpers it read are copied with it
+
+
+def _flat(m: Matrix) -> tuple:
+    """m laid out as one storage row: entry (i, j) in column i * m.cols + j."""
+    cols = m.cols
+    return tuple((i * cols + j, x) for i, row in enumerate(m.sparse_rows) for j, x in row)
+
+
+def _vstack(mats, cols: int) -> Matrix:
+    """The matrices of mats, each with cols columns, one below the other."""
+    return Matrix._of_rows(tuple(r for m in mats for r in m.sparse_rows), cols)
+
+
+def _blocks(m: Matrix, rows: int) -> list:
+    """m cut into its blocks of rows rows (none when m has no rows)."""
+    starts = range(0, m.rows, rows or 1)
+    return [Matrix._of_rows(m.sparse_rows[t : t + rows], m.cols) for t in starts]
+
+
+def _block_transposed(m: Matrix, rows: int) -> Matrix:
+    """m cut into blocks of rows rows, each transposed in place: the
+    transposes stacked as the blocks were."""
+    return _vstack((block.transpose() for block in _blocks(m, rows)), rows)
+
+
+def _spread(m: Matrix, inner: int) -> Matrix:
+    """kron(m, I_inner), formed without arithmetic."""
+    rows = (tuple((j * inner + i, x) for j, x in r) for r in m.sparse_rows for i in range(inner))
+    return Matrix._of_rows(tuple(rows), m.cols * inner)
+
+
+@computed_once
+def _stacks(algebra) -> dict:
+    """The stacked families L_t, R_t, D_t, D_t^t, L_t^t and R_t^t over the
+    basis index t (row t * dim + i is row i of the t-th)."""
+    n = algebra.dim
+    lm, rm, comult = algebra.left_mult, algebra.right_mult, algebra.comult
+    return {
+        "L": _vstack(lm, n),
+        "R": _vstack(rm, n),
+        "D": _vstack(comult, n),
+        "Dt": _vstack((d.transpose() for d in comult), n),
+        "Lt": _vstack((m.transpose() for m in lm), n),
+        "Rt": _vstack((m.transpose() for m in rm), n),
+    }
+
+
+@computed_once
+def _coproduct_legs(algebra):
+    """The leg pairs (u, v) that some Delta(e_k) reaches, as (u, (v, ...))
+    groups in increasing order, and the coproduct as one matrix over those
+    pairs, numbered in that order: row k is Delta(e_k).  Kept per instance."""
+    legs = tuple(map(nonzeros, algebra.comult))
+    reached = sorted({(u, v) for nz in legs for u, v, _ in nz})
+    index = {pair: t for t, pair in enumerate(reached)}
+    groups = {}
+    for u, v in reached:
+        groups.setdefault(u, []).append(v)
+    stacked = Matrix._of_rows(
+        tuple(tuple((index[u, v], x) for u, v, x in nz) for nz in legs), len(reached)
+    )
+    return tuple(groups.items()), stacked
+
+
+def _leg_sums(algebra, flats, rows: int, cols: int) -> Matrix:
+    """Over the basis index t, stacked, the sum of c B(u, v) over the
+    nonzeros c of Delta(e_t) at leg pairs (u, v), for blocks B(u, v) of
+    rows rows and cols columns.  flats(u, vs) gives B(u, v) laid out as one
+    row (_flat) for v over vs, so each reached pair is formed once; one
+    product with the coproduct sums them, each sum cut back into its rows."""
+    groups, stacked = _coproduct_legs(algebra)
+    flat = tuple(r for u, vs in groups for r in flats(u, vs))
+    out = []
+    for row in (stacked * Matrix._of_rows(flat, rows * cols)).sparse_rows:
+        cut = [[] for _ in range(rows)]
+        for c, x in row:
+            j, k = divmod(c, cols)
+            cut[j].append((k, x))
+        out += map(tuple, cut)
+    return Matrix._of_rows(tuple(out), cols)
+
+
+def _placed_legs(algebra, rows: Matrix, count: int, on_u: bool) -> Matrix:
+    """_leg_sums of blocks of count rows, each summed at one leg and placed
+    at the other: row t * count + j, column o * dim + k sums c x_j[k] over
+    the nonzeros c of Delta(e_t) at (u, v), for the rows x_j of block x of
+    rows, with x = u and o = v when on_u, else x = v and o = u."""
+    n = algebra.dim
+    # block x laid out at o = 0, shifted to leg o per pair
+    blocks = [
+        _flat(Matrix._of_rows(rows.sparse_rows[x * count : (x + 1) * count], n * n))
+        for x in range(n)
+    ]
+
+    def placed(u, vs):
+        for v in vs:
+            x, o = (u, v) if on_u else (v, u)
+            yield tuple((c + o * n, y) for c, y in blocks[x])
+
+    return _leg_sums(algebra, placed, count, n * n)
+
+
+def _leg_words(algebra, middle: Matrix, firsts=None, seconds=None) -> Matrix:
+    """Row t * middle.rows + j sums c x_u m_j y_v over the nonzeros c of
+    Delta(e_t) at (u, v), for the rows m_j of middle: x_u is row u of
+    firsts and y_v is e_v, or x_u is e_u and y_v row v of seconds.
+
+    The basis leg is multiplied in first, the other leg placed
+    (_placed_legs) and multiplied through the stacked x_u e_k (e_k y_v):
+    the words x_u (m_j e_v), or (e_u m_j) y_v."""
+    n = algebra.dim
+    ident = Matrix.identity(n)
+    st = _stacks(algebra)
+    if seconds is None:
+        inner = algebra.reversed_products(ident, middle)
+        outer = _spread(firsts, n) * st["Lt"]
+    else:
+        inner = algebra.products(ident, middle)
+        outer = _spread(seconds, n) * st["Rt"]
+    return _placed_legs(algebra, inner, middle.rows, seconds is not None) * outer
+
+
+def _placed_counit_absorption_identities(algebra) -> bool:
+    """Four exchange identities linking the projections with plain counits.
+
+    Each identity sums over the coproduct legs of a, with b running over the
+    basis: a_(2) proj_LL(b a_(1)) = a_(2) eps(b a_(1)) and its three mirrors.
+    Both sides are linear in b and in the coproduct, so each identity is
+    compared as whole operators over every e_s at once, transposed: the sum
+    of c L_v P_LL R_u over the nonzeros (u, v, c) of D_s, the coproduct of
+    e_s, against D_s^t g^t (eps(e_b e_u) is g[b, u]).  Column b of the left
+    side is the table applied to the sums of c P(e_b e_u) placed at leg v
+    (_placed_legs); the mirrors use the other three projections.
+    """
+    n = algebra.dim
+    g = algebra.gram
+    gt = g.transpose()
+    st = _stacks(algebra)
+    # per identity: the projection, the table it projects, whether leg u is
+    # projected (else v, and u is placed), the table that multiplies the
+    # placed leg, and the right side D_s^t g^t (D_s g, D_s^t g, D_s g^t)
+    for key, projected, on_u, outer, rhs in (
+        (("L", "L"), st["Rt"], True, st["Lt"], st["Dt"] * gt),
+        (("R", "R"), st["Lt"], False, st["Rt"], st["D"] * g),
+        (("L", "R"), st["Lt"], True, st["Rt"], st["Dt"] * g),
+        (("R", "L"), st["Rt"], False, st["Lt"], st["D"] * gt),
+    ):
+        rows = projected * algebra.projection(*key).transpose()
+        if _placed_legs(algebra, rows, n, on_u) * outer != _block_transposed(rhs, n):
+            return False
+    return True
+
+
 # ----------------------------------------------------------------------
 # the shipped checks against the oracles
 # ----------------------------------------------------------------------
@@ -1211,6 +1370,55 @@ def test_coherence_naturality_of_a_zero_module_matches_the_loop(entries):
     got = repcat.coherence_report(zero)
     assert got == coherence_report(zero)
     assert got[1:] == (True, True)
+
+
+def _small_records(entries):
+    """The catalog instances of dimension at most 4 with their duals,
+    opposites and coopposites."""
+    bases = [entries[name].algebra for name in NAMES if entries[name].algebra.dim <= 4]
+    return [v for a in bases for v in (a, a.dual, a.opposite, a.coopposite)]
+
+
+def test_counit_absorption_leg_blocks_match_the_placed_legs(entries):
+    """On the small records and the one-constant perturbations, the leg
+    blocks decide the four absorption identities as the placed legs did,
+    and both verdicts are reached."""
+    verdicts = set()
+    for algebra in _small_records(entries) + _perturbed_pool(entries):
+        got = core._counit_absorption_identities(algebra)
+        assert got == _placed_counit_absorption_identities(algebra)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_leg_words_match_the_placed_legs(entries):
+    """_leg_words with firsts and with seconds, for middles of zero, one and
+    three rows, on the small records and the one-constant perturbations
+    (where the bracketing x_u (m_j e_v), (e_u m_j) y_v matters)."""
+    rng = random.Random("leg-words")
+    for algebra in _small_records(entries) + _perturbed_pool(entries)[::2]:
+        n = algebra.dim
+        outer = _random_matrix(rng, n)
+        for rows in (0, 1, 3):
+            middle = Matrix([_random_vector(rng, n) for _ in range(rows)]) if rows else Matrix.zero(0, n)
+            for leg in ({"firsts": outer}, {"seconds": outer}):
+                got = core._leg_words(algebra, middle, **leg)
+                assert got == _leg_words(algebra, middle, **leg)
+                assert (got.rows, got.cols) == (n * rows, n)
+
+
+def test_dual_action_stacks_are_the_coproduct_stacks_relaid(entries):
+    """Row t of the stacked dual-action operators of e_t, flattened, is the
+    stacked D_i^t ("L") or D_i ("R") with its pairs (i, v) swapped to
+    (v, i), transposed: a re-layout with no arithmetic."""
+    for algebra in _small_records(entries):
+        n = algebra.dim
+        st = _stacks(algebra)
+        for sigma, d in (("L", "Dt"), ("R", "D")):
+            ops = [_dual_action_operator(algebra, sigma, algebra.basis_vector(t)) for t in range(n)]
+            rows = st[d].sparse_rows
+            swapped = Matrix._of_rows(tuple(r for v in range(n) for r in rows[v::n]), n)
+            assert Matrix._of_rows(tuple(map(_flat, ops)), n * n) == swapped.transpose()
 
 
 # ----------------------------------------------------------------------
