@@ -50,6 +50,7 @@ from .serialize import (
     is_json_int,
     load_path,
     matrix_to_lists,
+    parse_labels,
     parse_matrix,
     parse_sparse_entries,
     parse_vector,
@@ -303,7 +304,7 @@ def _algebra_input(data) -> Algebra:
         mult[i][j][k] = c
     unit = parse_vector(data.get("unit", []), n)
     try:
-        return Algebra.build(n, mult, unit, labels=data.get("basis"))
+        return Algebra.build(n, mult, unit, labels=parse_labels(data.get("basis"), n))
     except ConstructionError as exc:
         raise ParseError("bad algebra input: %s" % exc) from exc
 
@@ -375,11 +376,10 @@ def cmd_construct(args):
             _extras(hopf_doc).get("antipode"), hopf_alg.dim, hopf_alg.dim
         )
         hopf = HopfAlgebra.build(hopf_alg, antipode)
-        matrices = tuple(
-            parse_matrix(m, a_l.dim, a_l.dim) for m in doc.get("action", [])
-        )
-        if len(matrices) != hopf_alg.dim:
+        actions = doc.get("action", [])
+        if not isinstance(actions, list) or len(actions) != hopf_alg.dim:
             raise ParseError("action needs one matrix per Hopf basis vector")
+        matrices = tuple(parse_matrix(m, a_l.dim, a_l.dim) for m in actions)
         action = ModuleAlgebraAction(hopf, a_l, matrices)
         a_r = _algebra_input(doc.get("a_r"))
         omega = parse_vector(doc.get("omega"), a_l.dim)

@@ -15,10 +15,11 @@ from functools import cached_property
 
 from .core import (
     WeakBialgebra,
+    _action_law_witness,
+    _combination,
     _first_matrix_witness,
     _integer_algebra_tables,
     _mult_lists,
-    _stacked,
     algebra_axiom_violations,
 )
 from .exactlin import (
@@ -378,9 +379,7 @@ class _Carrier:
         self.dim = len(self.free)
         self.pairs = [divmod(pos, a2.dim) for pos in self.free]
         # row u is the class of the ambient basis vector u
-        self.reduction = Matrix.from_rows(
-            [self.reduce(unit_vec(self.full_dim, u)) for u in range(self.full_dim)], self.dim
-        )
+        self.reduction = self.reducer.quotient_map
         self.unit = self.reduce(outer(a1.unit, a2.unit).flatten())
         # row (i * dim1 + k) * dim2^2 + j * dim2 + l is (e_i e_k) (x) (e_j e_l)
         ambient = kron(a1._table, a2._table)
@@ -576,8 +575,7 @@ class ModuleAlgebraAction:
 
     def operator(self, g) -> Matrix:
         """The matrix A_g of the action of the Hopf element g."""
-        n = self.target.dim
-        return linear_combination(((c, nonzeros(m)) for c, m in zip(g, self.matrices)), n, n)
+        return _combination(g, tuple(map(nonzeros, self.matrices)), self.target.dim)
 
     def check(self):
         """The action laws compared as operators, each failure with its first
@@ -586,12 +584,9 @@ class ModuleAlgebraAction:
         h = self.hopf.algebra
         t = self.target
         n = t.dim
-        # row a of moves[i] is A_i e_a; the stacked rows are A^t flattened
+        # row a of moves[i] is A_i e_a
         moves = [m.transpose() for m in self.matrices]
-        witness = _first_matrix_witness(
-            h._table * _stacked(moves, n),
-            _stacked([mj * mi for mi in moves for mj in moves], n),
-        )
+        witness = _action_law_witness(h, moves, n)
         if witness is not None:
             i, j = divmod(witness[0], h.dim)
             raise ConstructionError(

@@ -1208,6 +1208,18 @@ def _stacked(mats, n: int) -> Matrix:
     return Matrix._of_rows(tuple(map(_flat, mats)), n * n)
 
 
+def _action_law_witness(algebra, moves, n: int):
+    """The first (i * dim + j, a * n + b) at which A_{e_i e_j} and A_i A_j
+    differ in entry (b, a), for n x n operators A_k by which the basis
+    vectors of algebra act, given as their transposes moves, or None when
+    A is multiplicative: the table times the stacked A_k^t against the
+    stacked A_j^t A_i^t."""
+    return _first_matrix_witness(
+        algebra._table * _stacked(moves, n),
+        _stacked([mj * mi for mi in moves for mj in moves], n),
+    )
+
+
 def _vstack(mats, cols: int) -> Matrix:
     """The matrices of mats, each with cols columns, one below the other."""
     return Matrix._of_rows(tuple(r for m in mats for r in m.sparse_rows), cols)

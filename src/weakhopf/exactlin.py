@@ -679,6 +679,18 @@ class Subspace:
         """The columns that hold no pivot of the stored basis, in order."""
         return tuple(c for c in range(self.ambient_dim) if c not in self._pivot_rows)
 
+    @cached_property
+    def quotient_map(self) -> Matrix:
+        """The quotient map by this subspace: row u holds the quotient
+        coordinates of e_u.  Read off the RREF: a free column is its own
+        class, and a pivot column's class is minus its pivot row at the
+        free columns."""
+        index = {c: t for t, c in enumerate(self.free_columns)}
+        rows = [((index[u], QONE),) if u in index else () for u in range(self.ambient_dim)]
+        for row in self.basis.sparse_rows:
+            rows[row[0][0]] = tuple((index[j], -x) for j, x in row if j in index)
+        return Matrix._of_rows(tuple(rows), len(index))
+
     def quotient_coordinates(self, v) -> tuple:
         """Coordinates of the class of v in the quotient by this subspace:
         v reduced against the stored basis, read at the free columns."""

@@ -14,25 +14,27 @@ wedge subalgebra, which is naturally isomorphic to the truncated one.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .core import (
     TheoremCheck,
     WeakBialgebra,
+    _action_law_witness,
     _block_transposed,
     _combination,
+    _first_matrix_witness,
     _flat,
     _leg_sums,
-    _summed,
+    _spread,
+    _stacked,
     _vstack,
     computed_once,
     decide_axioms,
 )
 from .exactlin import (
     Matrix,
-    QZERO,
+    QONE,
     Subspace,
     image,
     kernel,
@@ -42,8 +44,6 @@ from .exactlin import (
     rank,
     row_space,
     sylvester,
-    unit_vec,
-    vector_combination,
 )
 
 
@@ -71,14 +71,11 @@ class ModuleRep:
         alg = self.algebra
         if self.operator(alg.unit) != Matrix.identity(self.dim):
             raise ValueError("module action does not send the unit to the identity")
-        triples = self._action_triples
-        for i, row in enumerate(alg._mult_nonzeros):
-            for j, ij in enumerate(row):
-                prod = linear_combination(((c, triples[k]) for k, c in ij), self.dim, self.dim)
-                if prod != self.action[i] * self.action[j]:
-                    raise ValueError(
-                        "module action is not multiplicative at (%d,%d)" % (i, j)
-                    )
+        witness = _action_law_witness(alg, [m.transpose() for m in self.action], self.dim)
+        if witness is not None:
+            raise ValueError(
+                "module action is not multiplicative at (%d,%d)" % divmod(witness[0], alg.dim)
+            )
 
 
 def regular_module(algebra: WeakBialgebra) -> ModuleRep:
@@ -173,14 +170,9 @@ def unit_module_report(algebra: WeakBialgebra):
     rep, carrier = unit_module(algebra)
     report = decide_axioms(algebra)
     checks = []
-    if report.left_monoidal or report.right_monoidal:
-        sigmas = []
-        if report.left_monoidal:
-            sigmas.append("R")
-        if report.right_monoidal:
-            sigmas.append("L")
-        eps_r = algebra.eps_maps["eps_r"]
-        for sigma in sigmas:
+    eps_r = algebra.eps_maps["eps_r"]
+    for sigma, monoidal in (("R", report.left_monoidal), ("L", report.right_monoidal)):
+        if monoidal:
             space = algebra.subspaces["A_%sR" % sigma]
             proj = algebra.projection(sigma, "R")
             # A_sigmaR with e_t acting by proj(e_t x) is a module, and the
@@ -323,11 +315,7 @@ def end_of_unit(algebra: WeakBialgebra) -> EndOfUnitReport:
             )
         )
         z_dual, actions = _dual_wedge_actions(algebra)
-        checks.append(
-            TheoremCheck(
-                "unit-endomorphism-dimension", True, endo.dim == z_dual.dim
-            )
-        )
+        checks.append(TheoremCheck("unit-endomorphism-dimension", True, endo.dim == z_dual.dim))
         # right multiplications by the dual wedge intersection realize them
         vecs = [m.flatten() for m in actions]
         checks.append(
@@ -368,6 +356,17 @@ def end_of_unit(algebra: WeakBialgebra) -> EndOfUnitReport:
 # ----------------------------------------------------------------------
 
 
+def _swapped(mats, rows: int, cols: int) -> list:
+    """For rows x cols matrices M_a, the cols slices S_b with S_b[w, a] =
+    M_a[w, b]: a comodule's coaction slices and its dual module's operators,
+    either way round."""
+    out = [[[] for _ in range(rows)] for _ in range(cols)]
+    for a, m in enumerate(mats):
+        for w, b, c in nonzeros(m):
+            out[b][w].append((a, c))
+    return [Matrix._of_sparse(r, len(mats)) for r in out]
+
+
 @dataclass
 class Comodule:
     algebra: WeakBialgebra
@@ -376,46 +375,37 @@ class Comodule:
 
     @staticmethod
     def build(algebra, coaction):
-        coaction = tuple(
-            m if isinstance(m, Matrix) else Matrix(m) for m in coaction
-        )
+        coaction = tuple(m if isinstance(m, Matrix) else Matrix(m) for m in coaction)
         com = Comodule(algebra, len(coaction), coaction)
         com.check()
         return com
 
     def check(self):
+        """The counit law and coassociativity, each one comparison of the
+        stacked coaction C, whose row v is the coaction of f_v with
+        f_w (x) e_k in column w * n + k; the first differing row is the
+        witness v."""
         algebra = self.algebra
         n = algebra.dim
-        for v in range(self.dim):
-            row = self.coaction[v]
-            if row.rows != self.dim or row.cols != n:
-                raise ValueError("coaction slice has wrong shape")
-            got = _summed((w, c * algebra.counit[k]) for w, k, c in nonzeros(row))
-            if got != {v: 1}:
-                raise ValueError("coaction fails the counit law at %d" % v)
-        for v in range(self.dim):
-            terms = nonzeros(self.coaction[v])
-            lhs = _summed(
-                ((x, m, k), c * c2)
-                for w, k, c in terms
-                for x, m, c2 in nonzeros(self.coaction[w])
-            )
-            rhs = _summed(
-                ((w, i, j), c * c2)
-                for w, k, c in terms
-                for i, j, c2 in nonzeros(algebra.comult[k])
-            )
-            if lhs != rhs:
-                raise ValueError("coaction fails coassociativity at %d" % v)
+        # the counit law is decided on the slices before the first misshapen one
+        shaped = [(m.rows, m.cols) == (self.dim, n) for m in self.coaction] + [False]
+        c = Matrix._of_rows(tuple(map(_flat, self.coaction[: shaped.index(False)])), self.dim * n)
+        ident = Matrix.identity(self.dim)
+        witness = _first_matrix_witness(c * kron(ident, Matrix.column(algebra.counit)), ident)
+        if witness is not None:
+            raise ValueError("coaction fails the counit law at %d" % witness[0])
+        if c.rows < self.dim:
+            raise ValueError("coaction slice has wrong shape")
+        comult = _stacked(algebra.comult, n)
+        witness = _first_matrix_witness(c * _spread(c, n), c * kron(ident, comult))
+        if witness is not None:
+            raise ValueError("coaction fails coassociativity at %d" % witness[0])
 
     def to_dual_module(self) -> ModuleRep:
+        """The module of the dual on which e^k acts by the e_k component of
+        the coaction."""
         dual = self.algebra.dual
-        # row w of the k-th operator lists the f_v whose coaction has f_w (x) e_k
-        rows = [[[] for _ in range(self.dim)] for _ in range(dual.dim)]
-        for v, m in enumerate(self.coaction):
-            for w, k, c in nonzeros(m):
-                rows[k][w].append((v, c))
-        return ModuleRep.build(dual, [Matrix._of_sparse(r, self.dim) for r in rows])
+        return ModuleRep.build(dual, _swapped(self.coaction, self.dim, dual.dim))
 
 
 def regular_comodule(algebra: WeakBialgebra) -> Comodule:
@@ -437,7 +427,15 @@ class ComoduleTensorReport:
 
 def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
     """Tensor product of comodules over the right wedge subalgebra together
-    with the truncated realization and the isomorphism between them."""
+    with the truncated realization and the isomorphism between them.
+
+    Each comodule is read as its dual module, and m in the algebra acts on
+    it from the left through the functional eps(m -) and from the right
+    through eps(- m).  The coaction of the plain tensor product is the
+    diagonal action of the dual, so the truncated realization is the
+    truncated tensor product of the dual modules, and the amalgamated one
+    is the plain coaction read through the quotient by the balanced
+    relations."""
     algebra = v.algebra
     if w.algebra is not algebra:
         raise ValueError("comodules live over different algebras")
@@ -445,176 +443,72 @@ def comodule_tensor(v: Comodule, w: Comodule) -> ComoduleTensorReport:
     if not report.bimonoidal:
         raise ValueError("comodule tensor products need a bimonoidal instance")
     checks = []
-    space = algebra.subspaces["A_R"]
-    rbasis = space.basis.data
+    n, d, dual, counit = algebra.dim, v.dim, algebra.dual, algebra.counit
+    vhat, what = v.to_dual_module(), w.to_dual_module()
+    rbasis = algebra.subspaces["A_R"].basis.data
+    basis = [algebra.basis_vector(u) for u in range(n)]
 
-    def act_left(m, com, idx):
-        """m . f_idx = f_(0) eps(m f_(1))."""
-        return com.coaction[idx].apply(algebra.act_right(algebra.counit, m))
+    def left(rep, m):
+        """m . f = f_(0) eps(m f_(1))."""
+        return rep.operator(algebra.act_right(counit, m))
 
-    def act_right(com, idx, m):
-        """f_idx . m = f_(0) eps(f_(1) m)."""
-        return com.coaction[idx].apply(algebra.act_left(m, algebra.counit))
+    def right(rep, m):
+        """f . m = f_(0) eps(f_(1) m)."""
+        return rep.operator(algebra.act_left(m, counit))
 
-    # the functionals eps(e_u -) and eps(- e_u), formed once per basis vector
-    basis = [algebra.basis_vector(u) for u in range(algebra.dim)]
-    eps_left = [algebra.act_right(algebra.counit, e) for e in basis]
-    eps_right = [algebra.act_left(e, algebra.counit) for e in basis]
-
-    def coaction_of(vector, com):
-        """The coaction of the element with coordinates vector, as a dict."""
-        return _summed(
-            ((x, k), c * cc)
-            for t, c in enumerate(vector)
-            if c
-            for x, k, cc in nonzeros(com.coaction[t])
+    # bimodule compatibility of the coactions with the wedge actions:
+    # rho(m . f) = m_(1) . f_(0) (x) m_(2) f_(1) and its mirror, for every f
+    # at once; block k of stacked holds the e_k components of the coaction
+    stacked = _vstack(vhat.action, d)
+    sides = [
+        (side, [side(vhat, e) for e in basis], mults)
+        for side, mults in ((left, algebra.left_mult), (right, algebra.right_mult))
+    ]
+    bi_ok = all(
+        stacked * side(vhat, m)
+        == _kron_sum(
+            ((c, mults[z], acts[u]) for u, z, c in nonzeros(algebra.delta(m))), n * d, n * d
         )
-
-    # bimodule compatibility of the coactions with the wedge actions
-    bi_ok = True
-    table = algebra._mult_nonzeros
-    for m in rbasis:
-        dm = nonzeros(algebra.delta(m))
-        for idx in range(v.dim):
-            terms = nonzeros(v.coaction[idx])
-            # (m_(1) . f_x) (x) m_(2) e_k over the coaction f_x (x) e_k of f_idx
-            rhs = _summed(
-                ((xx, kk), c * c2 * c3 * c4)
-                for x, k, c in terms
-                for u, z, c2 in dm
-                for xx, c3 in enumerate(v.coaction[x].apply(eps_left[u]))
-                if c3
-                for kk, c4 in table[z][k]
-            )
-            if coaction_of(act_left(m, v, idx), v) != rhs:
-                bi_ok = False
-            # mirror: the right action moves through the second coproduct leg
-            rhs_r = _summed(
-                ((xx, kk), c * c2 * c3 * c4)
-                for x, k, c in terms
-                for u, z, c2 in dm
-                for xx, c3 in enumerate(v.coaction[x].apply(eps_right[u]))
-                if c3
-                for kk, c4 in table[k][z]
-            )
-            if coaction_of(act_right(v, idx, m), v) != rhs_r:
-                bi_ok = False
+        * stacked
+        for m in rbasis
+        for side, acts, mults in sides
+    )
     checks.append(TheoremCheck("coaction-bimodule-compatibility", True, bi_ok))
 
-    # counit recovery through the mixed projections
-    rec_ok = True
-    p_rr = algebra.projection("R", "R")
-    p_rl = algebra.projection("R", "L")
-    for idx in range(v.dim):
-        terms = nonzeros(v.coaction[idx])
-        acc1 = vector_combination(
-            ((c, act_left(p_rr.col(k), v, t)) for t, k, c in terms), v.dim
-        )
-        acc2 = vector_combination(
-            ((c, act_right(v, t, p_rl.col(k))) for t, k, c in terms), v.dim
-        )
-        if acc1 != unit_vec(v.dim, idx) or acc2 != unit_vec(v.dim, idx):
-            rec_ok = False
+    # counit recovery through the mixed projections: f_(0) acted on by
+    # proj(f_(1)), summed over the e_k components, is f
+    def recovers(proj, side):
+        parts = (side(vhat, proj.col(k)) * op for k, op in enumerate(vhat.action))
+        return linear_combination(((QONE, nonzeros(p)) for p in parts), d, d) == Matrix.identity(d)
+
+    rec_ok = recovers(algebra.projection("R", "R"), left) and recovers(
+        algebra.projection("R", "L"), right
+    )
     checks.append(TheoremCheck("counit-recovery", True, rec_ok))
 
-    # quotient carrier of the amalgamated product: the relations
-    # f_a . m (x) g_b - f_a (x) m . g_b
-    plain = v.dim * w.dim
-    pairs = (
-        (
-            Matrix.from_columns([act_left(m, w, b) for b in range(w.dim)], w.dim),
-            Matrix.from_rows([act_right(v, a, m) for a in range(v.dim)], v.dim),
-        )
-        for m in rbasis
-    )
-    relspace = row_space(sylvester(pairs, v.dim, w.dim))
-    free = relspace.free_columns
+    # the amalgamated product: the quotient by the relations
+    # f . m (x) g - f (x) m . g, with the plain coaction moved to it
+    pairs = ((left(what, m), right(vhat, m).transpose()) for m in rbasis)
+    relations = row_space(sylvester(pairs, d, w.dim))
+    quotient = relations.quotient_map
+    free = relations.free_columns
+    lift = Matrix._of_rows(tuple(((u, QONE),) for u in free), d * w.dim).transpose()
+    back = quotient.transpose()
+    ops = [back * _diagonal_operator(dual, vhat, what, e) * lift for e in basis]
+    amalgamated = Comodule.build(algebra, _swapped(ops, len(free), len(free)))
 
-    def plain_coaction(a, b):
-        """Coaction of f_a (x) g_b on the plain tensor."""
-        return _summed(
-            ((x * w.dim + y, kk), c1 * c2 * c3)
-            for x, k, c1 in nonzeros(v.coaction[a])
-            for y, m, c2 in nonzeros(w.coaction[b])
-            for kk, c3 in table[k][m]
-        )
+    # the truncated realization inside the plain tensor
+    trunc = tensor_module(vhat, what)
+    truncated = Comodule.build(algebra, _swapped(trunc.rep.action, trunc.rep.dim, trunc.rep.dim))
 
-    qdim = len(free)
-    amalg_coaction = [Matrix.zero(qdim, algebra.dim) for _ in range(qdim)]
-    lift = [unit_vec(plain, free[t]) for t in range(qdim)]
-    for t in range(qdim):
-        a, b = divmod(free[t], w.dim)
-        rows = [[QZERO] * algebra.dim for _ in range(qdim)]
-        for (pos, k), c in plain_coaction(a, b).items():
-            red = relspace.quotient_coordinates(unit_vec(plain, pos))
-            for x, c2 in enumerate(red):
-                if c2:
-                    rows[x][k] += c * c2
-        amalg_coaction[t] = Matrix(rows)
-    amalgamated = Comodule.build(algebra, amalg_coaction)
-
-    # truncated realization inside the plain tensor
-    trunc_op_rows = [[QZERO] * plain for _ in range(plain)]
-    for a in range(v.dim):
-        for b in range(w.dim):
-            for (pos, k), c in plain_coaction(a, b).items():
-                e = algebra.counit[k]
-                if e:
-                    trunc_op_rows[pos][a * w.dim + b] += c * e
-    trunc_op = Matrix(trunc_op_rows)
-    carrier = image(trunc_op)
-    tbasis = carrier.basis.data
-    tdim = len(tbasis)
-    t_coaction = []
-    for bvec in tbasis:
-        # the e_k component of the coaction, summed in the plain tensor; only
-        # the sum, not each term, has to lie in the carrier
-        components = defaultdict(lambda: [QZERO] * plain)
-        for pos, c in enumerate(bvec):
-            if not c:
-                continue
-            a, b = divmod(pos, w.dim)
-            for (pos2, k), c2 in plain_coaction(a, b).items():
-                components[k][pos2] += c * c2
-        rows = [[QZERO] * algebra.dim for _ in range(tdim)]
-        for k, component in components.items():
-            part = carrier.coordinates(component)
-            if part is None:
-                raise ValueError("truncated coaction left its carrier")
-            for x, c3 in enumerate(part):
-                rows[x][k] = c3
-        t_coaction.append(Matrix(rows))
-    truncated = Comodule.build(algebra, t_coaction)
-
-    # mutually inverse comodule maps between the two realizations
-    fwd_cols = []
-    for bvec in tbasis:
-        fwd_cols.append(relspace.quotient_coordinates(bvec))
-    fwd = Matrix.from_columns(fwd_cols, qdim)
-    bwd_cols = []
-    for t in range(qdim):
-        a, b = divmod(free[t], w.dim)
-        acc = [QZERO] * plain
-        for (pos, k), c in plain_coaction(a, b).items():
-            e = algebra.counit[k]
-            if e:
-                acc[pos] += c * e
-        coords = carrier.coordinates(acc)
-        if coords is None:
-            raise ValueError("inverse comodule map left the truncated carrier")
-        bwd_cols.append(coords)
-    bwd = Matrix.from_columns(bwd_cols, tdim)
-    iso_ok = fwd * bwd == Matrix.identity(qdim) and bwd * fwd == Matrix.identity(tdim)
+    # mutually inverse comodule maps between the two realizations; the
+    # projector's columns lie in its image, so the free ones have coordinates
+    carrier = trunc.carrier
+    fwd = (carrier.basis * quotient).transpose()
+    bwd = carrier.row_coordinates(lift.transpose() * trunc.projector.transpose()).transpose()
+    iso_ok = fwd * bwd == Matrix.identity(len(free)) and bwd * fwd == Matrix.identity(carrier.dim)
     # the forward map is a comodule morphism
-    morph_ok = all(
-        linear_combination(
-            ((c, nonzeros(m)) for c, m in zip(fwd.col(t), amalgamated.coaction) if c),
-            qdim,
-            algebra.dim,
-        )
-        == fwd * truncated.coaction[t]
-        for t in range(tdim)
-    )
+    morph_ok = all(op * fwd == fwd * t for op, t in zip(ops, trunc.rep.action))
     checks.append(TheoremCheck("amalgamated-truncated-isomorphism", True, iso_ok and morph_ok))
     return ComoduleTensorReport(
         amalgamated=amalgamated,

@@ -85,6 +85,14 @@ def is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def parse_labels(labels, n):
+    """Basis labels as a document gives them: absent (None), or a list of
+    one name per dimension."""
+    if labels is not None and (not isinstance(labels, list) or len(labels) != n):
+        raise ParseError("basis labels must list one name per dimension")
+    return labels
+
+
 def document_to_algebra(doc) -> WeakBialgebra:
     if not isinstance(doc, dict):
         raise ParseError("document must be an object")
@@ -95,10 +103,7 @@ def document_to_algebra(doc) -> WeakBialgebra:
         raise ParseError("missing or bad dimension")
     if n < 1:
         raise ParseError("dimension must be positive")
-    labels = doc.get("basis")
-    if labels is not None:
-        if not isinstance(labels, list) or len(labels) != n:
-            raise ParseError("basis labels must list one name per dimension")
+    labels = parse_labels(doc.get("basis"), n)
     # the checked entries, sorted into nonzero lists: those of mult by
     # (i, j), those of comult by slice k and row i
     mult = [[[] for _ in range(n)] for _ in range(n)]

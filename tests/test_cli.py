@@ -480,3 +480,37 @@ def test_boolean_dim_of_a_one_dimensional_document_exits_two(tmp_path, capsys):
     code, err = _exit_and_error(tmp_path, capsys, ["validate"], dict(doc, dim=True))
     assert code == 2
     assert err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("action", [5, None], ids=["int", "null"])
+def test_non_list_crossed_action_exits_two(tmp_path, capsys, action):
+    spec = dict(_z2_swap_crossed_spec({"antipode": [["1", "0"], ["0", "1"]]}), action=action)
+    code, err = _exit_and_error(tmp_path, capsys, ["construct", "crossed"], spec)
+    assert code == 2
+    assert err.startswith("input error: ")
+    assert "Traceback" not in err
+
+
+def _minhopf_spec():
+    return dict(_minimal_spec(_DIAGONAL), omega=["1", "1"], s_r=[["1", "0"], ["0", "1"]])
+
+
+@pytest.mark.parametrize("labels", [5, "x", {}], ids=["int", "string", "object"])
+@pytest.mark.parametrize(
+    "command,spec,factor",
+    [
+        ("minimal", _minimal_spec(_DIAGONAL), "a2"),
+        ("minhopf", _minhopf_spec(), "a2"),
+        ("crossed", _z2_swap_crossed_spec({"antipode": [["1", "0"], ["0", "1"]]}), "a_l"),
+        ("crossed", _z2_swap_crossed_spec({"antipode": [["1", "0"], ["0", "1"]]}), "a_r"),
+    ],
+    ids=["minimal-a2", "minhopf-a2", "crossed-a_l", "crossed-a_r"],
+)
+def test_bad_factor_basis_labels_exit_two(tmp_path, capsys, command, spec, factor, labels):
+    """A construction factor's basis labels get the instance document's check."""
+    code, err = _exit_and_error(tmp_path, capsys, ["construct", command], spec)
+    assert code == 0, err
+    spec = dict(spec, **{factor: dict(spec[factor], basis=labels)})
+    code, err = _exit_and_error(tmp_path, capsys, ["construct", command], spec)
+    assert code == 2
+    assert err == "input error: basis labels must list one name per dimension\n"

@@ -13,9 +13,14 @@ and intertwiners up to dimension 6, the monoidal coherence suite up to
 dimension 4, comodule tensor products on bimonoidal instances up to
 dimension 6, and the carrier of the minimal constructions on amalgamations
 over the unit, over a whole diagonal factor, over part of one and over a
-non-central element.
+non-central element.  Comodule tensor products are also compared on
+(regular, unit), (unit, regular) and (unit, unit) comodule pairs, whose
+factors differ in dimension, and the action-law checks of modules,
+comodules and module-algebra actions are compared with their loops on
+seeded perturbations that reach each of their failure messages.
 """
 
+import random
 from collections import defaultdict
 
 import pytest
@@ -27,6 +32,9 @@ from weakhopf.constructions import (
     Algebra,
     Amalgamation,
     ConstructionError,
+    GroupPresentation,
+    HopfAlgebra,
+    ModuleAlgebraAction,
     _Carrier,
     example1_factors,
 )
@@ -781,6 +789,48 @@ def unit_representation_suite(algebra: WeakBialgebra):
     return checks
 
 
+def module_check(self: ModuleRep):
+    """ModuleRep.check as it was."""
+    alg = self.algebra
+    if self.operator(alg.unit) != Matrix.identity(self.dim):
+        raise ValueError("module action does not send the unit to the identity")
+    triples = self._action_triples
+    for i, row in enumerate(alg._mult_nonzeros):
+        for j, ij in enumerate(row):
+            prod = linear_combination(((c, triples[k]) for k, c in ij), self.dim, self.dim)
+            if prod != self.action[i] * self.action[j]:
+                raise ValueError(
+                    "module action is not multiplicative at (%d,%d)" % (i, j)
+                )
+
+
+def comodule_check(self: Comodule):
+    """Comodule.check as it was."""
+    algebra = self.algebra
+    n = algebra.dim
+    for v in range(self.dim):
+        row = self.coaction[v]
+        if row.rows != self.dim or row.cols != n:
+            raise ValueError("coaction slice has wrong shape")
+        got = _summed((w, c * algebra.counit[k]) for w, k, c in nonzeros(row))
+        if got != {v: 1}:
+            raise ValueError("coaction fails the counit law at %d" % v)
+    for v in range(self.dim):
+        terms = nonzeros(self.coaction[v])
+        lhs = _summed(
+            ((x, m, k), c * c2)
+            for w, k, c in terms
+            for x, m, c2 in nonzeros(self.coaction[w])
+        )
+        rhs = _summed(
+            ((w, i, j), c * c2)
+            for w, k, c in terms
+            for i, j, c2 in nonzeros(algebra.comult[k])
+        )
+        if lhs != rhs:
+            raise ValueError("coaction fails coassociativity at %d" % v)
+
+
 class _ParentCarrier(_Carrier):
     """_Carrier with its relation loop as it was."""
 
@@ -872,6 +922,150 @@ def test_comodule_tensor_matches_the_loop(entries):
     assert compared >= 8
 
 
+def _unit_comodule(algebra):
+    """The right wedge as a comodule: its coaction is the restricted coproduct."""
+    space = algebra.subspaces["A_R"]
+    basis = space.basis.data
+    k = len(basis)
+    return Comodule.build(
+        algebra,
+        [
+            Matrix(
+                [
+                    [_coact_coeff(algebra, space, basis, src, dst, amb) for amb in range(algebra.dim)]
+                    for dst in range(k)
+                ]
+            )
+            for src in range(k)
+        ],
+    )
+
+
+def test_comodule_tensor_of_regular_and_unit_pairs_matches_the_loop(entries):
+    """The factors differ in dimension, so a swapped kron or sylvester order
+    shows."""
+    uneven = 0
+    for name in UP_TO_6:
+        for algebra in _records(entries, name):
+            if not decide_axioms(algebra).bimonoidal:
+                continue
+            v, e = regular_comodule(algebra), _unit_comodule(algebra)
+            for left, right in ((v, e), (e, v), (e, e)):
+                new = repcat.comodule_tensor(left, right)
+                assert new == comodule_tensor(left, right)
+                assert new.ok
+            uneven += v.dim != e.dim
+    assert uneven >= 16
+
+
+def _message(check, *args):
+    """The message of the ValueError or ConstructionError check raises, or None."""
+    try:
+        check(*args)
+    except (ValueError, ConstructionError) as err:
+        return str(err)
+    return None
+
+
+def _perturbed(mats, rng):
+    """mats with one seeded entry of one seeded matrix moved by a nonzero."""
+    mats = list(mats)
+    t = rng.randrange(len(mats))
+    data = [list(row) for row in mats[t].data]
+    i, j = rng.randrange(len(data)), rng.randrange(len(data[0]))
+    data[i][j] += rng.choice([-2, -1, 1, 2])
+    mats[t] = Matrix(data)
+    return tuple(mats)
+
+
+def _kinds(messages):
+    return {m if m is None else m.split(" at ")[0] for m in messages}
+
+
+def test_module_check_matches_the_loop_on_perturbations(entries):
+    rng = random.Random(20)
+    messages = []
+    for name in UP_TO_6:
+        for algebra in _records(entries, name):
+            reps = [regular_module(algebra), unit_module(algebra)[0]]
+            for rep in reps:
+                for action in [rep.action] + [_perturbed(rep.action, rng) for _ in range(3)]:
+                    bent = ModuleRep(algebra, rep.dim, action)
+                    message = _message(bent.check)
+                    assert message == _message(module_check, bent)
+                    messages.append(message)
+    assert _kinds(messages) == {
+        None,
+        "module action does not send the unit to the identity",
+        "module action is not multiplicative",
+    }
+
+
+def test_comodule_check_matches_the_loop_on_perturbations(entries):
+    rng = random.Random(21)
+    messages = []
+    for name in UP_TO_6:
+        for algebra in _records(entries, name):
+            coms = [regular_comodule(algebra)]
+            if decide_axioms(algebra).bimonoidal:
+                coms.append(_unit_comodule(algebra))
+            for com in coms:
+                coactions = [com.coaction] + [_perturbed(com.coaction, rng) for _ in range(3)]
+                # the last slice with a row too many, after slices as given
+                # and after perturbed ones
+                misshapen = (Matrix.zero(com.dim + 1, algebra.dim),)
+                coactions += [c[:-1] + misshapen for c in coactions[:2]]
+                for coaction in coactions:
+                    bent = Comodule(algebra, com.dim, coaction)
+                    message = _message(bent.check)
+                    assert message == _message(comodule_check, bent)
+                    messages.append(message)
+    assert _kinds(messages) == {
+        None,
+        "coaction slice has wrong shape",
+        "coaction fails the counit law",
+        "coaction fails coassociativity",
+    }
+
+
+def _hopf_actions():
+    """(Hopf algebra, target, action matrices): Z2 on K^2 by the swap, by an
+    involution that moves the unit and by one that is no algebra map, and the
+    trivial Hopf algebra on K[x]/(x^2), basis (x, 1), by the idempotent
+    algebra map that kills x."""
+    d2 = Algebra.diagonal(2)
+    nil = Algebra.build(2, [[[0, 0], [1, 0]], [[1, 0], [0, 1]]], [0, 1])
+    z1 = HopfAlgebra.from_group(GroupPresentation.cyclic(1))
+    z2 = HopfAlgebra.from_group(GroupPresentation.cyclic(2))
+    one = Matrix.identity(2)
+    return [
+        (z2, d2, (one, Matrix([[0, 1], [1, 0]]))),
+        (z2, d2, (one, Matrix([[1, 0], [0, -1]]))),
+        (z2, d2, (one, Matrix([[1, 0], [2, -1]]))),
+        (z1, nil, (Matrix([[0, 0], [0, 1]]),)),
+    ]
+
+
+def test_module_algebra_action_check_matches_the_loop_on_perturbations():
+    # imported here: test_construction_oracles imports this file, in a cycle
+    from test_construction_oracles import ModuleAlgebraAction as OldModuleAlgebraAction
+
+    rng = random.Random(22)
+    messages = []
+    for hopf, target, mats in _hopf_actions():
+        for action in [mats] + [_perturbed(mats, rng) for _ in range(12)]:
+            message = _message(ModuleAlgebraAction(hopf, target, action).check)
+            assert message == _message(OldModuleAlgebraAction(hopf, target, action).check)
+            messages.append(message)
+    assert _kinds(messages) == {
+        None,
+        "action is not multiplicative",
+        "action does not normalize the unit",
+        "action is not a module-algebra action",
+        "action does not fix the unit of the Hopf algebra",
+    }
+
+
 def _amalgamations():
     """Factor pairs with an amalgamation, or None for the plain tensor."""
     d2, f2 = Algebra.diagonal(2), Algebra.diagonal(2, labels=["f1", "f2"])
@@ -897,3 +1091,7 @@ def test_carrier_relations_match_the_loop():
             assert new == old
         else:
             assert (new.reducer, new.free, new.dim) == (old.reducer, old.free, old.dim)
+            # the quotient map against the reduction of each ambient basis vector
+            assert new.reduction == Matrix.from_rows(
+                [new.reduce(unit_vec(new.full_dim, u)) for u in range(new.full_dim)], new.dim
+            )
