@@ -8,6 +8,7 @@ parse failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .antipode import classify_weak_hopf, solve_antipode
@@ -47,9 +48,9 @@ from .serialize import (
     algebra_to_document,
     document_to_algebra,
     dumps,
-    is_json_int,
     load_path,
     matrix_to_lists,
+    parse_dim,
     parse_labels,
     parse_matrix,
     parse_sparse_entries,
@@ -296,13 +297,12 @@ def cmd_rigidity(args):
 def _algebra_input(data) -> Algebra:
     if not isinstance(data, dict):
         raise ParseError("algebra inputs must be objects")
-    n = data.get("dim")
-    if not is_json_int(n):
-        raise ParseError("algebra input needs a dimension")
+    n = parse_dim(data.get("dim"), "algebra input needs a dimension")
+    memo = {}
     mult = [[[QZERO] * n for _ in range(n)] for _ in range(n)]
-    for i, j, k, c in parse_sparse_entries(data.get("mult", []), n):
+    for i, j, k, c in parse_sparse_entries(data.get("mult", []), n, memo):
         mult[i][j][k] = c
-    unit = parse_vector(data.get("unit", []), n)
+    unit = parse_vector(data.get("unit", []), n, memo)
     try:
         return Algebra.build(n, mult, unit, labels=parse_labels(data.get("basis"), n))
     except ConstructionError as exc:
@@ -480,52 +480,48 @@ def build_parser():
 
     p = subs.add_parser("validate", parents=[common], help="check the five structural axioms")
     p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("report", parents=[common], help="axiom classes, dimensions and antipode")
     p.add_argument("path")
-    p.set_defaults(func=cmd_report)
 
     p = subs.add_parser("dual", parents=[common], help="emit the dual presentation")
     p.add_argument("path")
-    p.set_defaults(func=cmd_dual)
 
     p = subs.add_parser("antipode", parents=[common], help="solve for the antipode")
     p.add_argument("path")
-    p.set_defaults(func=cmd_antipode)
 
     p = subs.add_parser("rigidity", parents=[common], help="rigidity structure operations")
     p.add_argument("sub", choices=["verify", "twist", "intertwine", "example2"])
     p.add_argument("path")
-    p.set_defaults(func=cmd_rigidity)
 
     p = subs.add_parser("construct", parents=[common], help="run a catalog construction")
     p.add_argument("sub", choices=["minimal", "minhopf", "crossed", "adcross"])
     p.add_argument("path", nargs="?")
     p.add_argument("--group")
     p.add_argument("--subgroup")
-    p.set_defaults(func=cmd_construct)
 
     p = subs.add_parser("catalog", parents=[common], help="list or emit catalog instances")
     p.add_argument("sub", choices=["list", "emit"])
     p.add_argument("name", nargs="?")
-    p.set_defaults(func=cmd_catalog)
 
     p = subs.add_parser("rep", parents=[common], help="regular-module computations")
     p.add_argument("sub", choices=["tensor", "unit", "end", "coherence"])
     p.add_argument("path")
-    p.set_defaults(func=cmd_rep)
 
     return parser
 
 
+# built on the first call and kept: a parser costs about a millisecond
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.witness_limit < 0:
             raise ParseError("--witness-limit must be at least 0, got %d" % args.witness_limit)
-        return args.func(args)
+        # looked up per call, so a replaced cmd_* function is the one that runs
+        return globals()["cmd_" + args.command](args)
     except (ParseError, AlgebraDataError, CatalogNameError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT

@@ -54,11 +54,22 @@ def vector_to_list(v):
     return [qstr(c) for c in v]
 
 
-def parse_matrix(data, rows=None, cols=None) -> Matrix:
+def _scalar(s, memo):
+    """parse_scalar(s), with each string parsed once per memo."""
+    if type(s) is not str:
+        return parse_scalar(s)
+    q = memo.get(s)
+    if q is None:
+        q = memo[s] = parse_scalar(s)
+    return q
+
+
+def parse_matrix(data, rows=None, cols=None, memo=None) -> Matrix:
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ParseError("a matrix is a list of row lists")
+    memo = {} if memo is None else memo
     try:
-        m = Matrix([[parse_scalar(x) for x in row] for row in data])
+        m = Matrix([[_scalar(x, memo) for x in row] for row in data])
     except (TypeError, ValueError) as exc:
         raise ParseError("bad matrix: %s" % exc) from exc
     if rows is not None and m.rows != rows:
@@ -68,11 +79,12 @@ def parse_matrix(data, rows=None, cols=None) -> Matrix:
     return m
 
 
-def parse_vector(data, dim=None):
+def parse_vector(data, dim=None, memo=None):
     if not isinstance(data, list):
         raise ParseError("a vector is a list of scalars")
+    memo = {} if memo is None else memo
     try:
-        v = tuple(parse_scalar(x) for x in data)
+        v = tuple(_scalar(x, memo) for x in data)
     except (TypeError, ValueError) as exc:
         raise ParseError("bad vector: %s" % exc) from exc
     if dim is not None and len(v) != dim:
@@ -85,11 +97,22 @@ def is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def parse_dim(n, missing="missing or bad dimension"):
+    """A document's dimension: a positive JSON integer."""
+    if not is_json_int(n):
+        raise ParseError(missing)
+    if n < 1:
+        raise ParseError("dimension must be positive")
+    return n
+
+
 def parse_labels(labels, n):
     """Basis labels as a document gives them: absent (None), or a list of
-    one name per dimension."""
+    one name per dimension, each a string."""
     if labels is not None and (not isinstance(labels, list) or len(labels) != n):
         raise ParseError("basis labels must list one name per dimension")
+    if labels is not None and not all(isinstance(x, str) for x in labels):
+        raise ParseError("basis labels must be strings")
     return labels
 
 
@@ -98,30 +121,27 @@ def document_to_algebra(doc) -> WeakBialgebra:
         raise ParseError("document must be an object")
     if doc.get("field") != "Q":
         raise ParseError("unsupported field %r" % doc.get("field"))
-    n = doc.get("dim")
-    if not is_json_int(n):
-        raise ParseError("missing or bad dimension")
-    if n < 1:
-        raise ParseError("dimension must be positive")
+    n = parse_dim(doc.get("dim"))
     labels = parse_labels(doc.get("basis"), n)
+    memo = {}
     # the checked entries, sorted into nonzero lists: those of mult by
     # (i, j), those of comult by slice k and row i
     mult = [[[] for _ in range(n)] for _ in range(n)]
-    for i, j, k, c in parse_sparse_entries(doc.get("mult", []), n):
+    for i, j, k, c in parse_sparse_entries(doc.get("mult", []), n, memo):
         if c:
             mult[i][j].append((k, c))
     comult = [[[] for _ in range(n)] for _ in range(n)]
-    for k, i, j, c in parse_sparse_entries(doc.get("comult", []), n):
+    for k, i, j, c in parse_sparse_entries(doc.get("comult", []), n, memo):
         if c:
             comult[k][i].append((j, c))
-    unit = parse_vector(doc.get("unit", []), n)
-    counit = parse_vector(doc.get("counit", []), n)
+    unit = parse_vector(doc.get("unit", []), n, memo)
+    counit = parse_vector(doc.get("counit", []), n, memo)
     mult = tuple(tuple(tuple(sorted(ij)) for ij in row) for row in mult)
     comult = tuple(Matrix._of_sparse(map(sorted, rows), n) for rows in comult)
     return WeakBialgebra._of_tables(n, mult, unit, comult, counit, labels)
 
 
-def parse_sparse_entries(entries, n):
+def parse_sparse_entries(entries, n, memo=None):
     """Validated (a, b, c, scalar) quadruples of a sparse tensor listing.
 
     Indices must be JSON integers (booleans are not) in range(n), and no
@@ -129,29 +149,66 @@ def parse_sparse_entries(entries, n):
     """
     if not isinstance(entries, list):
         raise ParseError("sparse tensors are lists of [i, j, k, scalar] quadruples")
+    memo = {} if memo is None else memo
     out = []
     seen = set()
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != 4:
             raise ParseError("sparse entries are [i, j, k, scalar] quadruples")
-        *indices, s = entry
-        for x in indices:
-            if not is_json_int(x) or not 0 <= x < n:
-                raise ParseError("index %r out of range" % (x,))
-        key = tuple(indices)
+        a, b, c, s = entry
+        if not (type(a) is type(b) is type(c) is int and 0 <= a < n and 0 <= b < n and 0 <= c < n):
+            for x in (a, b, c):
+                if not is_json_int(x) or not 0 <= x < n:
+                    raise ParseError("index %r out of range" % (x,))
+        key = (a, b, c)
         if key in seen:
-            raise ParseError("repeated sparse entry %r" % (indices,))
+            raise ParseError("repeated sparse entry %r" % ([a, b, c],))
         seen.add(key)
         try:
-            val = parse_scalar(s)
+            out.append((a, b, c, _scalar(s, memo)))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        out.append((*indices, val))
     return out
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _encode(x, indent):
+    """x as json.dumps(x, indent=2) writes it at the given indent; a
+    TypeError for a value outside dict, list, str, int, bool and None."""
+    t = type(x)
+    if t is str:
+        return _encode_str(x)
+    if t is int:
+        return repr(x)
+    if t is list:
+        if not x:
+            return "[]"
+        inner = indent + "  "
+        items = (",\n" + inner).join([_encode(v, inner) for v in x])
+        return "[\n" + inner + items + "\n" + indent + "]"
+    if t is dict:
+        if not x:
+            return "{}"
+        inner = indent + "  "
+        items = (",\n" + inner).join([_encode_str(k) + ": " + _encode(v, inner) for k, v in x.items()])
+        return "{\n" + inner + items + "\n" + indent + "}"
+    if x is None:
+        return "null"
+    if t is bool:
+        return "true" if x else "false"
+    raise TypeError(t)
+
+
 def dumps(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) and a newline, without the pure-Python
+    encoder json runs whenever it indents."""
+    try:
+        return _encode(doc, "") + "\n"
+    except (TypeError, RecursionError):
+        # any other value, and json's own errors for what it cannot encode
+        return json.dumps(doc, indent=2) + "\n"
 
 
 def loads(text):
