@@ -298,11 +298,10 @@ def _algebra_input(data) -> Algebra:
     if not isinstance(data, dict):
         raise ParseError("algebra inputs must be objects")
     n = parse_dim(data.get("dim"), "algebra input needs a dimension")
-    memo = {}
     mult = [[[QZERO] * n for _ in range(n)] for _ in range(n)]
-    for i, j, k, c in parse_sparse_entries(data.get("mult", []), n, memo):
+    for i, j, k, c in parse_sparse_entries(data.get("mult", []), n):
         mult[i][j][k] = c
-    unit = parse_vector(data.get("unit", []), n, memo)
+    unit = parse_vector(data.get("unit", []), n)
     try:
         return Algebra.build(n, mult, unit, labels=parse_labels(data.get("basis"), n))
     except ConstructionError as exc:

@@ -9,6 +9,7 @@ deterministic: identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .core import WeakBialgebra
@@ -54,22 +55,20 @@ def vector_to_list(v):
     return [qstr(c) for c in v]
 
 
-def _scalar(s, memo):
-    """parse_scalar(s), with each string parsed once per memo."""
-    if type(s) is not str:
-        return parse_scalar(s)
-    q = memo.get(s)
-    if q is None:
-        q = memo[s] = parse_scalar(s)
-    return q
+# a document repeats few distinct scalar strings ("1", "1/3") many times;
+# a failed parse raises and is not cached, so its message is unchanged
+_parse_str = functools.lru_cache(maxsize=4096)(parse_scalar)
 
 
-def parse_matrix(data, rows=None, cols=None, memo=None) -> Matrix:
+def _scalar(s):
+    return _parse_str(s) if type(s) is str else parse_scalar(s)
+
+
+def parse_matrix(data, rows=None, cols=None) -> Matrix:
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ParseError("a matrix is a list of row lists")
-    memo = {} if memo is None else memo
     try:
-        m = Matrix([[_scalar(x, memo) for x in row] for row in data])
+        m = Matrix([[_scalar(x) for x in row] for row in data])
     except (TypeError, ValueError) as exc:
         raise ParseError("bad matrix: %s" % exc) from exc
     if rows is not None and m.rows != rows:
@@ -79,12 +78,11 @@ def parse_matrix(data, rows=None, cols=None, memo=None) -> Matrix:
     return m
 
 
-def parse_vector(data, dim=None, memo=None):
+def parse_vector(data, dim=None):
     if not isinstance(data, list):
         raise ParseError("a vector is a list of scalars")
-    memo = {} if memo is None else memo
     try:
-        v = tuple(_scalar(x, memo) for x in data)
+        v = tuple(_scalar(x) for x in data)
     except (TypeError, ValueError) as exc:
         raise ParseError("bad vector: %s" % exc) from exc
     if dim is not None and len(v) != dim:
@@ -123,25 +121,24 @@ def document_to_algebra(doc) -> WeakBialgebra:
         raise ParseError("unsupported field %r" % doc.get("field"))
     n = parse_dim(doc.get("dim"))
     labels = parse_labels(doc.get("basis"), n)
-    memo = {}
     # the checked entries, sorted into nonzero lists: those of mult by
     # (i, j), those of comult by slice k and row i
     mult = [[[] for _ in range(n)] for _ in range(n)]
-    for i, j, k, c in parse_sparse_entries(doc.get("mult", []), n, memo):
+    for i, j, k, c in parse_sparse_entries(doc.get("mult", []), n):
         if c:
             mult[i][j].append((k, c))
     comult = [[[] for _ in range(n)] for _ in range(n)]
-    for k, i, j, c in parse_sparse_entries(doc.get("comult", []), n, memo):
+    for k, i, j, c in parse_sparse_entries(doc.get("comult", []), n):
         if c:
             comult[k][i].append((j, c))
-    unit = parse_vector(doc.get("unit", []), n, memo)
-    counit = parse_vector(doc.get("counit", []), n, memo)
+    unit = parse_vector(doc.get("unit", []), n)
+    counit = parse_vector(doc.get("counit", []), n)
     mult = tuple(tuple(tuple(sorted(ij)) for ij in row) for row in mult)
     comult = tuple(Matrix._of_sparse(map(sorted, rows), n) for rows in comult)
     return WeakBialgebra._of_tables(n, mult, unit, comult, counit, labels)
 
 
-def parse_sparse_entries(entries, n, memo=None):
+def parse_sparse_entries(entries, n):
     """Validated (a, b, c, scalar) quadruples of a sparse tensor listing.
 
     Indices must be JSON integers (booleans are not) in range(n), and no
@@ -149,25 +146,24 @@ def parse_sparse_entries(entries, n, memo=None):
     """
     if not isinstance(entries, list):
         raise ParseError("sparse tensors are lists of [i, j, k, scalar] quadruples")
-    memo = {} if memo is None else memo
     out = []
     seen = set()
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != 4:
             raise ParseError("sparse entries are [i, j, k, scalar] quadruples")
-        a, b, c, s = entry
-        if not (type(a) is type(b) is type(c) is int and 0 <= a < n and 0 <= b < n and 0 <= c < n):
-            for x in (a, b, c):
-                if not is_json_int(x) or not 0 <= x < n:
-                    raise ParseError("index %r out of range" % (x,))
-        key = (a, b, c)
+        *indices, s = entry
+        for x in indices:
+            if not is_json_int(x) or not 0 <= x < n:
+                raise ParseError("index %r out of range" % (x,))
+        key = tuple(indices)
         if key in seen:
-            raise ParseError("repeated sparse entry %r" % ([a, b, c],))
+            raise ParseError("repeated sparse entry %r" % (indices,))
         seen.add(key)
         try:
-            out.append((a, b, c, _scalar(s, memo)))
+            val = _scalar(s)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
+        out.append((*indices, val))
     return out
 
 
@@ -203,7 +199,10 @@ def _encode(x, indent):
 
 def dumps(doc) -> str:
     """json.dumps(doc, indent=2) and a newline, without the pure-Python
-    encoder json runs whenever it indents."""
+    encoder json runs whenever it indents.
+
+    No command's output reaches the json.dumps fallback; it can go once
+    every emitted value is one of the six types _encode handles."""
     try:
         return _encode(doc, "") + "\n"
     except (TypeError, RecursionError):

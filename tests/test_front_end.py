@@ -1,5 +1,5 @@
 """The CLI front end: the emitter against the standard library, the parser
-kept between main calls, and the scalars parsed once per document.
+kept between main calls, and the cache of parsed scalar strings.
 
 The oracle of the emitter is json.dumps(doc, indent=2) plus a newline, on
 every kind of document the CLI writes.  The oracle of a main call is the
@@ -212,7 +212,7 @@ def test_a_replaced_command_runs_after_the_parser_is_built(capsys, monkeypatch, 
     assert capsys.readouterr().out == ""
 
 
-# -- scalars parsed once per document ----------------------------------------
+# -- cached scalar strings ---------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -226,13 +226,14 @@ def test_a_replaced_command_runs_after_the_parser_is_built(capsys, monkeypatch, 
     ids=["zero-denominator", "underscore", "boolean", "float"],
 )
 def test_a_malformed_scalar_after_valid_repeats_raises_the_same_error(bad, message):
-    """The memo holds strings only: true and 1.0 are not the cached 1."""
-    good = ["1", 1, "1/3", " 1/3 ", "-2"] * 40
+    """Only strings are cached: true and 1.0 are not a cached 1, not even
+    one given as a Fraction, which equals them."""
+    good = ["1", 1, Fraction(1), "1/3", " 1/3 ", "-2"] * 40
     with pytest.raises(ParseError) as exc:
         parse_vector(good + [bad])
     assert str(exc.value) == "bad vector: " + message
     with pytest.raises(ParseError) as exc:
-        parse_matrix([good[:5]] * 40 + [good[:4] + [bad]])
+        parse_matrix([good[:6]] * 40 + [good[:5] + [bad]])
     assert str(exc.value) == "bad matrix: " + message
     entries = [[i, j, 0, good[i + j]] for i in range(10) for j in range(10)]
     with pytest.raises(ParseError) as exc:
