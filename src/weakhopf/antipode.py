@@ -15,6 +15,8 @@ from .core import (
     TheoremCheck,
     WeakBialgebra,
     _block_transposed,
+    _cleared,
+    _denominator_lcm,
     _flat,
     _leg_sums,
     _spread,
@@ -26,15 +28,17 @@ from .exactlin import (
     Matrix,
     Subspace,
     _quotient,
+    _storage_row,
     inverse,
     kron,
     linear_combination,
     nonzeros,
     outer,
-    particular_solution,
+    particular_solution_of_rows,
     rank,
     row_space,
     solve_affine,
+    solve_affine_of_rows,
     vector_combination,
 )
 
@@ -201,19 +205,23 @@ class AntipodeStatus:
         return self.kind in ("antipode", "hopf_antipode")
 
 
-def _antipode_system(algebra):
+def _antipode_rows(algebra):
     """Linear system in the matrix entries of S expressing both quasi-inverse
-    conditions against the mixed counit projections.
+    conditions against the mixed counit projections, as int rows.
 
-    The rows are summed over the integer tables and wrapped once, each entry
-    divided by D_m D_c; equal entries share one Fraction."""
+    The unknown S[p][j] has column p * n + j and the right-hand side column
+    n^2.  Each row is summed over the integer tables, so it is the system's
+    row times D_m D_c, and is then scaled by the lcm of the two projections'
+    denominators, so that its right-hand side is an int too.  Returns the
+    rows, as {column: nonzero int} dicts in system order (empty rows
+    included), and their common scale."""
     n = algebra.dim
-    lr_cols = algebra.projection("L", "R").transpose().data
-    rl_cols = algebra.projection("R", "L").transpose().data
+    nn = n * n
+    lr_cols = algebra.projection("L", "R").transpose().sparse_rows
+    rl_cols = algebra.projection("R", "L").transpose().sparse_rows
     tables = algebra._integer_tables
     # left[i] lists the nonzero (p, u, w): w is the e_u-coefficient of
-    # e_i e_p; right[j] those of e_p e_j.  The unknown S[p][j] has index
-    # p * n + j
+    # e_i e_p; right[j] those of e_p e_j
     left = [[] for _ in range(n)]
     right = [[] for _ in range(n)]
     for i, row in enumerate(tables.mult):
@@ -222,19 +230,8 @@ def _antipode_system(algebra):
                 left[i].append((p, u, w))
                 right[p].append((i, u, w))
     d = tables.d_mult * tables.d_comult
-    quotients = {}  # one Fraction per distinct entry of the whole system
-
-    def quotient(x):
-        q = quotients.get(x)
-        if q is None:
-            q = quotients[x] = _quotient(x, d)
-        return q
-
-    def stored(line):
-        return tuple(sorted((col, quotient(x)) for col, x in line.items() if x))
-
+    r = _denominator_lcm(x for cols in (lr_cols, rl_cols) for col in cols for _, x in col)
     rows = []
-    rhs = []
     for k, nz in enumerate(tables.comult):
         # e_i S(e_j) over Delta(e_k), then S(e_i) e_j
         first = [{} for _ in range(n)]
@@ -248,9 +245,25 @@ def _antipode_system(algebra):
                 line = second[u]
                 col = p * n + i
                 line[col] = line.get(col, 0) + c * w
-        rows += [stored(line) for line in first + second]
-        rhs += lr_cols[k] + rl_cols[k]
-    return Matrix._of_rows(tuple(rows), n * n), tuple(rhs)
+        # entry u of column k of a projection is the right-hand side of row u
+        for lines, rhs in ((first, lr_cols[k]), (second, rl_cols[k])):
+            scaled = [{col: x * r for col, x in line.items() if x} for line in lines]
+            for u, x in rhs:
+                scaled[u][nn] = _cleared(x, r) * d
+            rows += scaled
+    return rows, d * r
+
+
+def _antipode_system(algebra):
+    """The system of _antipode_rows in Fraction form, a Matrix and its
+    right-hand side: each int row divided by the common scale.  The solvers
+    eliminate the int rows themselves."""
+    nn = algebra.dim**2
+    rows, scale = _antipode_rows(algebra)
+    system = Matrix._of_rows(
+        tuple(_storage_row({j: x for j, x in row.items() if j != nn}, scale) for row in rows), nn
+    )
+    return system, tuple(_quotient(row.get(nn, 0), scale) for row in rows)
 
 
 def _matrix_from_unknowns(x, n) -> Matrix:
@@ -261,13 +274,13 @@ def _matrix_from_unknowns(x, n) -> Matrix:
 def solve_antipode(algebra: WeakBialgebra) -> AntipodeStatus:
     """Solve for the antipode; absence is a status, never an error.
 
-    Any particular pre-antipode solution is normalized through
-    S_p * id * S_p, which is independent of the solver's pivoting.
+    The int rows of _antipode_rows are eliminated as they are.  Any
+    particular pre-antipode solution is normalized through S_p * id * S_p,
+    which is independent of the solver's pivoting.
     """
     algebra.require_valid()
     n = algebra.dim
-    system, rhs = _antipode_system(algebra)
-    particular = particular_solution(system, rhs)
+    particular = particular_solution_of_rows(_antipode_rows(algebra)[0], n * n)
     if particular is None:
         return AntipodeStatus(kind="none", matrix=None)
     s = normalize_pre_antipode(algebra, _matrix_from_unknowns(particular, n))
@@ -307,8 +320,7 @@ def _status_for(algebra, s: Matrix) -> AntipodeStatus:
 
 def antipode_solution_space(algebra):
     """Particular solution and homogeneous kernel of the pre-antipode system."""
-    system, rhs = _antipode_system(algebra)
-    return solve_affine(system, rhs)
+    return solve_affine_of_rows(_antipode_rows(algebra)[0], algebra.dim**2)
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .exactlin import (
     image,
     inverse,
     kernel,
+    kernel_of_rows,
     kron,
     linear_combination,
     nonzeros,
@@ -952,7 +953,10 @@ class WeakBialgebra:
 
     @cached_property
     def fixed_point_subalgebras(self):
-        """Kernel presentations of the four fixed-point subalgebras."""
+        """Kernel presentations of the four fixed-point subalgebras.
+
+        Each system is summed as int rows and eliminated as they are
+        (kernel_of_rows); its empty and repeated rows are skipped there."""
         n = self.dim
         tables = self._integer_tables
         table = tables.mult
@@ -968,10 +972,16 @@ class WeakBialgebra:
         for k, dk in enumerate(tables.comult):
             for i, j, c in dk:
                 base[i * n + j][k] = c * scale
-        rows_ll, rows_lr, rows_rl, rows_rr = ([dict(r) for r in base] for _ in range(4))
+        systems = {(s, sp): [dict(r) for r in base] for s in "LR" for sp in "LR"}
+        rows_ll, rows_lr, rows_rl, rows_rr = systems.values()
 
         def sub(row, k, x):
-            row[k] = row.get(k, 0) - x
+            # x is nonzero, so a zero difference had k in the row
+            v = row.get(k, 0) - x
+            if v:
+                row[k] = v
+            else:
+                del row[k]
 
         for u, v, c in nz:
             c = _cleared(c, d) * tables.d_comult
@@ -984,12 +994,7 @@ class WeakBialgebra:
                     sub(rows_rl[u * n + j], k, c * w)
                 for j, w in table[v][k]:
                     sub(rows_rr[u * n + j], k, c * w)
-        return {
-            ("L", "L"): kernel(Matrix._of_dicts(rows_ll, n)),
-            ("L", "R"): kernel(Matrix._of_dicts(rows_lr, n)),
-            ("R", "L"): kernel(Matrix._of_dicts(rows_rl, n)),
-            ("R", "R"): kernel(Matrix._of_dicts(rows_rr, n)),
-        }
+        return {key: kernel_of_rows(rows, n) for key, rows in systems.items()}
 
     @cached_property
     def center(self) -> Subspace:

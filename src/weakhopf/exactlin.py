@@ -20,13 +20,19 @@ are equal as sets iff their stored bases compare equal.
 Elimination is sparse and fraction-free: every solver runs one Gauss-Jordan
 pass over rows held as {column: value} dicts of their nonzeros, so its cost
 follows the nonzeros and their fill-in rather than rows x columns.  Each
-incoming row is scaled by the lcm of its denominators and reduced against
-int pivot rows by cross-multiplication, row <- (p/g) row - (f/g) pivot row
-with g = gcd(f, p) (Bareiss, Math. Comp. 22, 1968, without his exact
-division); every new pivot row is divided by the gcd of its entries, and
-only at the end is each divided by its pivot, so no Fraction is formed
-before then.  The reduced row-echelon form is unique, so the result is the
-same canonical RREF a dense Fraction elimination gives.
+incoming row is scaled by the lcm of its denominators; an empty row, or one
+equal to a row already seen (right-hand side included), is skipped, since
+neither changes the row space.  Any other is reduced against int pivot rows
+by cross-multiplication, row <- (p/g) row - (f/g) pivot row with
+g = gcd(f, p) (Bareiss, Math. Comp. 22, 1968, without his exact division);
+every new pivot row is divided by the gcd of its entries, and only at the
+end is each divided by its pivot, so no Fraction is formed before then.
+The reduced row-echelon form is unique, so the result is the same canonical
+RREF a dense Fraction elimination gives.  The row entry points
+(kernel_of_rows, particular_solution_of_rows, solve_affine_of_rows) take
+such rows directly, so a caller that sums a system as ints hands it over
+without a Matrix of Fractions in between; kernel, particular_solution and
+solve_affine unwrap a Matrix into rows and call them.
 """
 
 from __future__ import annotations
@@ -508,15 +514,25 @@ def _eliminate(rows, width: int):
     """Fraction-free Gauss-Jordan elimination of sparse rows (consumed).
 
     Returns the canonical RREF as (pivot column, row) pairs in pivot order.
-    Each incoming row is cleared of denominators and reduced against the
-    int pivot rows found so far by cross-multiplication (_reduce), then
-    made primitive and positive at its leftmost remaining column.  The pivot
-    rows are back-eliminated the same way in decreasing pivot order, and
-    each is divided by its pivot once, at the end.
+    Each incoming row is cleared of denominators; an empty row, or one equal
+    to a row already seen, is skipped, since neither changes the row space.
+    Any other is reduced against the int pivot rows found so far by
+    cross-multiplication (_reduce), then made primitive and positive at its
+    leftmost remaining column.  The pivot rows are back-eliminated the same
+    way in decreasing pivot order, and each is divided by its pivot once,
+    at the end.
     """
     pivots = {}
+    seen = set()
     for row in rows:
-        row = _reduce(_integral(row), pivots)
+        if not row:
+            continue
+        row = _integral(row)
+        key = frozenset(row.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        row = _reduce(row, pivots)
         if not row:
             continue
         c = min(row)
@@ -749,9 +765,15 @@ def _null_space(red, n: int) -> Subspace:
     return Subspace(n, _rref_of(list(free.values()), n))
 
 
+def kernel_of_rows(rows, n: int) -> Subspace:
+    """Null space of the system whose rows (consumed) are {column: value}
+    dicts of nonzero kernel numbers over the columns 0..n-1."""
+    return _null_space(_eliminate(rows, n), n)
+
+
 def kernel(m: Matrix) -> Subspace:
     """Null space of m (solutions of m x = 0) as a canonical subspace."""
-    return _null_space(_eliminate(_row_dicts(m), m.cols), m.cols)
+    return kernel_of_rows(_row_dicts(m), m.cols)
 
 
 def image(m: Matrix) -> Subspace:
@@ -763,21 +785,14 @@ def row_space(m: Matrix) -> Subspace:
     return Subspace(m.cols, rref(m))
 
 
-def _solve(a: Matrix, b):
-    """Eliminate [a | b] once.
+def _solve(rows, n: int):
+    """Eliminate the augmented rows (consumed), right-hand side at column n,
+    once.
 
     Returns the RREF pairs and the particular solution that sets every free
-    variable to zero, or None when b is outside the column space.
+    variable to zero, or None when the system has no solution.
     """
-    b = vec(b)
-    if a.rows != len(b):
-        raise ValueError("right-hand side has wrong dimension")
-    n = a.cols
-    aug = _row_dicts(a)
-    for row, bv in zip(aug, b):
-        if bv:
-            row[n] = _unwrap(bv)
-    red = _eliminate(aug, n + 1)
+    red = _eliminate(rows, n + 1)
     if red and red[-1][0] == n:
         return None
     particular = [0] * n
@@ -786,11 +801,46 @@ def _solve(a: Matrix, b):
     return red, _wrap_all(particular)
 
 
+def _augmented(a: Matrix, b) -> list:
+    """The rows of [a | b] as {column: value} dicts of kernel numbers."""
+    b = vec(b)
+    if a.rows != len(b):
+        raise ValueError("right-hand side has wrong dimension")
+    n = a.cols
+    aug = _row_dicts(a)
+    for row, bv in zip(aug, b):
+        if bv:
+            row[n] = _unwrap(bv)
+    return aug
+
+
+def particular_solution_of_rows(rows, n: int):
+    """The particular solution of solve_affine_of_rows(rows, n), or None
+    when there is none; the kernel is never built."""
+    solved = _solve(rows, n)
+    return None if solved is None else solved[1]
+
+
+def solve_affine_of_rows(rows, n: int):
+    """Solve the system whose rows (consumed) are {column: value} dicts of
+    nonzero kernel numbers, the coefficients at columns 0..n-1 and the
+    right-hand side at column n.
+
+    Returns (particular, kernel_subspace) as solve_affine does, or None.
+    """
+    solved = _solve(rows, n)
+    if solved is None:
+        return None
+    red, particular = solved
+    # With column n not a pivot, the rows restricted to the first n columns
+    # are the RREF of the coefficients.
+    return particular, _null_space(red, n)
+
+
 def particular_solution(a: Matrix, b):
     """The particular solution of solve_affine(a, b), or None when b is
     outside the column space; the kernel is never built."""
-    solved = _solve(a, b)
-    return None if solved is None else solved[1]
+    return particular_solution_of_rows(_augmented(a, b), a.cols)
 
 
 def solve_affine(a: Matrix, b):
@@ -800,13 +850,7 @@ def solve_affine(a: Matrix, b):
     column space.  The particular solution sets every free variable to zero,
     so it is deterministic.
     """
-    solved = _solve(a, b)
-    if solved is None:
-        return None
-    red, particular = solved
-    # With column n not a pivot, the rows restricted to the first n columns
-    # are the RREF of a.
-    return particular, _null_space(red, a.cols)
+    return solve_affine_of_rows(_augmented(a, b), a.cols)
 
 
 def form_inverse(q: Matrix) -> Matrix | None:
