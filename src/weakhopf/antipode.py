@@ -16,10 +16,15 @@ from .core import (
     WeakBialgebra,
     _block_transposed,
     _cleared,
+    _cleared_rows,
     _denominator_lcm,
     _flat,
+    _integer_leg_sums,
     _leg_sums,
+    _rows_of,
     _spread,
+    _summed,
+    _t2_rows,
     _unflat,
     computed_once,
     decide_axioms,
@@ -29,9 +34,9 @@ from .exactlin import (
     Subspace,
     _quotient,
     _storage_row,
+    _unwrapped_nonzeros,
     inverse,
     kron,
-    linear_combination,
     nonzeros,
     outer,
     particular_solution_of_rows,
@@ -50,17 +55,20 @@ class SelfCheckError(Exception):
 def convolve(algebra: WeakBialgebra, s: Matrix, t: Matrix) -> Matrix:
     """Convolution product of two endomorphisms given by their matrices.
 
-    The rows of S^t and T^t are the images S(e_u) and T(e_v).  Their
-    products S(e_u) T(e_v), one block per reached leg pair, summed over the
+    The rows of S^t and T^t are the images S(e_u) and T(e_v), each cleared
+    of denominators once per call.  Their products S(e_u) T(e_v), int sums
+    over the integer table, one block per reached leg pair, summed over the
     legs of each Delta(e_k) (_leg_sums) give row k equal to (S * T)(e_k),
     which is column k of S * T."""
-    s_rows = s.transpose().sparse_rows
-    t_rows = t.transpose().sparse_rows
+    s_rows, d_s = _cleared_rows(s.transpose().sparse_rows)
+    t_rows, d_t = _cleared_rows(t.transpose().sparse_rows)
 
     def flats(u, vs):
-        return algebra._product_rows((s_rows[u],), [t_rows[v] for v in vs])
+        products = algebra._product_sums((s_rows[u],), [t_rows[v] for v in vs])
+        return [acc.items() for acc in products]
 
-    return _leg_sums(algebra, flats, 1, algebra.dim).transpose()
+    d = algebra._integer_tables.d_mult * d_s * d_t
+    return _leg_sums(algebra, flats, 1, algebra.dim, d).transpose()
 
 
 def convolve_tensors(algebra: WeakBialgebra, p: Matrix, q: Matrix, x=None) -> Matrix:
@@ -69,27 +77,34 @@ def convolve_tensors(algebra: WeakBialgebra, p: Matrix, q: Matrix, x=None) -> Ma
 
     A map to A (x) A is an n^2 x n matrix whose column k is the image of
     e_k, row u * n + v holding its coefficient of e_u (x) e_v, so that
-    (X (x) Y) F is kron(X, Y) F.  As in convolve, each product P(e_u) Q(e_v)
-    is one block per reached leg pair, and _leg_sums sums them into P * Q,
-    in the same form.  Given x, only the legs of Delta(x) are formed, and
-    the n x n tensor (P * Q)(x) returned."""
+    (X (x) Y) F is kron(X, Y) F.  As in convolve, P and Q are cleared of
+    denominators once per call, and each product P(e_u) Q(e_v) is an int
+    sum in the tensor square (_t2_rows), one block per reached leg pair,
+    which _leg_sums sums into P * Q, in the same form.  Given x, only the
+    legs of Delta(x) are formed, on the integer coproduct, and the n x n
+    tensor (P * Q)(x) returned."""
     n = algebra.dim
+    tables = algebra._integer_tables
 
     def tensors(m):
-        """The columns of m as n x n tensors."""
-        return [Matrix._of_rows(_unflat(c, n, n), n) for c in m.transpose().sparse_rows]
+        """The columns of m times the lcm of its denominators, as tensors
+        grouped by their first leg (_rows_of), and that lcm."""
+        cols, d = _cleared_rows(m.transpose().sparse_rows)
+        return [_rows_of(divmod(r, n) + (y,) for r, y in col) for col in cols], d
 
-    ps, qs = tensors(p), tensors(q)
+    (ps, d_p), (qs, d_q) = tensors(p), tensors(q)
+    d = tables.d_mult**2 * d_p * d_q
+
+    def block(u, v):
+        """d P(e_u) Q(e_v), flattened."""
+        return [(a * n + b, y) for (a, b), y in _t2_rows(tables.mult, ps[u], qs[v]).items()]
+
     if x is not None:
-        legs = nonzeros(algebra.delta(x))
-        return linear_combination(
-            ((c, nonzeros(algebra.t2_mul(ps[u], qs[v]))) for u, v, c in legs), n, n
-        )
-
-    def flats(u, vs):
-        return (_flat(algebra.t2_mul(ps[u], qs[v])) for v in vs)
-
-    return _leg_sums(algebra, flats, 1, n * n).transpose()
+        (xs,), d_x = _cleared_rows((_unwrapped_nonzeros(x),))
+        legs = _summed(((u, v), y * c) for k, y in xs for u, v, c in tables.comult[k])
+        acc = _summed((j, c * z) for (u, v), c in legs.items() for j, z in block(u, v))
+        return Matrix._of_rows(_unflat(_storage_row(acc, d * d_x * tables.d_comult), n, n), n)
+    return _leg_sums(algebra, lambda u, vs: [block(u, v) for v in vs], 1, n * n, d).transpose()
 
 
 def convolution_unit(algebra: WeakBialgebra) -> Matrix:
@@ -109,13 +124,28 @@ def is_anti_multiplicative(algebra, s: Matrix) -> bool:
 
 
 def is_anti_comultiplicative(algebra, s: Matrix) -> bool:
-    """Delta(S e_k) = S D_k^t S^t for every k at once, D_k the coproduct of
-    e_k: S^t spread over the stacked D_k against the stacked D_k S^t, each
-    block transposed, times S^t."""
+    """Delta(S e_k) = S((e_k)_(2)) (x) S((e_k)_(1)) for every k at once,
+    both sides summed as ints on the integer coproduct, with S cleared of
+    denominators once (d): the leg sums (_integer_leg_sums) of the blocks
+    d^2 S(e_v) (x) S(e_u), flattened, against d times the sums over j of
+    d S[j][k] Delta(e_j), so that both carry the factor D_c d^2."""
     n = algebra.dim
-    stacked = algebra._stacks["D"]
-    s_t = s.transpose()
-    return _spread(s_t, n) * stacked == _block_transposed(stacked * s_t, n) * s_t
+    comult = algebra._integer_tables.comult
+    images, d = _cleared_rows(s.transpose().sparse_rows)
+
+    def flats(u, vs):
+        return [[(a * n + b, y * z) for a, y in images[v] for b, z in images[u]] for v in vs]
+
+    for acc, image in zip(_integer_leg_sums(algebra, flats), images):
+        rhs = {}
+        for j, y in image:
+            y *= d
+            for u, v, c in comult[j]:
+                key = u * n + v
+                rhs[key] = rhs.get(key, 0) + y * c
+        if {k: x for k, x in acc.items() if x} != {k: x for k, x in rhs.items() if x}:
+            return False
+    return True
 
 
 @computed_once

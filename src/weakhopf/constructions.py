@@ -113,6 +113,7 @@ class Algebra:
     _integer_tables = cached_property(_integer_algebra_tables)
     _table = WeakBialgebra._table
     _product_rows = WeakBialgebra._product_rows
+    _product_sums = WeakBialgebra._product_sums
     mul = WeakBialgebra.mul
     products = WeakBialgebra.products
     reversed_products = WeakBialgebra.reversed_products

@@ -207,6 +207,28 @@ def _t2_rows(table, xrows, yrows):
     return acc
 
 
+def _t2_pairs(table, xnz, ynz):
+    """_t2_terms on X and Y given as nonzeros, one product pair per pair of
+    nonzeros: the contraction of _t2_rows without its grouping, for X and Y
+    whose rows have one nonzero each, where it saves nothing."""
+    acc = {}
+    for p, q, c in xnz:
+        tp, tq = table[p], table[q]
+        for r, s, d in ynz:
+            first = tp[r]
+            if not first:
+                continue
+            second = tq[s]
+            cd = c * d
+            for u, fu in first:
+                w = cd * fu
+                for v, sv in second:
+                    key = (u, v)
+                    prev = acc.get(key)
+                    acc[key] = w * sv if prev is None else prev + w * sv
+    return acc
+
+
 def _rows_of(triples):
     """(i, j, c) triples grouped by i: the (i, ((j, c), ...)) rows."""
     out = {}
@@ -382,14 +404,25 @@ def _first_non_multiplicative(table, comult, firsts, scale):
     scale Delta(e_a e_b) != Delta(e_a) Delta(e_b), or None.
 
     table and comult are the int tables of one orientation; the identity
-    reads the same on the dual tables, with the two maps swapped."""
-    rows = [_rows_of(d) for d in comult]
+    reads the same on the dual tables, with the two maps swapped.
+    Delta(e_a) Delta(e_b) pairs the nonzeros directly (_t2_pairs) when
+    every row of both has one nonzero, the common sparse case, which
+    needs no grouping; otherwise it is contracted over their rows
+    (_t2_rows), each Delta(e_k) grouped once per scan, on first use."""
+    single = [len({i for i, _, _ in nz}) == len(nz) for nz in comult]
+    rows = {}
     for a in firsts:
-        ta = table[a]
-        ra = rows[a]
-        for b, rb in enumerate(rows):
+        ta, da, sa = table[a], comult[a], single[a]
+        for b, db in enumerate(comult):
             lhs = _summed(((u, v), scale * m * x) for l, m in ta[b] for u, v, x in comult[l])
-            if lhs != _summed(_t2_rows(table, ra, rb).items()):
+            if sa and single[b]:
+                rhs = _t2_pairs(table, da, db)
+            else:
+                for k in (a, b):
+                    if k not in rows:
+                        rows[k] = _rows_of(comult[k])
+                rhs = _t2_rows(table, rows[a], rows[b])
+            if lhs != _summed(rhs.items()):
                 return (a, b)
     return None
 
@@ -529,18 +562,23 @@ class WeakBialgebra:
     def _product_rows(self, xrows, yrows):
         """The storage rows of the products x y, lazily, for x over xrows
         and y over yrows (rows of (column, nonzero value) pairs), x
-        outermost.
-
-        Each product is one sum over the integer table, wrapped once; x e_q
-        is summed once per x for every q some y reaches."""
-        tables = self._integer_tables
-        table = tables.mult
-        d = tables.d_mult
+        outermost: the _product_sums of the unwrapped rows, each wrapped
+        once."""
+        d = self._integer_tables.d_mult
+        xs = ([(p, _unwrap(a)) for p, a in row] for row in xrows)
         ys = [[(q, _unwrap(b)) for q, b in row] for row in yrows]
-        for xrow in xrows:
-            xs = [(p, _unwrap(a)) for p, a in xrow]
+        return (_storage_row(acc, d) for acc in self._product_sums(xs, ys))
+
+    def _product_sums(self, xrows, yrows):
+        """The products x y, lazily, for x over xrows and y over yrows (rows
+        of (column, kernel number) pairs; yrows is read once per x), x
+        outermost, each as a {column: D_m times its value} dict, which may
+        hold zeros: a sum over the integer table, of ints when x and y hold
+        ints.  x e_q is summed once per x for every q some y reaches."""
+        table = self._integer_tables.mult
+        for xs in xrows:
             reached = {}
-            for y in ys:
+            for y in yrows:
                 acc = {}
                 for q, b in y:
                     xq = reached.get(q)
@@ -551,7 +589,7 @@ class WeakBialgebra:
                                 xq[k] = xq.get(k, 0) + a * c
                     for k, v in xq.items():
                         acc[k] = acc.get(k, 0) + b * v
-                yield _storage_row(acc, d)
+                yield acc
 
     def products(self, x: Matrix, y: Matrix) -> Matrix:
         """The products of the rows of x with the rows of y: row
@@ -1251,18 +1289,17 @@ def _spread(m: Matrix, inner: int) -> Matrix:
 @computed_once
 def _coproduct_legs(algebra):
     """The leg pairs (u, v) that some Delta(e_k) reaches, as (u, (v, ...))
-    groups in increasing order, and the coproduct as one matrix over those
-    pairs, numbered in that order: row k is Delta(e_k).  Kept per instance."""
-    legs = algebra._comult_triples
-    reached = sorted({(u, v) for nz in legs for u, v, _ in nz})
+    groups in increasing order, and the integer coproduct over those pairs,
+    numbered in that order: entry k lists the (pair number, D_c
+    coefficient) of each nonzero of Delta(e_k).  Kept per instance."""
+    comult = algebra._integer_tables.comult
+    reached = sorted({(u, v) for nz in comult for u, v, _ in nz})
     index = {pair: t for t, pair in enumerate(reached)}
     groups = {}
     for u, v in reached:
         groups.setdefault(u, []).append(v)
-    stacked = Matrix._of_rows(
-        tuple(tuple((index[u, v], x) for u, v, x in nz) for nz in legs), len(reached)
-    )
-    return tuple(groups.items()), stacked
+    legs = tuple(tuple((index[u, v], c) for u, v, c in nz) for nz in comult)
+    return tuple(groups.items()), legs
 
 
 def _unflat(row, rows: int, cols: int) -> tuple:
@@ -1274,21 +1311,63 @@ def _unflat(row, rows: int, cols: int) -> tuple:
     return tuple(map(tuple, cut))
 
 
-def _leg_sums(algebra, flats, rows: int, cols: int) -> Matrix:
+def _cleared_rows(rows):
+    """Rows of (column, rational) pairs times the lcm d of their
+    denominators, as lists of (column, int) pairs, and d."""
+    d = _denominator_lcm(x for row in rows for _, x in row)
+    if d == 1:
+        return [[(j, x.numerator) for j, x in row] for row in rows], d
+    # _cleared, inlined
+    return [[(j, x.numerator * (d // x.denominator)) for j, x in row] for row in rows], d
+
+
+def _leg_sums(algebra, flats, rows: int, cols: int, d: int = 1) -> Matrix:
     """Over the basis index t, stacked, the sum of c B(u, v) over the
     nonzeros c of Delta(e_t) at leg pairs (u, v), for one block B(u, v) of
-    rows rows and cols columns per reached pair.  flats(u, vs) gives B(u, v)
-    laid out as one row (_flat) for v over vs, so each reached pair is formed
-    once; one product with the coproduct sums them, each sum cut back into
-    its rows.  Every sum over the legs of Delta runs through here: the
+    rows rows and cols columns per reached pair.  flats(u, vs) gives d B(u, v)
+    for v over vs, each laid out as one row (_flat) of (column, int) pairs
+    that can be read more than once, so each reached pair is formed once.
+    Each sum runs over the integer coproduct (_integer_leg_sums), and each
+    of its entries is divided once by d D_c; the sums are cut back into
+    their rows.  Every sum over the legs of Delta runs through here: the
     convolution is the case of one-row blocks, which need no cut."""
-    groups, stacked = _coproduct_legs(algebra)
-    flat = tuple(r for u, vs in groups for r in flats(u, vs))
-    sums = stacked * Matrix._of_rows(flat, rows * cols)
+    d *= algebra._integer_tables.d_comult
+    sums = [_storage_row(acc, d) for acc in _integer_leg_sums(algebra, flats)]
     if rows == 1:
-        return sums
-    cut = (r for row in sums.sparse_rows for r in _unflat(row, rows, cols))
+        return Matrix._of_rows(tuple(sums), cols)
+    cut = (r for row in sums for r in _unflat(row, rows, cols))
     return Matrix._of_rows(tuple(cut), cols)
+
+
+def _integer_leg_sums(algebra, flats) -> list:
+    """The sums of _leg_sums before they are divided: per basis index t,
+    the sum of c b over the nonzeros (u, v, c) of the integer coproduct of
+    e_t, for the blocks b that flats gives, as a {column: sum} dict, which
+    may hold zeros."""
+    groups, legs = _coproduct_legs(algebra)
+    blocks = [b for u, vs in groups for b in flats(u, vs)]
+    sums = []
+    for nz in legs:
+        acc = {}
+        for t, c in nz:
+            for j, x in blocks[t]:
+                prev = acc.get(j)
+                acc[j] = c * x if prev is None else prev + c * x
+        sums.append(acc)
+    return sums
+
+
+def _cleared_flats(algebra, flats):
+    """flats, as _leg_sums takes them, for blocks of rationals: every
+    block formed once and cleared by the lcm d of all their denominators.
+    Returns the int flats and d."""
+    groups = _coproduct_legs(algebra)[0]
+    rows, d = _cleared_rows([b for u, vs in groups for b in flats(u, vs)])
+    kept, start = {}, 0
+    for u, vs in groups:
+        kept[u] = rows[start : start + len(vs)]
+        start += len(vs)
+    return (lambda u, vs: kept[u]), d
 
 
 def _leg_words(algebra, middle: Matrix, firsts=None, seconds=None) -> Matrix:
@@ -1297,41 +1376,40 @@ def _leg_words(algebra, middle: Matrix, firsts=None, seconds=None) -> Matrix:
     firsts and y_v is e_v, or x_u is e_u and y_v row v of seconds.
 
     One leg sum (_leg_sums) of the blocks x_u m_j y_v over j, each group
-    over u one _product_rows: x_u times the words m_j e_v, or the words
-    e_u m_j times the y_v.  Only the nonzero rows m_j are multiplied, each
-    times the lcm d of the denominators of middle, so that the words of
-    every leg pair are int sums; the leg sum is divided by d."""
+    over u one _product_sums: x_u times the words m_j e_v, or the words
+    e_u m_j times the y_v.  Only the nonzero rows m_j are multiplied.
+    middle and the rows x_u or y_v are each cleared of denominators once
+    (d and d_x), so every word is an int sum over the integer table, D_m
+    times over per product; the leg sum divides by D_m^2 d d_x."""
     n = algebra.dim
     rows = middle.sparse_rows
     live = [j for j, row in enumerate(rows) if row]
-    d = _denominator_lcm(x for row in rows for _, x in row)
-    cleared = (tuple((k, Q(_cleared(x, d))) for k, x in rows[j]) for j in live)
-    mids = Matrix._of_rows(tuple(cleared), n)
-    ident = Matrix.identity(n)
+    mids, d = _cleared_rows([rows[j] for j in live])
+    units = [((v, 1),) for v in range(n)]
     if seconds is None:
-        xs, ends = firsts.sparse_rows, algebra.products(mids, ident).sparse_rows
+        xs, d_x = _cleared_rows(firsts.sparse_rows)
+        ends = [acc.items() for acc in algebra._product_sums(mids, units)]
 
-        def factors(u, vs):  # ends row p * n + v is d m_live[p] e_v
+        def factors(u, vs):  # ends row p * n + v is D_m d m_live[p] e_v
             return (xs[u],), [ends[p * n + v] for p in range(len(live)) for v in vs]
 
     else:
-        ys, starts = seconds.sparse_rows, algebra.products(ident, mids).sparse_rows
+        ys, d_x = _cleared_rows(seconds.sparse_rows)
+        starts = [acc.items() for acc in algebra._product_sums(units, mids)]
 
-        def factors(u, vs):  # starts row u * len(live) + p is d e_u m_live[p]
+        def factors(u, vs):  # starts row u * len(live) + p is D_m d e_u m_live[p]
             return starts[u * len(live) : (u + 1) * len(live)], [ys[v] for v in vs]
 
     def flats(u, vs):
         # the words in the order (p, v): block v is every len(vs)-th
-        words = tuple(algebra._product_rows(*factors(u, vs)))
+        words = tuple(algebra._product_sums(*factors(u, vs)))
         for i in range(len(vs)):
-            yield tuple(
-                (j * n + k, x) for j, w in zip(live, words[i :: len(vs)]) for k, x in w
-            )
+            yield [
+                (j * n + k, x) for j, w in zip(live, words[i :: len(vs)]) for k, x in w.items()
+            ]
 
-    sums = _leg_sums(algebra, flats, middle.rows, n)
-    if d == 1:
-        return sums
-    return Matrix._of_rows(tuple(tuple((k, x / d) for k, x in r) for r in sums.sparse_rows), n)
+    scale = algebra._integer_tables.d_mult ** 2 * d * d_x
+    return _leg_sums(algebra, flats, middle.rows, n, scale)
 
 
 def _agree_on_image(p: Matrix, lhs, rhs, n: int) -> bool:
@@ -1540,7 +1618,8 @@ def _counit_absorption_identities(algebra) -> bool:
                 x, o = (u, v) if on_u else (v, u)
                 yield _flat(outer[o] * projected[x])
 
-        if _leg_sums(algebra, flats, n, n) != rhs:
+        cleared, d = _cleared_flats(algebra, flats)
+        if _leg_sums(algebra, cleared, n, n, d) != rhs:
             return False
     return True
 

@@ -78,7 +78,10 @@ def _quotient(x, d: int):
     """The kernel number x divided by the positive int d, as a Fraction."""
     if d == 1:
         return _wrap(x)
-    return Q(x, d) if type(x) is int else x / d
+    if type(x) is not int:
+        return x / d
+    q, r = divmod(x, d)
+    return Q(x, d) if r else _wrap(q)
 
 
 def _wrap_all(values) -> tuple:
@@ -344,11 +347,11 @@ class Matrix:
                 # c times row k of other: that row itself when c is 1, else
                 # each value times c, wrapped (one term each, so no sort)
                 ((k, c),) = row
-                if c == 1:
-                    out.append(right[k])
-                    continue
                 if type(c) is Fraction and c.denominator == 1:
                     c = c.numerator
+                    if c == 1:
+                        out.append(right[k])
+                        continue
                 out.append(
                     tuple(
                         [

@@ -22,6 +22,7 @@ from .core import (
     WeakBialgebra,
     _action_law_witness,
     _block_transposed,
+    _cleared_flats,
     _combination,
     _first_matrix_witness,
     _flat,
@@ -267,7 +268,8 @@ def coherence_report(v: ModuleRep):
             return (_flat(kron(first.action[i], second.action[j]) * insert) for j in js)
 
         lhs = _block_transposed(actions_t * insert.transpose(), v.dim)
-        return lhs == _leg_sums(algebra, flats, insert.rows, v.dim)
+        cleared, d = _cleared_flats(algebra, flats)
+        return lhs == _leg_sums(algebra, cleared, insert.rows, v.dim, d)
 
     return maps, natural(maps.l_map, e_rep, v), natural(maps.r_map, v, e_rep)
 
