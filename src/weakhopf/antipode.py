@@ -18,9 +18,11 @@ from .core import (
     _cleared,
     _cleared_rows,
     _denominator_lcm,
+    _first_matrix_witness,
     _flat,
     _integer_leg_sums,
     _leg_sums,
+    _pairs_swapped,
     _rows_of,
     _spread,
     _summed,
@@ -37,14 +39,12 @@ from .exactlin import (
     _unwrapped_nonzeros,
     inverse,
     kron,
-    nonzeros,
     outer,
     particular_solution_of_rows,
     rank,
     row_space,
     solve_affine,
     solve_affine_of_rows,
-    vector_combination,
 )
 
 
@@ -684,8 +684,12 @@ def invariant_functional_check(algebra, s: Matrix, lam) -> FunctionalCriterionVe
     nondegenerate functional satisfying the exchange identity
     a_(1) lam(b a_(2)) = S(b_(1)) lam(b_(2) a) forces a weak Hopf structure.
 
-    When the identity holds the solver must reproduce S exactly; any
-    discrepancy is raised as a self-check failure.
+    The identity is compared over every basis pair (a, b) at once, as two
+    stacked n^2 x n matrices whose row a * n + b holds each side for that
+    pair; the witness is the pair of the first row where they differ, so
+    the lexicographically first failing (a, b).  When the identity holds
+    the solver must reproduce S exactly; any discrepancy is raised as a
+    self-check failure.
     """
     algebra.require_valid()
     lam = tuple(lam)
@@ -706,35 +710,18 @@ def invariant_functional_check(algebra, s: Matrix, lam) -> FunctionalCriterionVe
             weak_hopf_confirmed=False,
             detail="anti-automorphism check %s, nondegeneracy %s" % (pre, nondeg),
         )
-    witness = None
-    basis = [algebra.basis_vector(i) for i in range(n)]
-    for a in range(n):
-        for b in range(n):
-            lhs = vector_combination(
-                (
-                    (c * gram_lam[b, v], basis[u])
-                    for u, v, c in nonzeros(algebra.comult[a])
-                ),
-                n,
-            )
-            rhs = vector_combination(
-                (
-                    (c * gram_lam[v, a], s.col(u))
-                    for u, v, c in nonzeros(algebra.comult[b])
-                ),
-                n,
-            )
-            if lhs != rhs:
-                witness = (a, b)
-                break
-        if witness:
-            break
-    if witness is not None:
+    # with G the pairing of lam: row a * n + b of the left side is
+    # D_a G^t at column b, and of the right side S D_b G at column a
+    st = algebra._stacks
+    lhs = _block_transposed(st["D"] * gram_lam.transpose(), n)
+    rhs = _pairs_swapped(_block_transposed(st["D"] * gram_lam, n) * s.transpose(), n)
+    first = _first_matrix_witness(lhs, rhs)
+    if first is not None:
         return FunctionalCriterionVerdict(
             preconditions_ok=True,
             exchange_identity_holds=False,
             weak_hopf_confirmed=False,
-            witness=witness,
+            witness=divmod(first[0], n),
         )
     wh = classify_weak_hopf(algebra)
     if not wh.is_weak_hopf or wh.antipode.matrix != s:

@@ -419,13 +419,6 @@ def _picked(m: Matrix, rows) -> Matrix:
     return Matrix._of_rows(tuple(stored[r] for r in rows), m.cols)
 
 
-def _kron3(x: Matrix, y: Matrix, z: Matrix) -> Matrix:
-    """kron(kron(x, y), z): its row (a * y.rows + b) * z.rows + c is the
-    flattened Kronecker product of rows a, b and c of x, y and z, whose
-    entry (r * y.cols + s) * z.cols + t is x[a, r] y[b, s] z[c, t]."""
-    return kron(kron(x, y), z)
-
-
 def _row(v) -> Matrix:
     """The vector v as a one-row matrix."""
     return Matrix.from_rows([v])
@@ -686,9 +679,11 @@ def two_sided_crossed_product(
             (
                 c1 * c2,
                 nonzeros(
-                    _kron3(
-                        _picked(lefts, [(i1 * dg + u1) * dl + i2]),
-                        _picked(h._table, [v1 * dg + u2]),
+                    kron(
+                        kron(
+                            _picked(lefts, [(i1 * dg + u1) * dl + i2]),
+                            _picked(h._table, [v1 * dg + u2]),
+                        ),
                         _picked(ends, [(v2 * dr + j1) * dr + j2]),
                     )
                 ),
@@ -699,7 +694,7 @@ def two_sided_crossed_product(
         return linear_combination(terms, 1, dim).sparse_rows[0]
 
     mult = tuple(tuple(mul_basis(t1, t2) for t2 in range(dim)) for t1 in range(dim))
-    unit = _kron3(_row(a_l.unit), _row(h.unit), _row(a_r.unit)).row(0)
+    unit = kron(kron(_row(a_l.unit), _row(h.unit)), _row(a_r.unit)).row(0)
     comult = []
     for t in range(dim):
         i, k, j = _unidx(t, dg, dr)
@@ -709,8 +704,8 @@ def two_sided_crossed_product(
         # the two Kronecker products
         terms = []
         for (k1, k2, k3), ck in h.iterated_delta(h.basis_vector(k), 2).items():
-            firsts = _kron3(_row(unit_vec(dl, i)), _row(unit_vec(dg, k1)), Matrix.identity(dr))
-            seconds = _kron3(moves[k2], _row(unit_vec(dg, k3)), _row(unit_vec(dr, j)))
+            firsts = kron(kron(_row(unit_vec(dl, i)), _row(unit_vec(dg, k1))), Matrix.identity(dr))
+            seconds = kron(kron(moves[k2], _row(unit_vec(dg, k3))), _row(unit_vec(dr, j)))
             terms.append((ck, nonzeros(firsts.transpose() * p * seconds)))
         comult.append(linear_combination(terms, dim, dim))
     # row (i * dg + k) * dr + j: omega(S^-1(e_k) . e_i s_r(e_j))
@@ -729,7 +724,7 @@ def two_sided_crossed_product(
         )
     # S(e_i (x) e_k (x) e_j) = s_r(e_j) (x) S(e_k) (x) s_r^-1 theta(e_i),
     # row (j * dg + k) * dl + i
-    images = _kron3(s_r.transpose(), s.transpose(), (s_r_inv * theta).transpose())
+    images = kron(kron(s_r.transpose(), s.transpose()), (s_r_inv * theta).transpose())
     antipode = _picked(
         images, [(j * dg + k) * dl + i for t in range(dim) for i, k, j in [_unidx(t, dg, dr)]]
     )

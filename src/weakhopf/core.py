@@ -1036,12 +1036,9 @@ class WeakBialgebra:
 
     @cached_property
     def center(self) -> Subspace:
-        n = self.dim
-        rows = []
-        for t in range(n):
-            diff = self.left_mult[t] - self.right_mult[t]
-            rows.extend(diff.sparse_rows)
-        return kernel(Matrix._of_sparse(rows, n))
+        """The kernel of L_t - R_t over every t at once, stacked."""
+        st = self._stacks
+        return kernel(st["L"] - st["R"])
 
     @cached_property
     def center_l(self) -> Subspace:
@@ -1057,10 +1054,9 @@ class WeakBialgebra:
 
     @computed_once
     def is_unital_subalgebra(self, s: Subspace) -> bool:
-        if not s.contains(self.unit):
-            return False
-        prods = self.basis_products(s)
-        return all(s.contains(prods.row(i)) for i in range(prods.rows))
+        """Whether s holds the unit and every product of two of its basis
+        vectors: one row_coordinates of basis_products(s)."""
+        return s.contains(self.unit) and s.row_coordinates(self.basis_products(s)) is not None
 
     @computed_once
     def commutator_vanishes(self, u: Subspace, v: Subspace) -> bool:
@@ -1764,19 +1760,11 @@ def _fixed_point_mapping(algebra) -> TheoremCheck:
     for s in "LR":
         both = nfix[("L", s)].intersect(nfix[("R", s)])
         target = dual.center.intersect(dfix[(s, "L")])
-        img = Subspace.from_spanning(
-            [eps[s].apply(v) for v in both.basis.data], algebra.dim
-        )
-        if img != target:
+        if row_space(both.basis * eps[s].transpose()) != target:
             ok = False
-        back_l = Subspace.from_spanning(
-            [ehat["L"].apply(v) for v in target.basis.data], algebra.dim
-        )
-        back_r = Subspace.from_spanning(
-            [ehat["R"].apply(v) for v in target.basis.data], algebra.dim
-        )
-        if back_l != both or back_r != both:
-            ok = False
+        for back in ehat.values():
+            if row_space(target.basis * back.transpose()) != both:
+                ok = False
     return TheoremCheck("fixed-point-duality", True, ok)
 
 
@@ -1936,8 +1924,7 @@ def _hyper_center(algebra, report) -> TheoremCheck:
     ok = True
     for s in "LR":
         m = algebra.eps_maps["eps_l" if s == "L" else "eps_r"]
-        img = Subspace.from_spanning([m.apply(v) for v in z.basis.data], algebra.dim)
-        if img != zd:
+        if row_space(z.basis * m.transpose()) != zd:
             ok = False
     return TheoremCheck("hyper-center", True, ok)
 

@@ -662,7 +662,9 @@ class Subspace:
         return self.coordinates(v) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis.data)
+        """Whether other lies inside: one row_coordinates of its basis, so
+        ValueError on an ambient dimension mismatch."""
+        return self.row_coordinates(other.basis) is not None
 
     def coordinates(self, v):
         """Coefficients of v in the stored basis, or None if v is outside."""
@@ -674,11 +676,14 @@ class Subspace:
 
     def row_coordinates(self, m: Matrix) -> Matrix | None:
         """The coordinates of each row of m in the stored basis, as the rows
-        of a matrix, or None when some row lies outside.
+        of a matrix, or None when some row lies outside; ValueError when m
+        is not ambient_dim wide.
 
         The basis is in RREF, so a vector's coordinates are its entries at
         the pivot columns, and it lies inside iff it equals their
         combination of the basis rows."""
+        if m.cols != self.ambient_dim:
+            raise ValueError("matrix rows have wrong ambient dimension")
         index = {c: t for t, c in enumerate(self._pivot_rows)}
         coords = Matrix._of_rows(
             tuple(tuple((index[j], x) for j, x in row if j in index) for row in m.sparse_rows),

@@ -305,28 +305,16 @@ def end_of_unit(algebra: WeakBialgebra) -> EndOfUnitReport:
     if report.monoidal:
         rep, _ = unit_module(algebra)
         endo = intertwiner_space(rep, rep)
-        spans = {}
-        for tag, center in (("R", algebra.center_r), ("L", algebra.center_l)):
-            vecs = [rep.operator(z).flatten() for z in center.basis.data]
-            spans[tag] = Subspace.from_spanning(vecs, rep.dim * rep.dim)
-        checks.append(
-            TheoremCheck(
-                "unit-endomorphisms-are-central-actions",
-                True,
-                endo == spans["R"] == spans["L"],
-            )
-        )
+        # a center's basis B times the stacked action: its operators, flattened
+        stacked = _stacked(rep.action, rep.dim)
+        spans = [row_space(c.basis * stacked) for c in (algebra.center_r, algebra.center_l)]
+        central = endo == spans[0] == spans[1]
+        checks.append(TheoremCheck("unit-endomorphisms-are-central-actions", True, central))
         z_dual, actions = _dual_wedge_actions(algebra)
         checks.append(TheoremCheck("unit-endomorphism-dimension", True, endo.dim == z_dual.dim))
         # right multiplications by the dual wedge intersection realize them
-        vecs = [m.flatten() for m in actions]
-        checks.append(
-            TheoremCheck(
-                "unit-endomorphisms-as-dual-multiplications",
-                True,
-                Subspace.from_spanning(vecs, rep.dim * rep.dim) == endo,
-            )
-        )
+        realized = row_space(_stacked(actions, rep.dim)) == endo
+        checks.append(TheoremCheck("unit-endomorphisms-as-dual-multiplications", True, realized))
         dim_end = endo.dim
     elif report.comonoidal:
         space = algebra.subspaces["A_R"]
@@ -339,14 +327,8 @@ def end_of_unit(algebra: WeakBialgebra) -> EndOfUnitReport:
         endo = kernel(sylvester(((c, c) for c in slices), k, k))
         z = algebra.subspaces["A_L"].intersect(space)
         mats = (space.restrict(algebra.right_mult_of(zv)) for zv in z.basis.data)
-        vecs = [m.flatten() for m in mats if m is not None]
-        checks.append(
-            TheoremCheck(
-                "unit-comodule-endomorphisms",
-                True,
-                Subspace.from_spanning(vecs, k * k) == endo,
-            )
-        )
+        spanned = row_space(_stacked([m for m in mats if m is not None], k))
+        checks.append(TheoremCheck("unit-comodule-endomorphisms", True, spanned == endo))
         dim_end = endo.dim
     else:
         return EndOfUnitReport(0, [TheoremCheck("end-of-unit", False, True)])
@@ -581,12 +563,6 @@ def monoidal_coherence_suite(v: ModuleRep, w: ModuleRep):
     return checks
 
 
-def _flattened_columns(mats, k: int) -> Matrix:
-    """The k*k x len(mats) matrix whose column t is mats[t], k x k,
-    flattened row by row."""
-    return Matrix.from_columns([m.flatten() for m in mats], k * k)
-
-
 def associativity_check(u: ModuleRep, v: ModuleRep, w: ModuleRep) -> bool:
     """Strict associativity: both double truncations carve out the same
     subspace of the triple tensor and carry the same action."""
@@ -633,7 +609,8 @@ def unit_representation_suite(algebra: WeakBialgebra):
         # endomorphisms commuting with right multiplication by z
         z, actions = _dual_wedge_actions(algebra)
         commutant = kernel(sylvester(((m, m) for m in actions), de, de))
-        img = Subspace.from_spanning([m.flatten() for m in rep.action], de * de)
+        stacked = _stacked(rep.action, de)
+        img = row_space(stacked)
         checks.append(
             TheoremCheck("unit-action-in-commutant", True, commutant.contains_subspace(img))
         )
@@ -653,7 +630,7 @@ def unit_representation_suite(algebra: WeakBialgebra):
                 (img == commutant) == (prod_dim == amalg_dim),
             )
         )
-        faithful = rank(_flattened_columns(rep.action, de)) == algebra.dim
+        faithful = rank(stacked) == algebra.dim
         checks.append(
             TheoremCheck("faithfulness-cominimality", True, faithful == report.cominimal)
         )
@@ -662,13 +639,12 @@ def unit_representation_suite(algebra: WeakBialgebra):
         slices = _wedge_coaction_slices(algebra)
         if None in slices:
             raise ValueError("dual action does not preserve the right wedge")
-        ker = kernel(_flattened_columns(slices, algebra.subspaces["A_R"].dim))
+        # the dual elements acting by zero: the vanishing combinations of the slices
+        ker = kernel(_stacked(slices, algebra.subspaces["A_R"].dim).transpose())
         prod = algebra.subspace_product(
             algebra.subspaces["A_L"], algebra.subspaces["A_R"]
         )
-        ann_rows = [list(b) for b in prod.basis.data]
-        annihilator = kernel(Matrix.from_rows(ann_rows, algebra.dim))
         checks.append(
-            TheoremCheck("dual-unit-action-kernel", True, ker == annihilator)
+            TheoremCheck("dual-unit-action-kernel", True, ker == kernel(prod.basis))
         )
     return checks

@@ -42,7 +42,6 @@ from .exactlin import (
     nonzeros,
     particular_solution,
     rank,
-    vdot,
     vector_combination,
 )
 from .repcat import _kron_sum
@@ -565,7 +564,9 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
     second functional is the counit itself, which normalizes onto the
     canonical representative during verification.  A cross map whose
     structure fails that verification raises ValueError, like the other
-    unusable inputs.
+    unusable inputs.  Linearity over the shared wedge and descent are each
+    one product over every basis pair, and the flip and the functional are
+    read off one matrix, whose row t writes e_t in wedge products.
     """
     b.require_valid()
     report = decide_axioms(b)
@@ -579,7 +580,6 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
     if s_r_inv is None:
         raise ValueError("cross map is not bijective")
     n = b.dim
-    lbasis = a_l.basis.data
     r = a_r.dim
     # the wedge products x y, row i * r + j for the i-th basis vector of A_L
     # and the j-th of A_R, and their counits
@@ -595,15 +595,13 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
     s_l_rows = s_l.transpose() * a_r.basis
     s_r_rows = s_r.transpose() * a_l.basis
     z = a_l.intersect(a_r)
-    acted = b.products(z.basis, a_r.basis).data
-    direct = b.products(z.basis, s_r_rows).data
-    for i in range(z.dim * r):
-        zx = a_r.coordinates(acted[i])
-        if zx is None:
-            raise ValueError("shared wedge does not act on the right wedge")
-        mapped = vector_combination(zip(s_r.apply(zx), lbasis), n)
-        if mapped != direct[i]:
-            raise ValueError("cross map is not linear over the shared wedge")
+    # s_r(z y) against z s_r(y) over every basis pair (z, y) at once: the
+    # A_R-coordinates of the products z y, as rows, times s_r's image rows
+    zx = a_r.row_coordinates(b.products(z.basis, a_r.basis))
+    if zx is None:
+        raise ValueError("shared wedge does not act on the right wedge")
+    if zx * s_r_rows != b.products(z.basis, s_r_rows):
+        raise ValueError("cross map is not linear over the shared wedge")
     # decompose the ambient basis into wedge products
     pmat = wedge_products.transpose()
     decomp = []
@@ -612,17 +610,14 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
         if res is None:
             raise ValueError("instance is not spanned by wedge products")
         decomp.append(res)
-
     # the flip of each wedge product x_i y_j is s_r(y_j) s_l(x_i)
-    flips = b.reversed_products(s_l_rows, s_r_rows).data
-    for kv in kernel(pmat).basis.data:
-        if any(vector_combination(zip(kv, flips), n)):
-            raise ValueError("cross map does not descend to the instance")
+    flips = b.reversed_products(s_l_rows, s_r_rows)
+    if not (kernel(pmat).basis * flips).is_zero():
+        raise ValueError("cross map does not descend to the instance")
+    coeffs = Matrix(decomp)
     pairings = b.products(s_l_rows, a_r.basis).apply(b.counit)
-    s_b = Matrix.from_columns(
-        [vector_combination(zip(coeffs, flips), n) for coeffs in decomp], n
-    )
-    alphas = [vdot(coeffs, pairings) for coeffs in decomp]
+    s_b = (coeffs * flips).transpose()
+    alphas = coeffs.apply(pairings)
     # the flip must be anti-comultiplicative so its transpose is an algebra
     # anti-morphism on the dual
     if not is_anti_comultiplicative(b, s_b):
@@ -631,7 +626,7 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
     structure = RigidityStructure(
         algebra=dual,
         s=s_b.transpose(),
-        alpha=tuple(alphas),
+        alpha=alphas,
         beta=b.counit,
     )
     check = verify_rigidity(dual, structure)
