@@ -4,7 +4,8 @@ The convolution product on linear endomorphisms of a weak bialgebra is
 (S * T)(a) = S(a_(1)) T(a_(2)).  A pre-antipode is a quasi-inverse of the
 identity whose one-sided convolutions land on the mixed counit projections;
 an antipode additionally satisfies S * id * S = S.  Antipodes are unique and
-are found here by exact linear solving in the matrix entries of S.
+are found here by exact linear solving in the matrix entries of S, or
+certified by checking a given candidate against those laws.
 """
 
 from __future__ import annotations
@@ -300,15 +301,43 @@ def _matrix_from_unknowns(x, n) -> Matrix:
     return Matrix([[x[i * n + j] for j in range(n)] for i in range(n)])
 
 
-@computed_once
-def solve_antipode(algebra: WeakBialgebra) -> AntipodeStatus:
+def solve_antipode(algebra: WeakBialgebra, certificate: Matrix | None = None) -> AntipodeStatus:
     """Solve for the antipode; absence is a status, never an error.
 
-    The int rows of _antipode_rows are eliminated as they are.  Any
+    The status is kept per instance, however it was first decided, so every
+    later call returns it whatever certificate it passes.
+
+    A certificate is a candidate antipode, such as a document's
+    extras.antipode.  It decides the status without a solve when it is an
+    n x n matrix S with id * S = Pi^{L,R}, S * id = Pi^{R,L} and
+    S * id * S = S, the two checks the solve applies to its own result.
+    The antipode is unique: for any S' with the same three properties,
+    associativity of convolution on a valid instance gives
+    S = S * id * S = S * (id * S') = (S * id) * S' = S' * id * S' = S'.
+    So a certified S is the matrix the solve would return, and its status
+    is the solve's, field for field.  Any other certificate is ignored.
+
+    The solve eliminates the int rows of _antipode_rows as they are.  Any
     particular pre-antipode solution is normalized through S_p * id * S_p,
     which is independent of the solver's pivoting.
     """
-    algebra.require_valid()
+    status = algebra.__dict__.get("_antipode_status")
+    if status is None:
+        algebra.require_valid()
+        if (
+            certificate is not None
+            and certificate.rows == certificate.cols == algebra.dim
+            and _pre_antipode_holds(algebra, certificate)
+            and _antipode_law_holds(algebra, certificate)
+        ):
+            status = _status_for(algebra, certificate)
+        else:
+            status = _eliminated_antipode(algebra)
+        algebra.__dict__["_antipode_status"] = status
+    return status
+
+
+def _eliminated_antipode(algebra) -> AntipodeStatus:
     n = algebra.dim
     particular = particular_solution_of_rows(_antipode_rows(algebra)[0], n * n)
     if particular is None:

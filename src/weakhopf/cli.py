@@ -152,6 +152,20 @@ def _render_report_text(doc):
     return "\n".join(lines) + "\n"
 
 
+def _antipode_certificate(doc, n):
+    """The document's extras.antipode as an n x n matrix, or None when it is
+    missing or malformed.  solve_antipode checks it before trusting it, so a
+    certificate can only save the solve, never change a verdict or an exit
+    code."""
+    extras = doc.get("extras")
+    if not isinstance(extras, dict):
+        return None
+    try:
+        return parse_matrix(extras.get("antipode"), n, n)
+    except ParseError:
+        return None
+
+
 def _load_algebra(path):
     doc = load_path(path)
     return doc, document_to_algebra(doc)
@@ -178,6 +192,8 @@ def cmd_report(args):
         }
         _emit(out, args, _render_report_text)
         return EXIT_MATH
+    # the instance keeps the status, certified or solved, for classify_weak_hopf
+    solve_antipode(algebra, _antipode_certificate(doc, algebra.dim))
     wh = classify_weak_hopf(algebra)
     out = {
         "valid": True,
@@ -202,7 +218,7 @@ def cmd_antipode(args):
     if algebra.violations:
         _emit({"valid": False}, args, _render_report_text)
         return EXIT_MATH
-    status = solve_antipode(algebra)
+    status = solve_antipode(algebra, _antipode_certificate(doc, algebra.dim))
     _emit(_antipode_doc(status), args, _render_report_text)
     return EXIT_OK
 

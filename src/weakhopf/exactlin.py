@@ -581,15 +581,46 @@ def inverse(m: Matrix) -> Matrix | None:
     n = m.rows
     if n == 0:
         return Matrix._empty(0)
-    aug = _row_dicts(m)
-    for i, row in enumerate(aug):
-        row[n + i] = 1
-    red = _eliminate(aug, 2 * n)
-    if [c for c, _ in red] != list(range(n)):
+    red = _rref_beside_identity(m)
+    if red is None:
         return None
     return Matrix._of_dicts(
         ({j - n: x for j, x in row.items() if j >= n} for _, row in red), n
     )
+
+
+def _rref_beside_identity(a: Matrix):
+    """The RREF pairs of [a | I], or None when a pivot falls in I, that is,
+    when a has not full row rank.  Otherwise the rows restricted to a's
+    columns are the RREF of a, and the I part the transform E with
+    E a = rref(a)."""
+    m = a.cols
+    aug = _row_dicts(a)
+    for i, row in enumerate(aug):
+        row[m + i] = 1
+    red = _eliminate(aug, m + a.rows)
+    return None if red and red[-1][0] >= m else red
+
+
+def right_inverse(a: Matrix):
+    """(X, kernel of a) with a X = I, from one elimination of [a | I], or
+    None when a has not full row rank.
+
+    Column t of X is the particular solution of a x = e_t that solve_affine
+    returns, every free variable set to zero."""
+    red = _rref_beside_identity(a)
+    if red is None:
+        return None
+    m = a.cols
+    pivot_rows = dict(red)
+    x = Matrix._of_dicts(
+        (
+            {j - m: v for j, v in pivot_rows[c].items() if j >= m} if c in pivot_rows else {}
+            for c in range(m)
+        ),
+        a.rows,
+    )
+    return x, _null_space(red, m)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -37,11 +37,10 @@ from .exactlin import (
     Subspace,
     image,
     inverse,
-    kernel,
     kron,
     nonzeros,
-    particular_solution,
     rank,
+    right_inverse,
     vector_combination,
 )
 from .repcat import _kron_sum
@@ -579,7 +578,6 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
     s_r_inv = inverse(s_r)
     if s_r_inv is None:
         raise ValueError("cross map is not bijective")
-    n = b.dim
     r = a_r.dim
     # the wedge products x y, row i * r + j for the i-th basis vector of A_L
     # and the j-th of A_R, and their counits
@@ -602,19 +600,17 @@ def dual_rigidity_structure(b: WeakBialgebra, s_r: Matrix) -> RigidityStructure:
         raise ValueError("shared wedge does not act on the right wedge")
     if zx * s_r_rows != b.products(z.basis, s_r_rows):
         raise ValueError("cross map is not linear over the shared wedge")
-    # decompose the ambient basis into wedge products
-    pmat = wedge_products.transpose()
-    decomp = []
-    for t in range(n):
-        res = particular_solution(pmat, b.basis_vector(t))
-        if res is None:
-            raise ValueError("instance is not spanned by wedge products")
-        decomp.append(res)
+    # decompose the ambient basis into wedge products: row t of coeffs
+    # writes e_t in them, from one elimination that also gives the kernel
+    solved = right_inverse(wedge_products.transpose())
+    if solved is None:
+        raise ValueError("instance is not spanned by wedge products")
+    decomposition, relations = solved
     # the flip of each wedge product x_i y_j is s_r(y_j) s_l(x_i)
     flips = b.reversed_products(s_l_rows, s_r_rows)
-    if not (kernel(pmat).basis * flips).is_zero():
+    if not (relations.basis * flips).is_zero():
         raise ValueError("cross map does not descend to the instance")
-    coeffs = Matrix(decomp)
+    coeffs = decomposition.transpose()
     pairings = b.products(s_l_rows, a_r.basis).apply(b.counit)
     s_b = (coeffs * flips).transpose()
     alphas = coeffs.apply(pairings)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from weakhopf.cli import main
-from weakhopf.constructions import catalog
+from weakhopf.constructions import catalog, catalog_names
 from weakhopf.serialize import algebra_to_document, dumps, load_path
 
 
@@ -514,3 +514,62 @@ def test_bad_factor_basis_labels_exit_two(tmp_path, capsys, command, spec, facto
     code, err = _exit_and_error(tmp_path, capsys, ["construct", command], spec)
     assert code == 2
     assert err == "input error: basis labels must list one name per dimension\n"
+
+
+def _emit_catalog(tmp_path, name):
+    path = str(tmp_path / "emitted.json")
+    assert main(["catalog", "emit", name, "--out", path]) == 0
+    return path
+
+
+def _report_and_antipode(tmp_path, capsys, doc):
+    """(exit code, stdout) of report and of antipode on the document."""
+    path = tmp_path / "certified.json"
+    path.write_text(dumps(doc))
+    return [run([command, str(path)], capsys) for command in ("report", "antipode")]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_certificate_keeps_report_and_antipode_bytes(tmp_path, capsys, name):
+    """The extras.antipode certificate a catalog document carries changes no
+    byte of report or antipode: both print what they print without it."""
+    doc = load_path(_emit_catalog(tmp_path, name))
+    bare = {key: value for key, value in doc.items() if key != "extras"}
+    with_extras = _report_and_antipode(tmp_path, capsys, doc)
+    assert with_extras == _report_and_antipode(tmp_path, capsys, bare)
+    assert [code for code, _ in with_extras] == [0, 0]
+
+
+def _identity_lists(n):
+    return [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+
+
+# each maps a document's antipode matrix (lists of scalar strings) to the
+# extras of a document whose certificate is unusable or wrong
+_BAD_CERTIFICATES = {
+    "extras-null": lambda s: None,
+    "extras-list": lambda s: [s],
+    "extras-number": lambda s: 5,
+    "antipode-string": lambda s: {"antipode": "S"},
+    "antipode-object": lambda s: {"antipode": {"matrix": s}},
+    "antipode-missing-row": lambda s: {"antipode": s[:-1]},
+    "antipode-extra-column": lambda s: {"antipode": [row + ["0"] for row in s]},
+    "antipode-ragged": lambda s: {"antipode": [s[0][:-1]] + s[1:]},
+    "antipode-zero-denominator": lambda s: {"antipode": [["1/0"] + s[0][1:]] + s[1:]},
+    "antipode-identity": lambda s: {"antipode": _identity_lists(len(s))},
+    "antipode-perturbed": lambda s: {"antipode": [[s[0][0] + "1"] + s[0][1:]] + s[1:]},
+}
+
+
+@pytest.mark.parametrize("name", ["bsz-dual:2", "example1"])
+@pytest.mark.parametrize("bad", sorted(_BAD_CERTIFICATES))
+def test_bad_certificate_is_ignored(tmp_path, capsys, name, bad):
+    """A certificate that is malformed or wrong never turns exit 0 into
+    exit 2: report and antipode print what they print without extras."""
+    doc = load_path(_emit_catalog(tmp_path, name))
+    extras = doc.pop("extras", None)
+    s = extras["antipode"] if extras else _identity_lists(doc["dim"])
+    expected = _report_and_antipode(tmp_path, capsys, doc)
+    assert [code for code, _ in expected] == [0, 0]
+    doc["extras"] = _BAD_CERTIFICATES[bad](s)
+    assert _report_and_antipode(tmp_path, capsys, doc) == expected

@@ -12,6 +12,7 @@ from weakhopf.exactlin import (
     parse_scalar,
     qstr,
     rank,
+    right_inverse,
     row_space,
     rref,
     solve_affine,
@@ -373,6 +374,30 @@ def test_inverse_matches_dense_oracle():
         assert form_inverse(m) == expected
         singular += expected is None
     assert 0 < singular < 40
+
+
+def test_right_inverse_matches_per_column_solves():
+    """One elimination of [a | I] against a solve of a x = e_t per t and the
+    kernel: the same particular solutions, free variables zero, and the
+    same kernel, or None exactly when some e_t has no solution."""
+    rng = random.Random(29)
+    deficient = 0
+    for _ in range(40):
+        rows = rng.randint(1, 7)
+        cols = rng.randint(rows, 10) if rng.random() < 0.8 else rng.randint(1, rows)
+        density = rng.choice((0.2, 0.5, 1.0))
+        m = _random_matrix(rng, rows, cols, density) if rng.random() < 0.7 else _low_rank(rng, rows, cols, density)
+        solves = [solve_affine(m, tuple(Q(int(i == t)) for i in range(rows))) for t in range(rows)]
+        got = right_inverse(m)
+        if any(x is None for x in solves):
+            assert got is None
+            deficient += 1
+            continue
+        x, null = got
+        assert x == Matrix.from_columns([p for p, _ in solves], cols)
+        assert m * x == Matrix.identity(rows)
+        assert null == kernel(m)
+    assert 0 < deficient < 40
 
 
 def test_subspace_membership_and_coordinates_sparse():
